@@ -244,12 +244,26 @@ class SparseOperator:
 
 
 def apply_dirichlet(matrix, constrained):
+    """CSR copy of `matrix` with identity rows and columns at the
+    constrained dofs (symmetric Dirichlet elimination).
+
+    Stored entries in a constrained row or column are zeroed through a mask
+    on the canonical CSR arrays and dropped by `eliminate_zeros`; then the
+    identity on the constrained diagonal is added.  This gives the same
+    `indptr`, `indices` and `data`, bit for bit, as zeroing those rows and
+    columns in a LIL copy: both remove exactly the entries of constrained
+    rows and columns, touch no other value, and end with the same `+ diag`,
+    whose CSR addition sorts indices and drops zero sums.
+    """
     if len(constrained) == 0:
         return matrix.tocsr()
-    mat = matrix.tolil(copy=True)
-    mat[constrained, :] = 0.0
-    mat[:, constrained] = 0.0
-    mat = mat.tocsr()
+    mat = matrix.tocsr(copy=True)
+    mat.sum_duplicates()
+    is_c = np.zeros(matrix.shape[0], dtype=bool)
+    is_c[constrained] = True
+    rows = np.repeat(is_c, np.diff(mat.indptr))
+    mat.data[rows | is_c[mat.indices]] = 0.0
+    mat.eliminate_zeros()
     diag = sp.coo_matrix(
         (np.ones(len(constrained)), (constrained, constrained)),
         shape=matrix.shape)

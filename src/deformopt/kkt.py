@@ -143,15 +143,6 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
                          u_constrained, v_constrained)
 
 
-def _zero_rows_cols(mat, rows, cols):
-    mat = mat.tolil(copy=True)
-    if len(rows):
-        mat[rows, :] = 0.0
-    if len(cols):
-        mat[:, cols] = 0.0
-    return mat.tocsr()
-
-
 class ShapeHessian:
     """Evaluation helper around the assembled blocks."""
 

@@ -339,18 +339,8 @@ def check_invertibility(m: Mesh, v, t: float):
         "min_area_ratio": float((areas / areas0).min()),
         "folded_triangles": folded,
         "boundary_max_abs": bmax,
-        "w1inf": t * w1inf_norm(m, vals),
     }
     return ok, info
-
-
-def w1inf_norm(m: Mesh, vals):
-    """W^{1,inf}-style bound of a P1 vector field: max |v| + max |Dv|_F."""
-    from .fem import elem_jacobian, VectorField
-    vals = np.asarray(vals, dtype=float)
-    jac = elem_jacobian(VectorField(m, vals))
-    return float(np.linalg.norm(vals, axis=1).max()
-                 + np.sqrt((jac ** 2).sum(axis=(1, 2))).max())
 
 
 def mesh_quality(m: Mesh):

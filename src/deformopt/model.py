@@ -43,58 +43,116 @@ class ProblemConfig:
         return self.mu_in if region_tag == REGION_INCLUSION else self.mu_out
 
 
+class Located:
+    """Containing background element and barycentrics of each located point.
+
+    Iterates as ``(element, barycentrics)`` pairs, one per point.
+    """
+
+    def __init__(self, elements, bary):
+        self.elements = elements
+        self.bary = bary
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __iter__(self):
+        return zip(self.elements.tolist(), self.bary)
+
+
 class _PointLocator:
-    """Uniform-grid bucket search for the triangle containing a point."""
+    """Uniform-grid bucket search for the triangles containing points.
+
+    The buckets are CSR arrays: bucket ``i * nx + j`` (cell column i, row j)
+    lists, in ascending order, every element whose bounding box meets it.
+    """
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
         pts = mesh.vertices[mesh.triangles]
-        self.lo = pts.min(axis=1)
-        self.hi = pts.max(axis=1)
-        diam = (self.hi - self.lo).max(axis=1)
+        lo = pts.min(axis=1)
+        hi = pts.max(axis=1)
+        diam = (hi - lo).max(axis=1)
         self.cell = max(float(np.median(diam)) * 2.0, 1e-6)
         self.nx = max(1, int(math.ceil(1.0 / self.cell)))
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        for e in range(mesh.num_triangles):
-            i0, j0 = self._cell_of(self.lo[e])
-            i1, j1 = self._cell_of(self.hi[e])
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    self.buckets.setdefault((i, j), []).append(e)
+        c0 = self._cells(lo)
+        ni, nj = (self._cells(hi) - c0 + 1).T
+        elems, k = _expand(ni * nj)
+        keys = ((c0[elems, 0] + k // nj[elems]) * self.nx
+                + c0[elems, 1] + k % nj[elems])
+        # the stable sort keeps each bucket's elements in ascending order
+        self.bucket_elems = elems[np.argsort(keys, kind="stable")]
+        self.bucket_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys, minlength=self.nx ** 2))])
+        # element e maps (s, t) to origin[e] + affine[e] @ (s, t)
+        self.origin = pts[:, 0]
+        self.affine = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]],
+                               axis=2)
         self.centroid_tree = cKDTree(pts.mean(axis=1))
 
-    def _cell_of(self, p):
-        return (min(self.nx - 1, max(0, int(p[0] / self.cell))),
-                min(self.nx - 1, max(0, int(p[1] / self.cell))))
+    def _cells(self, p):
+        """Grid cell (column, row) of each point, clamped to the grid."""
+        return np.clip(p / self.cell, 0, self.nx - 1).astype(np.int64)
 
-    def bary(self, e, p):
-        tri = self.mesh.triangles[e]
-        a, b, c = self.mesh.vertices[tri]
-        m = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-        st = np.linalg.solve(m, np.asarray(p, dtype=float) - a)
-        return np.array([1 - st[0] - st[1], st[0], st[1]])
+    def _bary(self, elems, points):
+        """Barycentrics of points[k] in element elems[k], (n, 3)."""
+        st = np.linalg.solve(self.affine[elems],
+                             (points - self.origin[elems])[:, :, None])[:, :, 0]
+        return np.column_stack([1 - st[:, 0] - st[:, 1], st[:, 0], st[:, 1]])
 
-    def locate(self, p, tol=1e-12):
-        key = self._cell_of(np.asarray(p, dtype=float))
-        best, best_min = None, -np.inf
-        for e in self.buckets.get(key, ()):
-            lam = self.bary(e, p)
-            lmin = lam.min()
-            if lmin >= -tol:
-                return e, np.clip(lam, 0.0, None)
-            if lmin > best_min:
-                best, best_min = (e, lam), lmin
-        # clamp to the nearest element (point marginally outside the hull)
-        _, e = self.centroid_tree.query(np.asarray(p, dtype=float))
-        lam = self.bary(int(e), p)
-        if best is not None and best_min > lam.min():
-            e, lam = best
-        else:
-            e = int(e)
-        if lam.min() < -1e-6:
-            raise ValueError(f"point {p} lies far outside the mesh")
-        lam = np.clip(lam, 0.0, None)
-        return e, lam / lam.sum()
+    def locate(self, points, tol=1e-12):
+        points = np.asarray(points, dtype=float)
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        cells = self._cells(points)
+        key = cells[:, 0] * self.nx + cells[:, 1]
+        start = self.bucket_ptr[key]
+        owner, k = _expand(self.bucket_ptr[key + 1] - start)
+        # every (point, bucket candidate) pair, by point, in bucket order
+        cand = self.bucket_elems[start[owner] + k]
+        lam = self._bary(cand, points[owner])
+        lmin = lam.min(axis=1)
+        elements = np.full(len(points), -1)
+        bary = np.empty((len(points), 3))
+        hit = _first_per_owner(owner, np.flatnonzero(lmin >= -tol))
+        elements[owner[hit]] = cand[hit]
+        bary[owner[hit]] = np.clip(lam[hit], 0.0, None)
+        miss = np.flatnonzero(elements < 0)
+        if miss.size == 0:
+            return Located(elements, bary)
+
+        # clamp to the nearest element (point marginally outside the hull):
+        # the nearest-centroid element, unless the bucket candidate with the
+        # largest min barycentric (the first such) is less far outside
+        _, near = self.centroid_tree.query(points[miss])
+        e = np.asarray(near, dtype=np.int64)
+        lam_m = self._bary(e, points[miss])
+        pairs = np.flatnonzero(elements[owner] < 0)
+        pairs = pairs[np.lexsort((pairs, -lmin[pairs], owner[pairs]))]
+        best = _first_per_owner(owner, pairs)
+        at = np.searchsorted(miss, owner[best])
+        better = lmin[best] > lam_m[at].min(axis=1)
+        e[at[better]] = cand[best[better]]
+        lam_m[at[better]] = lam[best[better]]
+        far = np.flatnonzero(lam_m.min(axis=1) < -1e-6)
+        if far.size:
+            raise ValueError(
+                f"point {points[miss[far[0]]]} lies far outside the mesh")
+        lam_m = np.clip(lam_m, 0.0, None)
+        elements[miss] = e
+        bary[miss] = lam_m / lam_m.sum(axis=1, keepdims=True)
+        return Located(elements, bary)
+
+
+def _expand(counts):
+    """(owner, k) for k = 0..counts[owner]-1, for every owner in turn."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return owner, k
+
+
+def _first_per_owner(owner, pairs):
+    """The first of `pairs` (grouped by owner) for each owner among them."""
+    return pairs[np.diff(owner[pairs], prepend=-1) != 0]
 
 
 class TargetField:
@@ -114,15 +172,27 @@ class TargetField:
     def _grads(self):
         return fem.elem_grad(self.z)
 
-    def locate(self, points):
-        return [self._locator.locate(p) for p in np.asarray(points, dtype=float)]
+    def locate(self, points) -> Located:
+        """Background element containing each point, with its barycentrics.
+
+        Each point takes the first candidate of its grid bucket, in
+        ascending element order, whose barycentrics are all >= -1e-12 (then
+        clipped at 0).  A point in no candidate is clamped: it takes the
+        element with the nearest centroid, or the bucket candidate it lies
+        least far outside if that is closer, and its clipped barycentrics
+        are renormalised.  A point more than 1e-6 (in barycentrics) outside
+        every element raises ValueError.  `gradient_at` and
+        `verify.mask_fields` rely on this deterministic tie-break on element
+        boundaries.
+        """
+        return self._locator.locate(points)
 
     def interpolate(self, points):
         """Barycentric evaluation of z at arbitrary points in [0,1]^2."""
-        out = np.empty(len(points))
-        for k, (e, lam) in enumerate(self.locate(points)):
-            out[k] = lam @ self.z.values[self.mesh.triangles[e]]
-        return out
+        loc = self.locate(points)
+        zv = self.z.values[self.mesh.triangles[loc.elements]]
+        # a stacked (1x3)(3x1) matmul runs the same dot as lam @ zv per point
+        return (loc.bary[:, None, :] @ zv[:, :, None])[:, 0, 0]
 
     def gradient_at(self, points):
         """Background-mesh gradient of z at each point, (npts, 2).
@@ -130,10 +200,7 @@ class TargetField:
         Piecewise constant; on element boundaries the containing element is
         chosen deterministically by the locator.
         """
-        out = np.empty((len(points), 2))
-        for k, (e, _) in enumerate(self.locate(points)):
-            out[k] = self._grads[e]
-        return out
+        return self._grads[self.locate(points).elements]
 
 
 def state_dirichlet(mesh: Mesh):

@@ -42,18 +42,22 @@ def mask_fields(mesh: Mesh, target: model.TargetField, fields, t_max,
     """Zero nodes whose probe segment leaves its background element.
 
     For each field the segment x_i + s V_i, s in [-t_max, t_max], is sampled;
-    a node is kept only if every sample lands in the same background element
-    for every field.  This removes the interpolation kinks of z from the
-    difference quotients.
+    a node is kept only if every sample lies in the unit square and lands in
+    the same background element for every field.  This removes the
+    interpolation kinks of z from the difference quotients.  Samples outside
+    the square are not located: the background mesh ends there.
     """
     keep = np.ones(mesh.num_vertices, dtype=bool)
     for v in fields:
         ref = None
         for s in np.linspace(-t_max, t_max, n_probe):
-            elems = np.array([e for e, _ in target.locate(mesh.vertices + s * v)])
+            pts = mesh.vertices + s * v
+            inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+            elems = np.full(mesh.num_vertices, -1)
+            elems[inside] = target.locate(pts[inside]).elements
             if ref is None:
                 ref = elems
-            keep &= elems == ref
+            keep &= inside & (elems == ref)
     return [np.where(keep[:, None], v, 0.0) for v in fields]
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from deformopt import fem
+from deformopt import fem, kkt, model, shape_calculus
 from deformopt.fem import (FemError, ScalarField, SingularSystemError,
                            VectorField, assemble_mass,
                            assemble_scalar_laplace, assemble_vector_h1_form,
@@ -14,6 +15,20 @@ from deformopt.mesh import (REGION_EXTERIOR, REGION_INCLUSION, InclusionShape,
 @pytest.fixture(scope="module")
 def mesh():
     return generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.1)
+
+
+def reference_dirichlet(matrix, constrained):
+    """The LIL elimination `fem.apply_dirichlet` replaced; test reference."""
+    if len(constrained) == 0:
+        return matrix.tocsr()
+    mat = matrix.tolil(copy=True)
+    mat[constrained, :] = 0.0
+    mat[:, constrained] = 0.0
+    mat = mat.tocsr()
+    diag = sp.coo_matrix(
+        (np.ones(len(constrained)), (constrained, constrained)),
+        shape=matrix.shape)
+    return (mat + diag.tocsr()).tocsr()
 
 
 class TestFields:
@@ -162,3 +177,38 @@ class TestConstrainedSolve:
         expected = np.zeros(mesh.num_vertices)
         expected[mesh.boundary_vertices[0]] = 1.0
         assert np.array_equal(row, expected)
+
+
+class TestDirichletElimination:
+    """`apply_dirichlet` against the LIL path it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_same_csr(matrix, constrained):
+        got = fem.apply_dirichlet(matrix, constrained)
+        want = reference_dirichlet(matrix, constrained)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+
+    def test_kkt_matrix(self, mesh):
+        cfg = model.ProblemConfig()
+        target = model.make_target(cfg, 0.05)
+        z = model.transfer_target(target, mesh)
+        z_grad = model.target_gradients(target, mesh)
+        u = model.solve_state(mesh, cfg)
+        lam = model.solve_adjoint(mesh, cfg, u, z)
+        system = kkt.assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+                                  z_grad=z_grad)
+        self.assert_same_csr(system.matrix(), system.constrained_dofs())
+
+    def test_state_operator(self, mesh):
+        op = model.state_operator(mesh, model.ProblemConfig())
+        self.assert_same_csr(op.matrix, op.constrained)
+
+    def test_deformation_metric(self, mesh):
+        op = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
+        self.assert_same_csr(op.matrix, op.constrained)
+
+    def test_no_constraints(self, mesh):
+        op = assemble_mass(mesh)
+        self.assert_same_csr(op.matrix, op.constrained)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from deformopt import fem, model
 from deformopt.fem import ScalarField
@@ -12,6 +15,63 @@ from deformopt.model import (ProblemConfig, TargetField, boundary_flux,
                              transfer_target)
 
 CIRCLE = InclusionShape.circle((0.5, 0.5), 0.2)
+
+
+class ReferenceLocator:
+    """The per-point bucket search the batched locator replaced.
+
+    One 2x2 solve per bucket candidate; kept as the reference the batched
+    `TargetField.locate` must match bit for bit.
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        pts = mesh.vertices[mesh.triangles]
+        self.lo = pts.min(axis=1)
+        self.hi = pts.max(axis=1)
+        diam = (self.hi - self.lo).max(axis=1)
+        self.cell = max(float(np.median(diam)) * 2.0, 1e-6)
+        self.nx = max(1, int(math.ceil(1.0 / self.cell)))
+        self.buckets = {}
+        for e in range(mesh.num_triangles):
+            i0, j0 = self._cell_of(self.lo[e])
+            i1, j1 = self._cell_of(self.hi[e])
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    self.buckets.setdefault((i, j), []).append(e)
+        self.centroid_tree = cKDTree(pts.mean(axis=1))
+
+    def _cell_of(self, p):
+        return (min(self.nx - 1, max(0, int(p[0] / self.cell))),
+                min(self.nx - 1, max(0, int(p[1] / self.cell))))
+
+    def bary(self, e, p):
+        tri = self.mesh.triangles[e]
+        a, b, c = self.mesh.vertices[tri]
+        m = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
+        st = np.linalg.solve(m, np.asarray(p, dtype=float) - a)
+        return np.array([1 - st[0] - st[1], st[0], st[1]])
+
+    def locate(self, p, tol=1e-12):
+        key = self._cell_of(np.asarray(p, dtype=float))
+        best, best_min = None, -np.inf
+        for e in self.buckets.get(key, ()):
+            lam = self.bary(e, p)
+            lmin = lam.min()
+            if lmin >= -tol:
+                return e, np.clip(lam, 0.0, None)
+            if lmin > best_min:
+                best, best_min = (e, lam), lmin
+        _, e = self.centroid_tree.query(np.asarray(p, dtype=float))
+        lam = self.bary(int(e), p)
+        if best is not None and best_min > lam.min():
+            e, lam = best
+        else:
+            e = int(e)
+        if lam.min() < -1e-6:
+            raise ValueError(f"point {p} lies far outside the mesh")
+        lam = np.clip(lam, 0.0, None)
+        return e, lam / lam.sum()
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +211,48 @@ class TestTarget:
     def test_point_outside_domain_rejected(self, target):
         with pytest.raises(ValueError):
             target.interpolate(np.array([[1.5, 0.5]]))
+        with pytest.raises(ValueError):
+            ReferenceLocator(target.mesh).locate(np.array([1.5, 0.5]))
+        # the first offending point in input order is named
+        with pytest.raises(ValueError, match=r"\[1\.5 0\.5\]"):
+            target.locate(np.array([[0.5, 0.5], [1.5, 0.5], [2.0, 2.0]]))
+
+    def test_batched_locator_matches_reference(self, target, mesh):
+        """Bit-equal element ids and barycentrics against the per-point
+        search, on element interiors, edges and vertices, and on a point
+        just outside the hull that takes the clamp path."""
+        back = target.mesh
+        ref = ReferenceLocator(back)
+        rng = np.random.default_rng(11)
+        edges = np.unique(np.sort(np.concatenate([
+            back.triangles[:, [0, 1]], back.triangles[:, [1, 2]],
+            back.triangles[:, [2, 0]]]), axis=1), axis=0)
+        a, b = back.vertices[edges[:, 0]], back.vertices[edges[:, 1]]
+        t = rng.uniform(0.0, 1.0, (len(edges), 1))
+        # in no element, yet within 1e-6: takes the clamp path
+        outside = np.array([[1.0 + 1e-9, 0.5]])
+        every = np.arange(back.num_triangles)
+        lam_all = target._locator._bary(every, outside[[0] * len(every)])
+        assert -1e-6 < lam_all.min(axis=1).max() < -1e-12
+        for points in (mesh.vertices, rng.uniform(0.0, 1.0, (20000, 2)),
+                       back.vertices, a + t * (b - a), 0.5 * (a + b),
+                       outside):
+            got = target.locate(points)
+            assert len(got) == len(points)
+            want = [ref.locate(p) for p in points]
+            assert np.array_equal(got.elements, [e for e, _ in want])
+            assert np.array_equal(got.bary, np.array([lam for _, lam in want]))
+            assert [e for e, _ in got] == [e for e, _ in want]
+
+    def test_batched_transfer_matches_per_point_evaluation(self, target, mesh):
+        ref = ReferenceLocator(target.mesh)
+        z = target.z.values
+        tris = target.mesh.triangles
+        want = [ref.locate(p) for p in mesh.vertices]
+        assert np.array_equal(target.interpolate(mesh.vertices),
+                              [lam @ z[tris[e]] for e, lam in want])
+        assert np.array_equal(target_gradients(target, mesh),
+                              target._grads[[e for e, _ in want]])
 
     def test_target_field_requires_matching_mesh(self, target, mesh):
         with pytest.raises(ValueError):

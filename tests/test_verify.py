@@ -32,6 +32,14 @@ class TestHelpers:
             assert moved == base
 
 
+    def test_probes_leaving_the_square_are_masked(self):
+        """Seed 17 draws a field whose probes from nodes near the wall
+        leave [0,1]^2; those nodes are masked instead of located."""
+        report = verify.pullback_check(seed=17)
+        assert report["name"] == "pullback_check"
+        assert report["nodes_checked"] > 0
+
+
 class TestFastSuites:
     def test_volume_surrogate(self):
         report = verify.volume_surrogate()
