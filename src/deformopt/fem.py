@@ -103,7 +103,6 @@ class Geometry:
     """Per-element geometry shared by all assemblies on one mesh."""
 
     def __init__(self, mesh: Mesh):
-        self.mesh = mesh
         tris = mesh.triangles
         p = mesh.vertices[tris]
         self.areas = signed_areas(mesh.vertices, tris)
@@ -347,8 +346,3 @@ def vector_dofs(vertex_indices):
 def with_constraints(op: SparseOperator, constrained) -> SparseOperator:
     return SparseOperator(op.matrix, np.asarray(constrained, dtype=np.int64),
                           op.symmetric)
-
-
-def solve(op: SparseOperator, rhs, bc_values=None):
-    """Solve the constrained system; bc_values sets the constrained dofs."""
-    return op.solve_constrained(rhs, bc_values)

@@ -9,7 +9,7 @@ on the direction fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -42,17 +42,83 @@ def _mixed_scatter(mesh, local):
 
 
 @dataclass
+class _ElementTerms:
+    """Per-element factors of the mixed and pure shape blocks at one iterate."""
+
+    G: np.ndarray          # (ne, 3, 2) basis gradients
+    Mloc: np.ndarray       # (ne, 3, 3) local mass
+    Mw: np.ndarray         # (ne, 3) int_e (u - z) phi_i
+    gz: np.ndarray         # (ne, 3, 2) nodal grad z
+    gu: np.ndarray         # (ne, 2)
+    gl: np.ndarray         # (ne, 2)
+    Ggu: np.ndarray        # (ne, 3) grad phi_i . grad u
+    Ggl: np.ndarray        # (ne, 3) grad phi_i . grad lambda
+    gg: np.ndarray         # (ne, 3, 3) grad phi_i . grad phi_j
+    muA: np.ndarray        # (ne,) mu |e|
+    c_g: np.ndarray        # (ne,) div V coefficient of the Lagrangian
+    tr_sign: float
+
+
+@dataclass
 class HessianBlocks:
-    """All second-derivative blocks of the Lagrangian at one iterate."""
+    """All second-derivative blocks of the Lagrangian at one iterate.
+
+    `b_u_shape` (L_uOmega) and `shape_shape` (L_OmegaOmega) are assembled
+    on first access from the stored element terms: the reduced (warm-up)
+    step drops both, so it never pays for the five-index L_OmegaOmega
+    einsums.
+    """
 
     mesh: Mesh
     mass: sp.csr_matrix          # L_uu
     stiffness: sp.csr_matrix     # L_ulambda (= state operator)
-    b_u_shape: sp.csr_matrix     # L_uOmega, (n, 2n)
     b_lam_shape: sp.csr_matrix   # L_lambdaOmega, (n, 2n)
-    shape_shape: sp.csr_matrix   # L_OmegaOmega, (2n, 2n)
     u_constrained: np.ndarray
     v_constrained: np.ndarray
+    terms: _ElementTerms = field(repr=False)
+
+    @cached_property
+    def state_operator(self):
+        """Dirichlet-constrained state operator K; one factorization."""
+        return fem.SparseOperator(self.stiffness, self.u_constrained)
+
+    @cached_property
+    def b_u_shape(self):
+        """L_uOmega, (n, 2n): test u-hat_i, ansatz V_j,b."""
+        t = self.terms
+        c_state = t.Mw + t.muA[:, None] * t.Ggl            # (ne, 3)
+        b_u = np.einsum("ei,ejb->eijb", c_state, t.G)
+        b_u -= np.einsum("eij,ejb->eijb", t.Mloc, t.gz)
+        b_u -= t.muA[:, None, None, None] * (
+            np.einsum("eib,ej->eijb", t.G, t.Ggl)
+            + np.einsum("eij,eb->eijb", t.gg, t.gl))
+        return _mixed_scatter(self.mesh, b_u)
+
+    @cached_property
+    def shape_shape(self):
+        """L_OmegaOmega, (2n, 2n)."""
+        t = self.terms
+        G, Mw, gz, muA, gu, gl = t.G, t.Mw, t.gz, t.muA, t.gu, t.gl
+        Ggu, Ggl, gg = t.Ggu, t.Ggl, t.gg
+        cc = np.einsum("e,eia,ejb->eiajb", t.c_g, G, G)
+        cc -= t.tr_sign * np.einsum("e,eib,eja->eiajb", t.c_g, G, G)
+        # z material-derivative couplings
+        cc -= np.einsum("eia,ej,ejb->eiajb", G, Mw, gz)
+        cc -= np.einsum("eia,ei,ejb->eiajb", gz, Mw, G)
+        cc += np.einsum("eij,eia,ejb->eiajb", t.Mloc, gz, gz)
+        # remaining transport terms of mu grad u . grad lam
+        cc += np.einsum("e,ea,eib,ej->eiajb", muA, gu, G, Ggl)
+        cc += np.einsum("e,eb,eja,ei->eiajb", muA, gu, G, Ggl)
+        cc += np.einsum("e,ea,eij,eb->eiajb", muA, gu, gg, gl)
+        cc += np.einsum("e,eb,eij,ea->eiajb", muA, gu, gg, gl)
+        cc += np.einsum("e,ea,eib,ej->eiajb", muA, gl, G, Ggu)
+        cc += np.einsum("e,eb,eja,ei->eiajb", muA, gl, G, Ggu)
+        # divergence-times-transport cross terms
+        cc -= np.einsum("e,eia,eb,ej->eiajb", muA, G, gu, Ggl)
+        cc -= np.einsum("e,eia,ej,eb->eiajb", muA, G, Ggu, gl)
+        cc -= np.einsum("e,ejb,ea,ei->eiajb", muA, G, gu, Ggl)
+        cc -= np.einsum("e,ejb,ei,ea->eiajb", muA, G, Ggu, gl)
+        return _vector_scatter(self.mesh, cc)
 
 
 def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
@@ -60,7 +126,7 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
                             z_on_m: ScalarField, z_grad=None, target=None,
                             alpha_whole_domain=False,
                             flip_tr_term=False) -> HessianBlocks:
-    """Assemble every block of the linear shape-KKT Hessian.
+    """Assemble the shape-KKT Hessian blocks (L_uOmega and L_OmegaOmega lazily).
 
     `flip_tr_term` negates the trace part of the pure shape block; it exists
     as a negative control for the mixed-difference consistency check.
@@ -84,7 +150,6 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
     w = u.values - z_on_m.values
     wloc = w[tris]
     Mw = np.einsum("eij,ej->ei", Mloc, wloc)        # int_e w phi_i
-    gz = z_grad[tris]                               # (ne, 3, 2)
     chi = np.ones(ne) if alpha_whole_domain \
         else (mesh.region == REGION_INCLUSION).astype(float)
 
@@ -93,15 +158,6 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
     Ggu = np.einsum("eid,ed->ei", G, gu)
     muA = mu_e * area
 
-    # --- L_uOmega: (test u-hat_i, ansatz V_j,b)
-    c_state = Mw + muA[:, None] * Ggl               # (ne, 3)
-    b_u = np.einsum("ei,ejb->eijb", c_state, G)
-    b_u -= np.einsum("eij,ejb->eijb", Mloc, gz)
-    b_u -= muA[:, None, None, None] * (
-        np.einsum("eib,ej->eijb", G, Ggl)
-        + np.einsum("eij,eb->eijb", gg, gl))
-    mat_b_u = _mixed_scatter(mesh, b_u)
-
     # --- L_lambdaOmega
     b_lam = np.einsum("ei,ejb->eijb", muA[:, None] * Ggu, G)
     b_lam -= muA[:, None, None, None] * (
@@ -109,53 +165,27 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
         + np.einsum("eib,ej->eijb", G, Ggu))
     mat_b_lam = _mixed_scatter(mesh, b_lam)
 
-    # --- L_OmegaOmega
     half_w2 = 0.5 * np.einsum("ei,ei->e", wloc, Mw)
     c_g = half_w2 + area * (mu_e * np.einsum("ed,ed->e", gu, gl)
                             + 0.5 * cfg.alpha * chi)
-    tr_sign = -1.0 if flip_tr_term else 1.0
-    cc = np.einsum("e,eia,ejb->eiajb", c_g, G, G)
-    cc -= tr_sign * np.einsum("e,eib,eja->eiajb", c_g, G, G)
-    # z material-derivative couplings
-    cc -= np.einsum("eia,ej,ejb->eiajb", G, Mw, gz)
-    cc -= np.einsum("eia,ei,ejb->eiajb", gz, Mw, G)
-    cc += np.einsum("eij,eia,ejb->eiajb", Mloc, gz, gz)
-    # remaining transport terms of mu grad u . grad lam
-    cc += np.einsum("e,ea,eib,ej->eiajb", muA, gu, G, Ggl)
-    cc += np.einsum("e,eb,eja,ei->eiajb", muA, gu, G, Ggl)
-    cc += np.einsum("e,ea,eij,eb->eiajb", muA, gu, gg, gl)
-    cc += np.einsum("e,eb,eij,ea->eiajb", muA, gu, gg, gl)
-    cc += np.einsum("e,ea,eib,ej->eiajb", muA, gl, G, Ggu)
-    cc += np.einsum("e,eb,eja,ei->eiajb", muA, gl, G, Ggu)
-    # divergence-times-transport cross terms
-    cc -= np.einsum("e,eia,eb,ej->eiajb", muA, G, gu, Ggl)
-    cc -= np.einsum("e,eia,ej,eb->eiajb", muA, G, Ggu, gl)
-    cc -= np.einsum("e,ejb,ea,ei->eiajb", muA, G, gu, Ggl)
-    cc -= np.einsum("e,ejb,ei,ea->eiajb", muA, G, Ggu, gl)
-    mat_cc = _vector_scatter(mesh, cc)
+    terms = _ElementTerms(G, Mloc, Mw, z_grad[tris], gu, gl, Ggu, Ggl, gg,
+                          muA, c_g, -1.0 if flip_tr_term else 1.0)
 
     mass = fem.assemble_mass(mesh).matrix
     stiff = fem.assemble_scalar_laplace(
         mesh, {0: cfg.mu_in, 1: cfg.mu_out}).matrix
     u_constrained, _ = model.state_dirichlet(mesh)
     v_constrained = shape_calculus.deformation_constraints(mesh)
-    return HessianBlocks(mesh, mass, stiff, mat_b_u, mat_b_lam, mat_cc,
-                         u_constrained, v_constrained)
+    return HessianBlocks(mesh, mass, stiff, mat_b_lam, u_constrained,
+                         v_constrained, terms)
 
 
 class ShapeHessian:
     """Evaluation helper around the assembled blocks."""
 
-    def __init__(self, blocks: HessianBlocks, cfg, state_op=None):
+    def __init__(self, blocks: HessianBlocks, cfg):
         self.blocks = blocks
         self.cfg = cfg
-        self._state_op = state_op
-
-    @cached_property
-    def _constrained_state(self):
-        op = fem.SparseOperator(self.blocks.stiffness,
-                                self.blocks.u_constrained)
-        return op
 
     def shape_value(self, v: VectorField, w_dir: VectorField) -> float:
         """Pure deformation block L_OmegaOmega[V, W] (no sensitivities)."""
@@ -166,9 +196,9 @@ class ShapeHessian:
         b = self.blocks
         vflat = v.flat().copy()
         vflat[b.v_constrained] = 0.0
-        udot = self._constrained_state.solve_constrained(-(b.b_lam_shape @ vflat))
+        udot = b.state_operator.solve_constrained(-(b.b_lam_shape @ vflat))
         rhs = -(b.mass @ udot + b.b_u_shape @ vflat)
-        ldot = self._constrained_state.solve_constrained(rhs)
+        ldot = b.state_operator.solve_constrained(rhs)
         return udot, ldot
 
     def full_value(self, triple1, triple2) -> float:
@@ -194,7 +224,13 @@ class ShapeHessian:
 
 @dataclass
 class KktSystem:
-    """Regularized 3x3 block KKT system at one iterate."""
+    """Regularized 3x3 block KKT system at one iterate.
+
+    With `reduced` (the projected-gradient warm-up step) the blocks L_uu,
+    L_uOmega and L_OmegaOmega are dropped, which leaves the block-triangular
+    system  K dlambda = -r_u,  eps b V + B^T dlambda = -r_Omega,
+    K du + B V = -r_lambda  with K the state operator and B = L_lambdaOmega.
+    """
 
     mesh: Mesh
     blocks: HessianBlocks
@@ -210,17 +246,18 @@ class KktSystem:
 
     def matrix(self):
         b = self.blocks
-        zero_uu = sp.csr_matrix(b.mass.shape)
-        zero_un = sp.csr_matrix(b.b_u_shape.shape)
+        n = self.num_scalar
+        zero_uu = sp.csr_matrix((n, n))
+        zero_un = sp.csr_matrix((n, 2 * n))
         if self.reduced:
             rows = [[zero_uu, zero_un, b.stiffness],
                     [zero_un.T, self.regularizer, b.b_lam_shape.T],
-                    [b.stiffness, b.b_lam_shape, sp.csr_matrix(b.mass.shape)]]
+                    [b.stiffness, b.b_lam_shape, zero_uu]]
         else:
             rows = [[b.mass, b.b_u_shape, b.stiffness],
                     [b.b_u_shape.T, b.shape_shape + self.regularizer,
                      b.b_lam_shape.T],
-                    [b.stiffness, b.b_lam_shape, sp.csr_matrix(b.mass.shape)]]
+                    [b.stiffness, b.b_lam_shape, zero_uu]]
         return sp.bmat(rows, format="csr")
 
     def constrained_dofs(self):
@@ -242,7 +279,19 @@ class KktSystem:
         return fem.apply_dirichlet(self.matrix(), self.constrained_dofs())
 
     def solve(self):
-        """Newton (or projected-gradient) step (du, V, dlambda)."""
+        """Newton (or projected-gradient) step (du, V, dlambda).
+
+        The reduced step is solved by exact block elimination, with K and
+        eps b Dirichlet-constrained (`constrained_dofs`):
+            dlambda = -K^-1 r_u,
+            V       = -(eps b)^-1 (r_Omega + B^T dlambda),
+            du      = -K^-1 (r_lambda + B V).
+        Both K solves share one factorization, and L_uOmega and
+        L_OmegaOmega are never assembled.  The Newton step factorizes the
+        whole equilibrated 3x3 block system.
+        """
+        if self.reduced:
+            return self._solve_eliminated()
         raw = self._constrained_matrix
         # symmetric row-norm equilibration: the blocks span several orders
         # of magnitude (mass ~ h^2, stiffness ~ 1), which degrades splu
@@ -274,13 +323,16 @@ class KktSystem:
         dlam = ScalarField(self.mesh, x[3 * n:])
         return du, v, dlam
 
-    def dump_matrix(self, path):
-        """Write the constrained matrix in (row, col, value) text format."""
-        coo = self._constrained_matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v:.17g}\n")
+    def _solve_eliminated(self):
+        b = self.blocks
+        state = b.state_operator
+        metric = fem.SparseOperator(self.regularizer, b.v_constrained)
+        dlam = -state.solve_constrained(self.rhs_u)
+        v = -metric.solve_constrained(self.rhs_shape + b.b_lam_shape.T @ dlam)
+        du = -state.solve_constrained(self.rhs_lam + b.b_lam_shape @ v)
+        return (ScalarField(self.mesh, du),
+                VectorField(self.mesh, v.reshape(-1, 2)),
+                ScalarField(self.mesh, dlam))
 
 
 def lagrangian_gradient(mesh, cfg, u, lam, z_on_m, z_grad=None, target=None,
@@ -318,15 +370,3 @@ def assemble_kkt(mesh: Mesh, cfg, u, lam, z_on_m, eps: float,
         mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
         alpha_whole_domain=alpha_whole_domain)
     return KktSystem(mesh, blocks, reg, r_u, r_shape, r_lam, reduced=reduced)
-
-
-def newton_step(system: KktSystem):
-    return system.solve()
-
-
-def projected_gradient_step(mesh, cfg, u, lam, z_on_m, eps, eps1, eps2,
-                            z_grad=None, target=None):
-    """Step of the reduced system with all Hessian blocks zeroed."""
-    system = assemble_kkt(mesh, cfg, u, lam, z_on_m, eps, eps1, eps2,
-                          z_grad=z_grad, target=target, reduced=True)
-    return system.solve()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deformopt import driver, model
+from deformopt import driver, fem, kkt, model
 from deformopt.driver import (History, IterationRecord, LineSearchError,
                               Schedule, line_search, run_two_phase,
                               steepest_descent)
@@ -135,3 +135,55 @@ class TestTwoPhase:
         _, hist = run_two_phase(mesh, cfg, target, sched)
         assert len(hist.records) == 1
         assert hist.records[0].step == 0.0
+
+
+def fail_newton_solve_once(monkeypatch, at_call):
+    """Make the `at_call`-th Newton (non-reduced) KKT solve raise."""
+    original = kkt.KktSystem.solve
+    calls = []
+
+    def solve(system):
+        if not system.reduced:
+            calls.append(len(calls))
+            if len(calls) == at_call:
+                raise fem.SingularSystemError("injected singular KKT")
+        return original(system)
+
+    monkeypatch.setattr(kkt.KktSystem, "solve", solve)
+
+
+class TestReducedStepConsumers:
+    """Paths that move u and lambda by the du and dlambda of the reduced
+    step instead of re-solving them."""
+
+    def test_newton_failure_falls_back_to_gradient_step(self, coarse,
+                                                        monkeypatch):
+        cfg, target, mesh = coarse
+        fail_newton_solve_once(monkeypatch, at_call=2)
+        sched = Schedule(n_gradient_iters=2, max_iters=6, gradient_step=0.5)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert hist.notes == ["iteration 3: newton solve failed "
+                              "(injected singular KKT); gradient fallback"]
+        modes = [r.mode for r in hist.records]
+        assert modes == ["gradient"] * 2 + ["newton", "gradient"] \
+            + ["newton"] * 3
+        assert np.all(np.diff(hist.column("objective")) < 0)
+
+    def test_newton_failure_aborts_without_fallback(self, coarse,
+                                                    monkeypatch):
+        cfg, target, mesh = coarse
+        fail_newton_solve_once(monkeypatch, at_call=1)
+        sched = Schedule(n_gradient_iters=2, max_iters=6, gradient_step=0.5,
+                         newton_fallback=False)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert hist.notes == ["aborted at iteration 2: injected singular KKT"]
+        assert len(hist.records) == 3
+        assert hist.records[-1].step == 0.0
+
+    def test_one_shot_warmup_decreases_objective(self, coarse):
+        cfg, target, mesh = coarse
+        sched = Schedule(n_gradient_iters=4, max_iters=4, gradient_step=0.5,
+                         project_warmup=False)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert not hist.notes
+        assert np.all(np.diff(hist.column("objective")) < 0)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +12,7 @@ from deformopt.fem import (FemError, ScalarField, SingularSystemError,
                            elem_grad, elem_jacobian, divergence,
                            integrate_p1_product, vector_dofs, with_constraints)
 from deformopt.mesh import (REGION_EXTERIOR, REGION_INCLUSION, InclusionShape,
-                            generate_mesh)
+                            apply_deformation, generate_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +91,20 @@ class TestElementCalculus:
         area = integrate_p1_product([one], weights=w)
         # inscribed interface polygon: area deficit is O(h^2)
         assert area == pytest.approx(np.pi * 0.2 ** 2, abs=8e-3)
+
+    def test_geometry_keeps_no_reference_cycle(self, mesh):
+        """A mesh with cached geometry is freed by reference counting alone,
+        so deformed iterates do not wait for the cyclic collector."""
+        deformed = apply_deformation(mesh, np.zeros((mesh.num_vertices, 2)),
+                                     1.0)
+        fem.geometry(deformed)
+        ref = weakref.ref(deformed)
+        gc.disable()
+        try:
+            del deformed
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestAssembly:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from deformopt import fem, kkt, model, verify
 from deformopt.fem import ScalarField, VectorField
@@ -19,6 +21,25 @@ def setup():
     u = model.solve_state(mesh, cfg)
     lam = model.solve_adjoint(mesh, cfg, u, z)
     return cfg, target, mesh, z, z_grad, u, lam
+
+
+def reference_reduced_solve(system):
+    """The reduced step as the whole 3x3 block system: Dirichlet-constrained,
+    row-norm equilibrated and factorized by splu, with iterative refinement
+    (the solve that block elimination replaced)."""
+    raw = system._constrained_matrix
+    row_norms = np.sqrt(np.asarray(raw.power(2).sum(axis=1)).ravel())
+    d = 1.0 / np.sqrt(np.maximum(row_norms, 1e-30))
+    scaling = sp.diags(d)
+    mat = (scaling @ raw @ scaling).tocsc()
+    rhs = d * system.rhs()
+    factor = spla.splu(mat)
+    x = factor.solve(rhs)
+    for _ in range(6):
+        if np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs):
+            break
+        x = x + factor.solve(rhs - mat @ x)
+    return d * x
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +171,29 @@ class TestKktSystem:
         g = shape_calculus.riesz_gradient(d, metric)
         assert np.abs(v.values + g.values).max() <= 1e-7 * max(
             np.abs(g.values).max(), 1e-30)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-2])
+    def test_reduced_elimination_matches_monolithic_solve(self, setup, noise):
+        """Block elimination gives the step of the equilibrated splu solve,
+        at the projected start iterate and with u and lambda perturbed so
+        that r_u, r_lambda and hence dlambda and du are nonzero.  The
+        dropped blocks L_uOmega and L_OmegaOmega are never assembled."""
+        cfg, target, mesh, z, z_grad, u, lam = setup
+        rng = np.random.default_rng(11)
+        n = mesh.num_vertices
+        u = ScalarField(mesh, u.values + noise * rng.standard_normal(n))
+        lam = ScalarField(mesh, lam.values + noise * rng.standard_normal(n))
+        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+                              z_grad=z_grad, reduced=True)
+        du, v, dlam = system.solve()
+        assert "b_u_shape" not in vars(system.blocks)
+        assert "shape_shape" not in vars(system.blocks)
+        x = np.concatenate([du.values, v.flat(), dlam.values])
+        x_ref = reference_reduced_solve(system)
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+        if noise:
+            assert np.abs(du.values).max() > 0
+            assert np.abs(dlam.values).max() > 0
 
     def test_eps_validation(self, setup):
         cfg, target, mesh, z, z_grad, u, lam = setup
