@@ -77,8 +77,12 @@ def parse_config(text: str) -> RunConfig:
     rc = RunConfig()
     problem = dict()
     schedule = dict()
+    known = {"problem": {f.name for f in dc_fields(ProblemConfig)},
+             "schedule": {f.name for f in dc_fields(Schedule)}}
     for section in cp.sections():
         for key, value in cp.items(section):
+            if section in known and key not in known[section]:
+                raise ValueError(f"unknown {section} key {key!r}")
             if section == "problem":
                 problem[key] = float(value)
             elif section == "schedule":

@@ -42,7 +42,6 @@ class Schedule:
     # the state and adjoint are re-solved (projection onto the constraint
     # manifold).  The Newton phase keeps the one-shot simultaneous updates.
     project_warmup: bool = True
-    resolve_state_each_iter: bool = False
 
     def __post_init__(self):
         if min(self.gradient_step, self.newton_step, self.eps, self.eps1,
@@ -175,9 +174,6 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
     for k in range(sched.max_iters + 1):
         z = model.transfer_target(target, mesh)
         z_grad = model.target_gradients(target, mesh)
-        if sched.resolve_state_each_iter:
-            u = model.solve_state(mesh, cfg)
-            lam = model.solve_adjoint(mesh, cfg, u, z)
         newton_phase = k >= sched.n_gradient_iters
         mode = "newton" if newton_phase else "gradient"
         # project through the switch iteration so Newton starts feasible
@@ -185,9 +181,8 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
             u = model.solve_state(mesh, cfg)
             lam = model.solve_adjoint(mesh, cfg, u, z)
         j0 = model.objective(mesh, cfg, u, z)
-        r_u, r_shape, r_lam = kkt.lagrangian_gradient(
-            mesh, cfg, u, lam, z, z_grad=z_grad)
-        gn, res = _dual_norms(mesh, sched, r_u, r_shape, r_lam)
+        gradient = kkt.lagrangian_gradient(mesh, cfg, u, lam, z, z_grad=z_grad)
+        gn, res = _dual_norms(mesh, sched, *gradient)
         if k == sched.max_iters:
             history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
             break
@@ -197,7 +192,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
         step_eps = sched.eps if newton_phase else 1.0
         system = kkt.assemble_kkt(mesh, cfg, u, lam, z, step_eps,
                                   sched.eps1, sched.eps2, z_grad=z_grad,
-                                  reduced=not newton_phase)
+                                  reduced=not newton_phase, gradient=gradient)
         try:
             du, v, dlam = system.solve()
         except fem.SingularSystemError as exc:
@@ -207,7 +202,8 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
                 mode = "gradient"
                 system = kkt.assemble_kkt(mesh, cfg, u, lam, z, 1.0,
                                           sched.eps1, sched.eps2,
-                                          z_grad=z_grad, reduced=True)
+                                          z_grad=z_grad, reduced=True,
+                                          gradient=gradient)
                 du, v, dlam = system.solve()
             else:
                 history.notes.append(f"aborted at iteration {k}: {exc}")

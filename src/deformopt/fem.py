@@ -199,7 +199,6 @@ class SparseOperator:
 
     matrix: sp.csr_matrix
     constrained: np.ndarray
-    symmetric: bool = True
 
     @cached_property
     def constrained_matrix(self):
@@ -344,5 +343,4 @@ def vector_dofs(vertex_indices):
 
 
 def with_constraints(op: SparseOperator, constrained) -> SparseOperator:
-    return SparseOperator(op.matrix, np.asarray(constrained, dtype=np.int64),
-                          op.symmetric)
+    return SparseOperator(op.matrix, np.asarray(constrained, dtype=np.int64))

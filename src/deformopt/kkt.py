@@ -3,8 +3,10 @@
 Unknown ordering is (u-direction, deformation, lambda-direction).  The
 deformation block carries the linear second shape derivative; nonsymmetric
 second material derivatives of u and lambda are excluded by construction,
-which keeps the full matrix symmetric without any commutation assumption
-on the direction fields.
+which keeps the system symmetric without any commutation assumption on the
+direction fields.  The step is solved in the deformation alone, with the
+reduced shape Hessian as a symmetric operator; the 3x3 block matrix is
+never formed.
 """
 
 from __future__ import annotations
@@ -96,28 +98,30 @@ class HessianBlocks:
 
     @cached_property
     def shape_shape(self):
-        """L_OmegaOmega, (2n, 2n)."""
+        """L_OmegaOmega, (2n, 2n), assembled as S + T + T^T.
+
+        S holds the three self-symmetric terms (c_g G G, the trace term and
+        Mloc gz gz); the other twelve terms form six transpose pairs, of
+        which T holds one member each.  The block is symmetric by
+        construction.
+        """
         t = self.terms
         G, Mw, gz, muA, gu, gl = t.G, t.Mw, t.gz, t.muA, t.gu, t.gl
         Ggu, Ggl, gg = t.Ggu, t.Ggl, t.gg
         cc = np.einsum("e,eia,ejb->eiajb", t.c_g, G, G)
         cc -= t.tr_sign * np.einsum("e,eib,eja->eiajb", t.c_g, G, G)
-        # z material-derivative couplings
-        cc -= np.einsum("eia,ej,ejb->eiajb", G, Mw, gz)
-        cc -= np.einsum("eia,ei,ejb->eiajb", gz, Mw, G)
         cc += np.einsum("eij,eia,ejb->eiajb", t.Mloc, gz, gz)
+        # z material-derivative coupling
+        half = -np.einsum("eia,ej,ejb->eiajb", G, Mw, gz)
         # remaining transport terms of mu grad u . grad lam
-        cc += np.einsum("e,ea,eib,ej->eiajb", muA, gu, G, Ggl)
-        cc += np.einsum("e,eb,eja,ei->eiajb", muA, gu, G, Ggl)
-        cc += np.einsum("e,ea,eij,eb->eiajb", muA, gu, gg, gl)
-        cc += np.einsum("e,eb,eij,ea->eiajb", muA, gu, gg, gl)
-        cc += np.einsum("e,ea,eib,ej->eiajb", muA, gl, G, Ggu)
-        cc += np.einsum("e,eb,eja,ei->eiajb", muA, gl, G, Ggu)
+        half += np.einsum("e,ea,eib,ej->eiajb", muA, gu, G, Ggl)
+        half += np.einsum("e,ea,eij,eb->eiajb", muA, gu, gg, gl)
+        half += np.einsum("e,ea,eib,ej->eiajb", muA, gl, G, Ggu)
         # divergence-times-transport cross terms
-        cc -= np.einsum("e,eia,eb,ej->eiajb", muA, G, gu, Ggl)
-        cc -= np.einsum("e,eia,ej,eb->eiajb", muA, G, Ggu, gl)
-        cc -= np.einsum("e,ejb,ea,ei->eiajb", muA, G, gu, Ggl)
-        cc -= np.einsum("e,ejb,ei,ea->eiajb", muA, G, Ggu, gl)
+        half -= np.einsum("e,eia,eb,ej->eiajb", muA, G, gu, Ggl)
+        half -= np.einsum("e,eia,ej,eb->eiajb", muA, G, Ggu, gl)
+        cc += half
+        cc += half.transpose(0, 3, 4, 1, 2)
         return _vector_scatter(self.mesh, cc)
 
 
@@ -183,7 +187,7 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
 class ShapeHessian:
     """Evaluation helper around the assembled blocks."""
 
-    def __init__(self, blocks: HessianBlocks, cfg):
+    def __init__(self, blocks: HessianBlocks, cfg=None):
         self.blocks = blocks
         self.cfg = cfg
 
@@ -200,6 +204,16 @@ class ShapeHessian:
         rhs = -(b.mass @ udot + b.b_u_shape @ vflat)
         ldot = b.state_operator.solve_constrained(rhs)
         return udot, ldot
+
+    def apply(self, v: VectorField) -> np.ndarray:
+        """Linear second shape derivative as an operator on deformations:
+        L_OmegaOmega V + L_uOmega^T du[V] + L_lambdaOmega^T dlambda[V], so
+        that W . apply(V) = reduced_value(V, W) for V, W vanishing on the
+        boundary.  Costs two solves with the state operator."""
+        b = self.blocks
+        udot, ldot = self.sensitivities(v)
+        return (b.shape_shape @ v.flat() + b.b_u_shape.T @ udot
+                + b.b_lam_shape.T @ ldot)
 
     def full_value(self, triple1, triple2) -> float:
         """L''[(udot, V, ldot), (udot~, W, ldot~)] on explicit directions."""
@@ -222,14 +236,28 @@ class ShapeHessian:
         return self.full_value((uv, v.flat(), lv), (uw, w_dir.flat(), lw))
 
 
+# MINRES on the reduced shape Hessian: rtol 1e-12 left the step up to 2e-10
+# off the saddle-point solve at h=0.01.  Far from a feasible iterate MINRES
+# can need thousands of iterations, so it is capped and fails typed.
+MINRES_RTOL = 1e-14
+MINRES_MAXITER = 500
+KKT_RESIDUAL_TOL = 1e-8    # largest blockwise relative residual of a step
+
+
 @dataclass
 class KktSystem:
-    """Regularized 3x3 block KKT system at one iterate.
+    """Regularized 3x3 block KKT system at one iterate,
 
-    With `reduced` (the projected-gradient warm-up step) the blocks L_uu,
-    L_uOmega and L_OmegaOmega are dropped, which leaves the block-triangular
-    system  K dlambda = -r_u,  eps b V + B^T dlambda = -r_Omega,
-    K du + B V = -r_lambda  with K the state operator and B = L_lambdaOmega.
+        [ M      B_u           K   ] [du     ]     [r_u     ]
+        [ B_u^T  L_OO + eps b  B^T ] [V      ] = - [r_Omega ]
+        [ K      B             0   ] [dlambda]     [r_lambda]
+
+    with M = L_uu, B_u = L_uOmega, B = L_lambdaOmega, L_OO = L_OmegaOmega
+    and K the state operator; du and dlambda vanish on the Dirichlet
+    boundary and V on the outer boundary.  With `reduced` (the
+    projected-gradient warm-up step) M, B_u and L_OO are dropped.
+    `solve` records the MINRES iteration count and the blockwise relative
+    residual of a Newton step.
     """
 
     mesh: Mesh
@@ -239,100 +267,100 @@ class KktSystem:
     rhs_shape: np.ndarray
     rhs_lam: np.ndarray
     reduced: bool = False             # projected-gradient variant
-
-    @property
-    def num_scalar(self):
-        return self.mesh.num_vertices
-
-    def matrix(self):
-        b = self.blocks
-        n = self.num_scalar
-        zero_uu = sp.csr_matrix((n, n))
-        zero_un = sp.csr_matrix((n, 2 * n))
-        if self.reduced:
-            rows = [[zero_uu, zero_un, b.stiffness],
-                    [zero_un.T, self.regularizer, b.b_lam_shape.T],
-                    [b.stiffness, b.b_lam_shape, zero_uu]]
-        else:
-            rows = [[b.mass, b.b_u_shape, b.stiffness],
-                    [b.b_u_shape.T, b.shape_shape + self.regularizer,
-                     b.b_lam_shape.T],
-                    [b.stiffness, b.b_lam_shape, zero_uu]]
-        return sp.bmat(rows, format="csr")
-
-    def constrained_dofs(self):
-        n = self.num_scalar
-        b = self.blocks
-        return np.concatenate([
-            b.u_constrained,
-            n + b.v_constrained,
-            3 * n + b.u_constrained,
-        ])
-
-    def rhs(self):
-        r = np.concatenate([self.rhs_u, self.rhs_shape, self.rhs_lam])
-        r[self.constrained_dofs()] = 0.0
-        return -r
-
-    @cached_property
-    def _constrained_matrix(self):
-        return fem.apply_dirichlet(self.matrix(), self.constrained_dofs())
+    krylov_iterations: int = field(default=0, init=False)
+    relative_residual: float = field(default=0.0, init=False)
 
     def solve(self):
-        """Newton (or projected-gradient) step (du, V, dlambda).
+        """Newton (or projected-gradient) step (du, V, dlambda), in V alone.
 
-        The reduced step is solved by exact block elimination, with K and
-        eps b Dirichlet-constrained (`constrained_dofs`):
-            dlambda = -K^-1 r_u,
-            V       = -(eps b)^-1 (r_Omega + B^T dlambda),
-            du      = -K^-1 (r_lambda + B V).
-        Both K solves share one factorization, and L_uOmega and
-        L_OmegaOmega are never assembled.  The Newton step factorizes the
-        whole equilibrated 3x3 block system.
+        With K^-1 the constrained state solve (one factorization):
+            du_p      = -K^-1 r_lambda,
+            dlambda_p = -K^-1 (r_u + M du_p),
+            S V       = -(r_Omega + B_u^T du_p + B^T dlambda_p),
+            du        = -K^-1 (r_lambda + B V),
+            dlambda   = -K^-1 (r_u + M du + B_u V).
+        S V = (L_OO + eps b) V + B_u^T udot + B^T ldot with
+        udot = -K^-1 B V and ldot = -K^-1 (M udot + B_u V) is the reduced
+        shape Hessian (`ShapeHessian.apply`) plus the Tikhonov term.  It is
+        symmetric, and MINRES solves it preconditioned by the constrained
+        eps b factorization.  The reduced step drops M, B_u and L_OO: then
+        S = eps b, V is one direct metric solve and dlambda = dlambda_p.
+
+        Raises SingularSystemError when MINRES reaches MINRES_MAXITER, the
+        step is not finite, or a block residual exceeds KKT_RESIDUAL_TOL.
         """
-        if self.reduced:
-            return self._solve_eliminated()
-        raw = self._constrained_matrix
-        # symmetric row-norm equilibration: the blocks span several orders
-        # of magnitude (mass ~ h^2, stiffness ~ 1), which degrades splu
-        row_norms = np.sqrt(np.asarray(raw.power(2).sum(axis=1)).ravel())
-        d = 1.0 / np.sqrt(np.maximum(row_norms, 1e-30))
-        scaling = sp.diags(d)
-        mat = (scaling @ raw @ scaling).tocsc()
-        rhs = d * self.rhs()
-        try:
-            factor = spla.splu(mat)
-        except RuntimeError as exc:
-            raise fem.SingularSystemError(
-                f"KKT factorization failed (epsilon too small?): {exc}") from exc
-        x = factor.solve(rhs)
-        scale = max(np.linalg.norm(rhs), 1e-30)
-        res = np.linalg.norm(mat @ x - rhs)
-        for _ in range(6):                     # iterative refinement
-            if res <= 1e-10 * scale:
-                break
-            x = x + factor.solve(rhs - mat @ x)
-            res = np.linalg.norm(mat @ x - rhs)
-        if not np.isfinite(res) or res > 1e-8 * scale:
-            raise fem.SingularSystemError(
-                f"KKT solve residual {res:.3e} relative {res / scale:.3e}")
-        x = d * x
-        n = self.num_scalar
-        du = ScalarField(self.mesh, x[:n])
-        v = VectorField(self.mesh, x[n:3 * n].reshape(-1, 2))
-        dlam = ScalarField(self.mesh, x[3 * n:])
-        return du, v, dlam
-
-    def _solve_eliminated(self):
         b = self.blocks
         state = b.state_operator
         metric = fem.SparseOperator(self.regularizer, b.v_constrained)
-        dlam = -state.solve_constrained(self.rhs_u)
-        v = -metric.solve_constrained(self.rhs_shape + b.b_lam_shape.T @ dlam)
+        if self.reduced:
+            dlam = -state.solve_constrained(self.rhs_u)
+            v = -metric.solve_constrained(self.rhs_shape
+                                          + b.b_lam_shape.T @ dlam)
+        else:
+            du_p = -state.solve_constrained(self.rhs_lam)
+            dlam_p = -state.solve_constrained(self.rhs_u + b.mass @ du_p)
+            v = -self._minres(metric, self.rhs_shape + b.b_u_shape.T @ du_p
+                              + b.b_lam_shape.T @ dlam_p)
         du = -state.solve_constrained(self.rhs_lam + b.b_lam_shape @ v)
+        if not self.reduced:
+            dlam = -state.solve_constrained(self.rhs_u + b.mass @ du
+                                            + b.b_u_shape @ v)
+            self._check_residual(du, v, dlam)
         return (ScalarField(self.mesh, du),
                 VectorField(self.mesh, v.reshape(-1, 2)),
                 ScalarField(self.mesh, dlam))
+
+    def _minres(self, metric, g):
+        """W with S W = g on the free deformation dofs; S acts as the
+        identity on the constrained ones, where g and W vanish."""
+        hess = ShapeHessian(self.blocks)
+        fixed = self.blocks.v_constrained
+
+        def s_matvec(x):
+            w = x.copy()
+            w[fixed] = 0.0
+            y = hess.apply(VectorField(self.mesh, w.reshape(-1, 2))) \
+                + self.regularizer @ w
+            y[fixed] = x[fixed]
+            return y
+
+        def count(_):
+            self.krylov_iterations += 1
+
+        self.krylov_iterations = 0
+        n = g.size
+        rhs = g.copy()
+        rhs[fixed] = 0.0
+        w, info = spla.minres(
+            spla.LinearOperator((n, n), matvec=s_matvec, dtype=float), rhs,
+            M=spla.LinearOperator((n, n), matvec=metric.solve_constrained,
+                                  dtype=float),
+            rtol=MINRES_RTOL, maxiter=MINRES_MAXITER, callback=count)
+        if info != 0:
+            raise fem.SingularSystemError(
+                f"MINRES stopped after {self.krylov_iterations} iterations "
+                f"(info {info})")
+        return w
+
+    def _check_residual(self, du, v, dlam):
+        """Each block's residual relative to the norms of its terms."""
+        b = self.blocks
+        worst = 0.0
+        for terms, fixed in [
+                ([b.mass @ du, b.b_u_shape @ v, b.stiffness @ dlam,
+                  self.rhs_u], b.u_constrained),
+                ([b.b_u_shape.T @ du, b.shape_shape @ v, self.regularizer @ v,
+                  b.b_lam_shape.T @ dlam, self.rhs_shape], b.v_constrained),
+                ([b.stiffness @ du, b.b_lam_shape @ v, self.rhs_lam],
+                 b.u_constrained)]:
+            res = sum(terms)
+            res[fixed] = 0.0
+            scale = sum(np.linalg.norm(t) for t in terms)
+            worst = max(worst, np.linalg.norm(res) / max(scale, 1e-300))
+        self.relative_residual = worst
+        if not worst <= KKT_RESIDUAL_TOL:
+            raise fem.SingularSystemError(
+                f"KKT step residual {worst:.3e} relative")
 
 
 def lagrangian_gradient(mesh, cfg, u, lam, z_on_m, z_grad=None, target=None,
@@ -348,9 +376,7 @@ def lagrangian_gradient(mesh, cfg, u, lam, z_on_m, z_grad=None, target=None,
         mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
         alpha_whole_domain=alpha_whole_domain)
     u_constrained, _ = model.state_dirichlet(mesh)
-    r_u = r_u.copy()
     r_u[u_constrained] = 0.0
-    r_lam = r_lam.copy()
     r_lam[u_constrained] = 0.0
     return r_u, d.dual.copy(), r_lam
 
@@ -358,15 +384,21 @@ def lagrangian_gradient(mesh, cfg, u, lam, z_on_m, z_grad=None, target=None,
 def assemble_kkt(mesh: Mesh, cfg, u, lam, z_on_m, eps: float,
                  eps1: float, eps2: float, z_grad=None, target=None,
                  reduced=False, alpha_whole_domain=False,
-                 flip_tr_term=False) -> KktSystem:
-    """Build the epsilon-regularized KKT system at the current iterate."""
+                 flip_tr_term=False, gradient=None) -> KktSystem:
+    """Build the epsilon-regularized KKT system at the current iterate.
+
+    `gradient` is (r_u, r_Omega, r_lambda) from `lagrangian_gradient` at
+    the same iterate, when the caller already has it.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     blocks = assemble_hessian_blocks(
         mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
         alpha_whole_domain=alpha_whole_domain, flip_tr_term=flip_tr_term)
     reg = eps * fem.assemble_vector_h1_form(mesh, eps1, eps2).matrix
-    r_u, r_shape, r_lam = lagrangian_gradient(
-        mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
-        alpha_whole_domain=alpha_whole_domain)
+    if gradient is None:
+        gradient = lagrangian_gradient(
+            mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
+            alpha_whole_domain=alpha_whole_domain)
+    r_u, r_shape, r_lam = gradient
     return KktSystem(mesh, blocks, reg, r_u, r_shape, r_lam, reduced=reduced)

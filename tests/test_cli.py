@@ -88,8 +88,10 @@ emit_vtk = false
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             parse_config("[mesh]\nbogus = 1\n")
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="unknown schedule key 'bogus'"):
             parse_config("[schedule]\nbogus = 1\n")
+        with pytest.raises(ValueError, match="unknown problem key 'bogus'"):
+            parse_config("[problem]\nbogus = 1\n")
 
     def test_overrides(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from deformopt import driver, fem, kkt, model
 from deformopt.driver import (History, IterationRecord, LineSearchError,
@@ -179,6 +180,21 @@ class TestReducedStepConsumers:
         assert hist.notes == ["aborted at iteration 2: injected singular KKT"]
         assert len(hist.records) == 3
         assert hist.records[-1].step == 0.0
+
+    def test_minres_failure_falls_back_to_gradient_step(self, coarse,
+                                                        monkeypatch):
+        """MINRES stopping at its cap is a typed Newton failure: the
+        driver takes the gradient step instead and records it."""
+        cfg, target, mesh = coarse
+        monkeypatch.setattr(spla, "minres",
+                            lambda op, rhs, **kw: (rhs, kw["maxiter"]))
+        sched = Schedule(n_gradient_iters=2, max_iters=4, gradient_step=0.5)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert len(hist.notes) == 2
+        assert all("gradient fallback" in n and "MINRES" in n
+                   for n in hist.notes)
+        assert [r.mode for r in hist.records] == ["gradient"] * 4 + ["newton"]
+        assert np.all(np.diff(hist.column("objective")) < 0)
 
     def test_one_shot_warmup_decreases_objective(self, coarse):
         cfg, target, mesh = coarse

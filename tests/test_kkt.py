@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from deformopt import fem, kkt, model, verify
+from deformopt import driver, fem, kkt, model, verify
 from deformopt.fem import ScalarField, VectorField
 from deformopt.kkt import (ShapeHessian, assemble_hessian_blocks,
                            assemble_kkt, lagrangian_gradient)
 from deformopt.mesh import InclusionShape, generate_mesh
 from deformopt.model import ProblemConfig
+from kkt_reference import (reference_newton_solve, saddle_constrained_matrix,
+                           saddle_matrix, saddle_rhs)
 
 
 @pytest.fixture(scope="module")
@@ -23,23 +24,38 @@ def setup():
     return cfg, target, mesh, z, z_grad, u, lam
 
 
-def reference_reduced_solve(system):
-    """The reduced step as the whole 3x3 block system: Dirichlet-constrained,
-    row-norm equilibrated and factorized by splu, with iterative refinement
-    (the solve that block elimination replaced)."""
-    raw = system._constrained_matrix
-    row_norms = np.sqrt(np.asarray(raw.power(2).sum(axis=1)).ravel())
-    d = 1.0 / np.sqrt(np.maximum(row_norms, 1e-30))
-    scaling = sp.diags(d)
-    mat = (scaling @ raw @ scaling).tocsc()
-    rhs = d * system.rhs()
-    factor = spla.splu(mat)
-    x = factor.solve(rhs)
-    for _ in range(6):
-        if np.linalg.norm(mat @ x - rhs) <= 1e-10 * np.linalg.norm(rhs):
-            break
-        x = x + factor.solve(rhs - mat @ x)
-    return d * x
+def newton_iterate(h, target_h, n_warmup):
+    """The Newton-phase iterate after `n_warmup` projected-gradient steps."""
+    cfg = ProblemConfig()
+    target = model.make_target(cfg, target_h)
+    mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
+    sched = driver.Schedule(n_gradient_iters=n_warmup, max_iters=n_warmup)
+    mesh, _ = driver.run_two_phase(mesh, cfg, target, sched)
+    z = model.transfer_target(target, mesh)
+    z_grad = model.target_gradients(target, mesh)
+    u = model.solve_state(mesh, cfg)
+    lam = model.solve_adjoint(mesh, cfg, u, z)
+    return cfg, target, mesh, z, z_grad, u, lam
+
+
+@pytest.fixture(scope="module")
+def newton_phase_medium():
+    return newton_iterate(0.05, 0.025, 20)
+
+
+def perturbed(setup, noise):
+    """`setup` with u and lambda moved off the constraint manifold."""
+    cfg, target, mesh, z, z_grad, u, lam = setup
+    rng = np.random.default_rng(11)
+    n = mesh.num_vertices
+    u = ScalarField(mesh, u.values + noise * rng.standard_normal(n))
+    lam = ScalarField(mesh, lam.values + noise * rng.standard_normal(n))
+    return cfg, target, mesh, z, z_grad, u, lam
+
+
+def newton_system(iterate):
+    cfg, target, mesh, z, z_grad, u, lam = iterate
+    return assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5, z_grad=z_grad)
 
 
 @pytest.fixture(scope="module")
@@ -127,13 +143,22 @@ class TestSensitivities:
         full = hess.full_value((uv, v.flat(), lv), (uw, w.flat(), lw))
         assert hess.reduced_value(v, w) == pytest.approx(full, rel=1e-12)
 
+    def test_operator_form_pairs_to_reduced_value(self, setup, blocks):
+        cfg, target, mesh, *_ = setup
+        hess = ShapeHessian(blocks, cfg)
+        rng = np.random.default_rng(6)
+        v = VectorField(mesh, verify.random_interior_field(mesh, rng))
+        w = VectorField(mesh, verify.random_interior_field(mesh, rng))
+        assert w.flat() @ hess.apply(v) == pytest.approx(
+            hess.reduced_value(v, w), rel=1e-12)
+
 
 class TestKktSystem:
     def test_matrix_symmetric(self, setup):
         cfg, target, mesh, z, z_grad, u, lam = setup
         system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
                               z_grad=z_grad)
-        mat = system.matrix()
+        mat = saddle_matrix(system)
         assert abs(mat - mat.T).max() <= 1e-12 * abs(mat).max()
 
     def test_solve_satisfies_equations(self, setup):
@@ -142,8 +167,8 @@ class TestKktSystem:
                               z_grad=z_grad)
         du, v, dlam = system.solve()
         x = np.concatenate([du.values, v.flat(), dlam.values])
-        mat = system._constrained_matrix
-        rhs = system.rhs()
+        mat = saddle_constrained_matrix(system)
+        rhs = saddle_rhs(system)
         assert np.linalg.norm(mat @ x - rhs) <= 1e-8 * max(
             np.linalg.norm(rhs), 1e-30)
 
@@ -174,26 +199,83 @@ class TestKktSystem:
 
     @pytest.mark.parametrize("noise", [0.0, 1e-2])
     def test_reduced_elimination_matches_monolithic_solve(self, setup, noise):
-        """Block elimination gives the step of the equilibrated splu solve,
+        """Block elimination gives the step of the saddle-point solve,
         at the projected start iterate and with u and lambda perturbed so
         that r_u, r_lambda and hence dlambda and du are nonzero.  The
         dropped blocks L_uOmega and L_OmegaOmega are never assembled."""
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        rng = np.random.default_rng(11)
-        n = mesh.num_vertices
-        u = ScalarField(mesh, u.values + noise * rng.standard_normal(n))
-        lam = ScalarField(mesh, lam.values + noise * rng.standard_normal(n))
+        cfg, target, mesh, z, z_grad, u, lam = perturbed(setup, noise)
         system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
                               z_grad=z_grad, reduced=True)
         du, v, dlam = system.solve()
         assert "b_u_shape" not in vars(system.blocks)
         assert "shape_shape" not in vars(system.blocks)
         x = np.concatenate([du.values, v.flat(), dlam.values])
-        x_ref = reference_reduced_solve(system)
+        x_ref = reference_newton_solve(system)
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
         if noise:
             assert np.abs(du.values).max() > 0
             assert np.abs(dlam.values).max() > 0
+
+    @pytest.mark.parametrize("where", ["start", "perturbed", "newton phase"])
+    def test_newton_step_matches_saddle_solve(self, setup,
+                                              newton_phase_medium, where):
+        """The step solved in V by MINRES on the reduced shape Hessian is
+        the step of the saddle-point solve: at the h=0.1 start iterate,
+        with u and lambda perturbed by 1e-3 noise, and at the h=0.05
+        iterate after 20 warm-up steps."""
+        iterate = {"start": setup, "perturbed": perturbed(setup, 1e-3),
+                   "newton phase": newton_phase_medium}[where]
+        system = newton_system(iterate)
+        du, v, dlam = system.solve()
+        x = np.concatenate([du.values, v.flat(), dlam.values])
+        x_ref = reference_newton_solve(system)
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+        assert system.relative_residual <= kkt.KKT_RESIDUAL_TOL
+        assert system.krylov_iterations > 0
+
+    def test_krylov_count_mesh_independent(self, newton_phase_medium):
+        """MINRES iterations at the Newton-phase iterate stay bounded as
+        the mesh is refined from h=0.1 to h=0.05."""
+        counts = []
+        for iterate in (newton_iterate(0.1, 0.05, 20), newton_phase_medium):
+            system = newton_system(iterate)
+            system.solve()
+            counts.append(system.krylov_iterations)
+        assert max(counts) <= 25, counts
+
+    def test_minres_failure_is_typed(self, setup, monkeypatch):
+        def stalled(op, rhs, **kwargs):
+            return np.zeros_like(rhs), kwargs["maxiter"]
+
+        monkeypatch.setattr(spla, "minres", stalled)
+        with pytest.raises(fem.SingularSystemError, match="MINRES"):
+            newton_system(setup).solve()
+
+    def test_non_finite_step_is_typed(self, setup, monkeypatch):
+        def nan_step(op, rhs, **kwargs):
+            return np.full_like(rhs, np.nan), 0
+
+        monkeypatch.setattr(spla, "minres", nan_step)
+        with pytest.raises(fem.SingularSystemError):
+            newton_system(setup).solve()
+
+    def test_reduced_step_takes_no_krylov_iterations(self, setup):
+        cfg, target, mesh, z, z_grad, u, lam = setup
+        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+                              z_grad=z_grad, reduced=True)
+        system.solve()
+        assert system.krylov_iterations == 0
+
+    def test_given_gradient_is_used(self, setup):
+        """assemble_kkt takes the driver's (r_u, r_Omega, r_lambda) instead
+        of computing them again."""
+        cfg, target, mesh, z, z_grad, u, lam = setup
+        gradient = lagrangian_gradient(mesh, cfg, u, lam, z, z_grad=z_grad)
+        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+                              z_grad=z_grad, gradient=gradient)
+        assert system.rhs_u is gradient[0]
+        assert system.rhs_shape is gradient[1]
+        assert system.rhs_lam is gradient[2]
 
     def test_eps_validation(self, setup):
         cfg, target, mesh, z, z_grad, u, lam = setup
