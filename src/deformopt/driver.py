@@ -1,9 +1,10 @@
-"""Optimization loops: steepest descent and the two-phase Newton schedule.
+"""The deformation loop: one iteration, a gradient and a Newton step rule.
 
-The two-phase loop mirrors the numerical study layout: a fixed number of
-projected-gradient iterations with a damped step, then regularized Newton
-iterations with full steps, all variables updated simultaneously.  Every
-accepted deformation is invertibility-checked before the mesh moves.
+The gradient rule solves the reduced KKT system (V is the b-Riesz
+gradient) and takes a fixed or an Armijo step; the Newton rule solves the
+full system and takes the full step, falling back to the gradient rule on
+the same system when that solve fails.  Steps are halved until the mesh
+stays invertible, and a failed step ends the run with an `aborted` note.
 """
 
 from __future__ import annotations
@@ -21,9 +22,14 @@ class LineSearchError(RuntimeError):
     pass
 
 
+MAX_HALVINGS = 30      # step halvings before a step is given up
+
+
 @dataclass(frozen=True)
 class Schedule:
-    """Iteration schedule and regularization knobs."""
+    """Iteration schedule and regularization knobs.  The metric b of
+    (eps1, eps2) is the gradient rule's Riesz metric and the Newton rule's
+    Tikhonov term; eps1 alone sets its strength."""
 
     n_gradient_iters: int = 20
     # 0.4 keeps the warm-up monotone on fine meshes; larger steps oscillate
@@ -31,11 +37,10 @@ class Schedule:
     gradient_step: float = 0.4
     newton_step: float = 1.0
     max_iters: int = 60
-    eps: float = 1.0          # multiplier on the Tikhonov form
     eps1: float = 3e-2
     eps2: float = 5e-1
     tol_v: float = 1e-9
-    line_search: str = "fixed"          # {fixed, backtracking}
+    line_search: str = "fixed"          # gradient steps: {fixed, backtracking}
     residual_norm: str = "metric"       # {metric, euclidean}
     newton_fallback: bool = True
     # The warm-up is a *projected* gradient method: after each deformation
@@ -44,7 +49,7 @@ class Schedule:
     project_warmup: bool = True
 
     def __post_init__(self):
-        if min(self.gradient_step, self.newton_step, self.eps, self.eps1,
+        if min(self.gradient_step, self.newton_step, self.eps1,
                self.tol_v) <= 0 or self.eps2 < 0:
             raise ValueError("schedule parameters must be positive")
         if self.n_gradient_iters > self.max_iters:
@@ -105,12 +110,8 @@ def _dual_norms(mesh, sched, r_u, r_shape, r_lam):
     return float(np.sqrt(max(ss, 0.0))), float(np.sqrt(max(su + ss + sl, 0.0)))
 
 
-def _metric_norm(metric, v: VectorField):
-    return float(np.sqrt(max(metric.energy(v.flat()), 0.0)))
-
-
 def line_search(mesh, cfg, target, v: VectorField, j0, dj_v, t0=1.0,
-                c1=1e-4, max_halvings=30):
+                c1=1e-4, max_halvings=MAX_HALVINGS):
     """Backtracking Armijo search along the deformation direction."""
     if dj_v >= 0:
         raise ValueError(f"not a descent direction: dJ[V] = {dj_v:.3e}")
@@ -126,113 +127,86 @@ def line_search(mesh, cfg, target, v: VectorField, j0, dj_v, t0=1.0,
 
 
 def steepest_descent(mesh0: Mesh, cfg, target, sched: Schedule):
-    """Gradient loop: V solves b(V, Z) = -dJ[Z], then a line-searched step."""
+    """Projected-gradient loop: `run_two_phase` with every iteration a
+    gradient step and the state and adjoint re-solved each time."""
+    return run_two_phase(mesh0, cfg, target,
+                         replace(sched, project_warmup=True), _newton=False)
+
+
+def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
+    """Gradient steps for the first `n_gradient_iters` iterations, Newton
+    steps after them (none with `_newton=False`)."""
+    n_gradient = sched.n_gradient_iters if _newton else sched.max_iters + 1
     mesh = mesh0
     history = History()
     for k in range(sched.max_iters + 1):
         z = model.transfer_target(target, mesh)
         z_grad = model.target_gradients(target, mesh)
-        u = model.solve_state(mesh, cfg)
-        lam = model.solve_adjoint(mesh, cfg, u, z)
-        j0 = model.objective(mesh, cfg, u, z)
-        d = shape_calculus.assemble_shape_derivative(
-            mesh, cfg, u, lam, z, z_grad=z_grad)
-        metric = shape_calculus.deformation_metric(mesh, sched.eps1, sched.eps2)
-        grad = shape_calculus.riesz_gradient(d, metric)
-        v = VectorField(mesh, -grad.values)
-        vnorm = _metric_norm(metric, v)
-        gn, res = _dual_norms(mesh, sched, np.zeros(mesh.num_vertices),
-                              d.dual, np.zeros(mesh.num_vertices))
-        if vnorm <= sched.tol_v or k == sched.max_iters:
-            history.append(IterationRecord(k, j0, gn, res, 0.0, "gradient"))
-            break
-        dj_v = d.pair(v)
-        if sched.line_search == "backtracking":
-            t = line_search(mesh, cfg, target, v, j0, dj_v,
-                            t0=sched.gradient_step)
-        else:
-            t = sched.gradient_step
-            ok, _ = check_invertibility(mesh, v, t)
-            while not ok:
-                t *= 0.5
-                ok, _ = check_invertibility(mesh, v, t)
-        _, info = check_invertibility(mesh, v, t)
-        history.append(IterationRecord(k, j0, gn, res, t, "gradient",
-                                       info["min_area_ratio"]))
-        mesh = apply_deformation(mesh, v, t)
-    return mesh, history
-
-
-def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
-    """Projected-gradient warm-up followed by regularized Newton iterations."""
-    mesh = mesh0
-    z = model.transfer_target(target, mesh)
-    u = model.solve_state(mesh, cfg)
-    lam = model.solve_adjoint(mesh, cfg, u, z)
-    history = History()
-
-    for k in range(sched.max_iters + 1):
-        z = model.transfer_target(target, mesh)
-        z_grad = model.target_gradients(target, mesh)
-        newton_phase = k >= sched.n_gradient_iters
-        mode = "newton" if newton_phase else "gradient"
+        mode = "newton" if k >= n_gradient else "gradient"
         # project through the switch iteration so Newton starts feasible
-        if sched.project_warmup and k <= sched.n_gradient_iters:
+        if k == 0 or (sched.project_warmup and k <= n_gradient):
             u = model.solve_state(mesh, cfg)
             lam = model.solve_adjoint(mesh, cfg, u, z)
         j0 = model.objective(mesh, cfg, u, z)
         gradient = kkt.lagrangian_gradient(mesh, cfg, u, lam, z, z_grad=z_grad)
         gn, res = _dual_norms(mesh, sched, *gradient)
-        if k == sched.max_iters:
-            history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
-            break
-
-        # the reduced (gradient) system always uses the plain b form as its
-        # preconditioner; the Tikhonov eps only tempers the Newton system
-        step_eps = sched.eps if newton_phase else 1.0
-        system = kkt.assemble_kkt(mesh, cfg, u, lam, z, step_eps,
-                                  sched.eps1, sched.eps2, z_grad=z_grad,
-                                  reduced=not newton_phase, gradient=gradient)
-        try:
-            du, v, dlam = system.solve()
-        except fem.SingularSystemError as exc:
-            if newton_phase and sched.newton_fallback:
-                history.notes.append(f"iteration {k}: newton solve failed "
-                                     f"({exc}); gradient fallback")
-                mode = "gradient"
-                system = kkt.assemble_kkt(mesh, cfg, u, lam, z, 1.0,
-                                          sched.eps1, sched.eps2,
-                                          z_grad=z_grad, reduced=True,
-                                          gradient=gradient)
-                du, v, dlam = system.solve()
-            else:
+        t = 0.0
+        if k < sched.max_iters:
+            system = kkt.assemble_kkt(mesh, cfg, u, lam, z, sched.eps1,
+                                      sched.eps2, z_grad=z_grad,
+                                      reduced=mode == "gradient",
+                                      gradient=gradient)
+            try:
+                mode, (du, v, dlam) = _solve(system, sched, history.notes, k)
+                t, halvings, margin = _step_length(
+                    mesh, cfg, target, sched, mode, v, j0, gradient[1])
+            except (fem.SingularSystemError, LineSearchError) as exc:
                 history.notes.append(f"aborted at iteration {k}: {exc}")
-                history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
-                break
-
-        metric = shape_calculus.deformation_metric(mesh, sched.eps1, sched.eps2)
-        vnorm = _metric_norm(metric, v)
-        if vnorm <= sched.tol_v:
-            history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
-            break
-        t = sched.newton_step if mode == "newton" else sched.gradient_step
-        ok, info = check_invertibility(mesh, v, t)
-        halvings = 0
-        while not ok and halvings < 30:
-            t *= 0.5
-            halvings += 1
-            ok, info = check_invertibility(mesh, v, t)
-        if not ok:
-            history.notes.append(
-                f"aborted at iteration {k}: deformation not invertible")
+        if t == 0.0:
             history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
             break
         if halvings:
             history.notes.append(
                 f"iteration {k}: step halved {halvings}x for invertibility")
-        history.append(IterationRecord(k, j0, gn, res, t, mode,
-                                       info["min_area_ratio"]))
+        history.append(IterationRecord(k, j0, gn, res, t, mode, margin))
         mesh = apply_deformation(mesh, v, t)
         u = ScalarField(mesh, u.values + t * du.values)
         lam = ScalarField(mesh, lam.values + t * dlam.values)
     return mesh, history
+
+
+def _solve(system, sched, notes, k):
+    """The rule that gave the step, and the step (du, V, dlambda).  A failed
+    Newton solve falls back to the gradient rule on the same system."""
+    if system.reduced:
+        return "gradient", system.solve()
+    try:
+        return "newton", system.solve()
+    except fem.SingularSystemError as exc:
+        if not sched.newton_fallback:
+            raise
+        notes.append(f"iteration {k}: newton solve failed ({exc}); "
+                     "gradient fallback")
+        return "gradient", replace(system, reduced=True).solve()
+
+
+def _step_length(mesh, cfg, target, sched, mode, v, j0, r_shape):
+    """(t, halvings, min area ratio) of an invertible step along V; t = 0
+    once V is below tol_v.  Backtracking gradient steps take the Armijo
+    search; every step is then halved until the mesh stays invertible."""
+    metric = shape_calculus.deformation_metric(mesh, sched.eps1, sched.eps2)
+    if np.sqrt(max(metric.energy(v.flat()), 0.0)) <= sched.tol_v:
+        return 0.0, 0, 1.0
+    t = sched.newton_step if mode == "newton" else sched.gradient_step
+    if mode == "gradient" and sched.line_search == "backtracking":
+        try:
+            t = line_search(mesh, cfg, target, v, j0,
+                            float(r_shape @ v.flat()), t0=t)
+        except ValueError as exc:                 # not a descent direction
+            raise LineSearchError(str(exc)) from exc
+    for halvings in range(MAX_HALVINGS + 1):
+        ok, info = check_invertibility(mesh, v, t)
+        if ok:
+            return t, halvings, info["min_area_ratio"]
+        t *= 0.5
+    raise LineSearchError("deformation not invertible")

@@ -270,14 +270,9 @@ def apply_dirichlet(matrix, constrained):
 
 def _scatter(mesh, local, ndof_per_vertex=1):
     """Assemble (ne, k, k) local matrices into a global CSR matrix."""
-    tris = mesh.triangles
-    ne, k, _ = local.shape
-    if ndof_per_vertex == 1:
-        dofs = tris
-    else:
-        dofs = np.empty((ne, k), dtype=np.int64)
-        dofs[:, 0::2] = 2 * tris
-        dofs[:, 1::2] = 2 * tris + 1
+    k = local.shape[1]
+    dofs = mesh.triangles if ndof_per_vertex == 1 \
+        else vector_dofs(mesh.triangles)
     rows = np.repeat(dofs, k, axis=1).reshape(-1)
     cols = np.tile(dofs, (1, k)).reshape(-1)
     n = mesh.num_vertices * ndof_per_vertex
@@ -337,9 +332,10 @@ def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float) -> SparseOpera
 
 
 def vector_dofs(vertex_indices):
-    """Expand vertex indices to interleaved (x, y) dof indices."""
+    """Expand vertex indices to interleaved (x, y) dof indices along the
+    last axis: [a, b] -> [2a, 2a+1, 2b, 2b+1], also per row of an array."""
     vi = np.asarray(vertex_indices, dtype=np.int64)
-    return np.column_stack([2 * vi, 2 * vi + 1]).reshape(-1)
+    return np.stack([2 * vi, 2 * vi + 1], axis=-1).reshape(*vi.shape[:-1], -1)
 
 
 def with_constraints(op: SparseOperator, constrained) -> SparseOperator:

@@ -31,13 +31,8 @@ def _vector_scatter(mesh, local):
 
 def _mixed_scatter(mesh, local):
     """Assemble (ne, 3, 3, 2) scalar-by-vector blocks into (n, 2n) CSR."""
-    tris = mesh.triangles
-    ne = mesh.num_triangles
-    rows = np.repeat(tris, 6).reshape(-1)
-    vdofs = np.empty((ne, 6), dtype=np.int64)
-    vdofs[:, 0::2] = 2 * tris
-    vdofs[:, 1::2] = 2 * tris + 1
-    cols = np.tile(vdofs, (1, 3)).reshape(-1)
+    rows = np.repeat(mesh.triangles, 6).reshape(-1)
+    cols = np.tile(fem.vector_dofs(mesh.triangles), (1, 3)).reshape(-1)
     n = mesh.num_vertices
     mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, 2 * n))
     return mat.tocsr()
@@ -187,9 +182,8 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
 class ShapeHessian:
     """Evaluation helper around the assembled blocks."""
 
-    def __init__(self, blocks: HessianBlocks, cfg=None):
+    def __init__(self, blocks: HessianBlocks):
         self.blocks = blocks
-        self.cfg = cfg
 
     def shape_value(self, v: VectorField, w_dir: VectorField) -> float:
         """Pure deformation block L_OmegaOmega[V, W] (no sensitivities)."""
@@ -248,9 +242,9 @@ KKT_RESIDUAL_TOL = 1e-8    # largest blockwise relative residual of a step
 class KktSystem:
     """Regularized 3x3 block KKT system at one iterate,
 
-        [ M      B_u           K   ] [du     ]     [r_u     ]
-        [ B_u^T  L_OO + eps b  B^T ] [V      ] = - [r_Omega ]
-        [ K      B             0   ] [dlambda]     [r_lambda]
+        [ M      B_u       K   ] [du     ]     [r_u     ]
+        [ B_u^T  L_OO + b  B^T ] [V      ] = - [r_Omega ]
+        [ K      B         0   ] [dlambda]     [r_lambda]
 
     with M = L_uu, B_u = L_uOmega, B = L_lambdaOmega, L_OO = L_OmegaOmega
     and K the state operator; du and dlambda vanish on the Dirichlet
@@ -262,7 +256,7 @@ class KktSystem:
 
     mesh: Mesh
     blocks: HessianBlocks
-    regularizer: sp.csr_matrix        # eps * b_OmegaOmega
+    regularizer: sp.csr_matrix        # b, the Tikhonov term
     rhs_u: np.ndarray
     rhs_shape: np.ndarray
     rhs_lam: np.ndarray
@@ -279,12 +273,12 @@ class KktSystem:
             S V       = -(r_Omega + B_u^T du_p + B^T dlambda_p),
             du        = -K^-1 (r_lambda + B V),
             dlambda   = -K^-1 (r_u + M du + B_u V).
-        S V = (L_OO + eps b) V + B_u^T udot + B^T ldot with
+        S V = (L_OO + b) V + B_u^T udot + B^T ldot with
         udot = -K^-1 B V and ldot = -K^-1 (M udot + B_u V) is the reduced
         shape Hessian (`ShapeHessian.apply`) plus the Tikhonov term.  It is
         symmetric, and MINRES solves it preconditioned by the constrained
-        eps b factorization.  The reduced step drops M, B_u and L_OO: then
-        S = eps b, V is one direct metric solve and dlambda = dlambda_p.
+        b factorization.  The reduced step drops M, B_u and L_OO: then
+        S = b, V is one direct metric solve and dlambda = dlambda_p.
 
         Raises SingularSystemError when MINRES reaches MINRES_MAXITER, the
         step is not finite, or a block residual exceeds KKT_RESIDUAL_TOL.
@@ -381,21 +375,20 @@ def lagrangian_gradient(mesh, cfg, u, lam, z_on_m, z_grad=None, target=None,
     return r_u, d.dual.copy(), r_lam
 
 
-def assemble_kkt(mesh: Mesh, cfg, u, lam, z_on_m, eps: float,
+def assemble_kkt(mesh: Mesh, cfg, u, lam, z_on_m,
                  eps1: float, eps2: float, z_grad=None, target=None,
                  reduced=False, alpha_whole_domain=False,
                  flip_tr_term=False, gradient=None) -> KktSystem:
-    """Build the epsilon-regularized KKT system at the current iterate.
+    """Build the KKT system at the current iterate, regularized by the
+    deformation metric b of (eps1, eps2).
 
     `gradient` is (r_u, r_Omega, r_lambda) from `lagrangian_gradient` at
     the same iterate, when the caller already has it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     blocks = assemble_hessian_blocks(
         mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
         alpha_whole_domain=alpha_whole_domain, flip_tr_term=flip_tr_term)
-    reg = eps * fem.assemble_vector_h1_form(mesh, eps1, eps2).matrix
+    reg = fem.assemble_vector_h1_form(mesh, eps1, eps2).matrix
     if gradient is None:
         gradient = lagrangian_gradient(
             mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,

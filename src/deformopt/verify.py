@@ -117,7 +117,7 @@ def hessian_consistency(h=0.1, n_pairs=5, seed=DEFAULT_SEED,
     cfg, target, mesh, z, z_grad, u, lam = _setup(h)
     blocks = kkt.assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad,
                                          flip_tr_term=flip_tr_term)
-    hess = kkt.ShapeHessian(blocks, cfg)
+    hess = kkt.ShapeHessian(blocks)
     ss = np.asarray(s_values, dtype=float)
     slopes = []
     for _ in range(n_pairs):
@@ -149,7 +149,7 @@ def hessian_symmetry(h=0.1, n_pairs=100, seed=DEFAULT_SEED, tol=1e-12):
     rng = np.random.default_rng(seed)
     cfg, target, mesh, z, z_grad, u, lam = _setup(h)
     blocks = kkt.assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad)
-    hess = kkt.ShapeHessian(blocks, cfg)
+    hess = kkt.ShapeHessian(blocks)
     worst = 0.0
     for _ in range(n_pairs):
         v = VectorField(mesh, random_interior_field(mesh, rng))
@@ -174,7 +174,7 @@ def taylor_remainder(h=0.1, n_fields=3, seed=DEFAULT_SEED,
     d = shape_calculus.assemble_shape_derivative(mesh, cfg, u, lam, z,
                                                  z_grad=z_grad)
     blocks = kkt.assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad)
-    hess = kkt.ShapeHessian(blocks, cfg)
+    hess = kkt.ShapeHessian(blocks)
     j0 = model.objective(mesh, cfg, u, z)
     ss = np.asarray(s_values, dtype=float)
     slopes = []

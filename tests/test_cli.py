@@ -90,6 +90,8 @@ emit_vtk = false
             parse_config("[mesh]\nbogus = 1\n")
         with pytest.raises(ValueError, match="unknown schedule key 'bogus'"):
             parse_config("[schedule]\nbogus = 1\n")
+        with pytest.raises(ValueError, match="unknown schedule key 'eps'"):
+            parse_config("[schedule]\neps = 1.0\n")
         with pytest.raises(ValueError, match="unknown problem key 'bogus'"):
             parse_config("[problem]\nbogus = 1\n")
 
@@ -142,6 +144,26 @@ class TestCommands:
         assert float(rows[-1][1]) < float(rows[0][1])
         mesh, scalars, _ = vtkio.read_vtk(tmp_path / "final_mesh.vtk")
         assert set(scalars) == {"u", "lambda", "z"}
+
+    def test_optimize_backtracking_gradient_steps(self, tmp_path, capsys):
+        """`schedule.line_search = backtracking` reaches the warm-up of
+        `optimize`: each gradient step is gradient_step / 2^m."""
+        rcode = cli.main([
+            "-s", f"output.output_dir={tmp_path}",
+            "-s", "mesh.h=0.1", "-s", "target.h=0.05",
+            "-s", "schedule.n_gradient_iters=2",
+            "-s", "schedule.max_iters=4",
+            "-s", "schedule.line_search=backtracking",
+            "optimize"])
+        assert rcode == 0
+        rows = [ln.split() for ln in
+                (tmp_path / "history.txt").read_text().splitlines()
+                if not ln.startswith("#")]
+        t0 = RunConfig().schedule.gradient_step
+        steps = [float(r[4]) for r in rows if r[5] == "gradient"]
+        assert len(steps) == 2
+        assert all(t in [t0 * 0.5 ** m for m in range(31)] for t in steps)
+        assert float(rows[-1][1]) < float(rows[0][1])
 
     def test_optimize_reuses_saved_target(self, tmp_path, capsys):
         out1 = tmp_path / "t"

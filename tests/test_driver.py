@@ -203,3 +203,111 @@ class TestReducedStepConsumers:
         _, hist = run_two_phase(mesh, cfg, target, sched)
         assert not hist.notes
         assert np.all(np.diff(hist.column("objective")) < 0)
+
+
+def fold_first(monkeypatch, n_folds):
+    """Make the first `n_folds` invertibility checks report a folded mesh
+    (all of them with n_folds=None); `line_search` sees the same checks."""
+    real = driver.check_invertibility
+    calls = []
+
+    def check(mesh, v, t):
+        calls.append(t)
+        if n_folds is None or len(calls) <= n_folds:
+            return False, {"min_area_ratio": -1.0}
+        return real(mesh, v, t)
+
+    monkeypatch.setattr(driver, "check_invertibility", check)
+    return calls
+
+
+class TestTypedOutcomes:
+    """Every failure of a step ends the run with a note and a step-0 row."""
+
+    def test_always_folding_step_aborts(self, coarse, monkeypatch):
+        cfg, target, mesh = coarse
+        calls = fold_first(monkeypatch, None)
+        for run in (run_two_phase, steepest_descent):
+            calls.clear()
+            _, hist = run(mesh, cfg, target,
+                          Schedule(n_gradient_iters=2, max_iters=4))
+            assert hist.notes == ["aborted at iteration 0: "
+                                  "deformation not invertible"]
+            assert len(hist.records) == 1
+            assert hist.records[0].step == 0.0
+            assert len(calls) == driver.MAX_HALVINGS + 1
+
+    def test_step_halved_twice(self, coarse, monkeypatch):
+        cfg, target, mesh = coarse
+        calls = fold_first(monkeypatch, 2)
+        sched = Schedule(n_gradient_iters=1, max_iters=1, gradient_step=0.5)
+        for run in (run_two_phase, steepest_descent):
+            calls.clear()
+            _, hist = run(mesh, cfg, target, sched)
+            assert hist.notes == ["iteration 0: step halved 2x for "
+                                  "invertibility"]
+            assert hist.records[0].step == 0.125
+            assert hist.records[0].invertibility_margin > 0
+
+    def test_line_search_failure_aborts(self, coarse, monkeypatch):
+        cfg, target, mesh = coarse
+        fold_first(monkeypatch, None)
+        sched = Schedule(n_gradient_iters=2, max_iters=4,
+                         line_search="backtracking")
+        for run in (run_two_phase, steepest_descent):
+            _, hist = run(mesh, cfg, target, sched)
+            assert hist.notes == ["aborted at iteration 0: no admissible "
+                                  f"step after {driver.MAX_HALVINGS} halvings"]
+            assert [r.step for r in hist.records] == [0.0]
+
+    def test_non_descent_direction_aborts(self, coarse, monkeypatch):
+        cfg, target, mesh = coarse
+
+        def not_descent(*args, **kwargs):
+            raise ValueError("not a descent direction: dJ[V] = 1.000e+00")
+
+        monkeypatch.setattr(driver, "line_search", not_descent)
+        sched = Schedule(n_gradient_iters=0, max_iters=3,
+                         line_search="backtracking")
+        _, hist = steepest_descent(mesh, cfg, target, sched)
+        assert hist.notes == ["aborted at iteration 0: not a descent "
+                              "direction: dJ[V] = 1.000e+00"]
+        assert len(hist.records) == 1
+
+    def test_backtracking_gradient_steps_in_two_phase(self, coarse):
+        """`line_search` applies to the warm-up of `run_two_phase`: from an
+        oversized initial step, Armijo halves to a decreasing objective."""
+        cfg, target, mesh = coarse
+        sched = Schedule(n_gradient_iters=3, max_iters=3, gradient_step=8.0,
+                         line_search="backtracking")
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        steps = hist.column("step")[:-1]
+        assert np.all(steps < 8.0)
+        assert all(np.log2(8.0 / t).is_integer() for t in steps)
+        assert np.all(np.diff(hist.column("objective")) < 0)
+
+
+class TestOneLoop:
+    def test_fallback_reuses_the_iterate_system(self, coarse, monkeypatch):
+        """A failed Newton solve falls back on the same KktSystem: the
+        Hessian blocks are assembled once per step, fallback included."""
+        cfg, target, mesh = coarse
+        real = kkt.assemble_hessian_blocks
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kkt, "assemble_hessian_blocks", counted)
+        fail_newton_solve_once(monkeypatch, at_call=2)
+        sched = Schedule(n_gradient_iters=2, max_iters=6, gradient_step=0.5)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert any("gradient fallback" in n for n in hist.notes)
+        assert len(calls) == len(hist.records) - 1
+
+    def test_steepest_descent_rows_are_gradient(self, coarse):
+        cfg, target, mesh = coarse
+        sched = Schedule(n_gradient_iters=0, max_iters=2, gradient_step=0.5)
+        _, hist = steepest_descent(mesh, cfg, target, sched)
+        assert [r.mode for r in hist.records] == ["gradient"] * 3

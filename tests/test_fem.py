@@ -158,6 +158,11 @@ class TestAssembly:
     def test_vector_dofs_interleaving(self):
         assert vector_dofs([0, 3]).tolist() == [0, 1, 6, 7]
 
+    def test_vector_dofs_per_element_row(self):
+        """Per row of a triangle array, as the vector scatters use it."""
+        assert vector_dofs([[0, 3, 1], [2, 0, 4]]).tolist() == [
+            [0, 1, 6, 7, 2, 3], [4, 5, 0, 1, 8, 9]]
+
 
 class TestConstrainedSolve:
     def test_laplace_patch_test(self, mesh):
@@ -215,7 +220,7 @@ class TestDirichletElimination:
         z_grad = model.target_gradients(target, mesh)
         u = model.solve_state(mesh, cfg)
         lam = model.solve_adjoint(mesh, cfg, u, z)
-        system = kkt.assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = kkt.assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                                   z_grad=z_grad)
         self.assert_same_csr(saddle_matrix(system),
                              saddle_constrained_dofs(system))

@@ -55,7 +55,7 @@ def perturbed(setup, noise):
 
 def newton_system(iterate):
     cfg, target, mesh, z, z_grad, u, lam = iterate
-    return assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5, z_grad=z_grad)
+    return assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5, z_grad=z_grad)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ class TestBlocks:
 
     def test_shape_block_pairing_symmetry_random(self, setup, blocks):
         cfg, target, mesh, *_ = setup
-        hess = ShapeHessian(blocks, cfg)
+        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(1)
         for _ in range(10):
             v = VectorField(mesh, verify.random_interior_field(mesh, rng))
@@ -122,7 +122,7 @@ class TestSensitivities:
         state under mesh deformation."""
         from deformopt.mesh import apply_deformation
         cfg, target, mesh, z, z_grad, u, lam = setup
-        hess = ShapeHessian(blocks, cfg)
+        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(4)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
         udot, _ = hess.sensitivities(v)
@@ -134,7 +134,7 @@ class TestSensitivities:
 
     def test_reduced_equals_full_on_sensitivity_triples(self, setup, blocks):
         cfg, target, mesh, *_ = setup
-        hess = ShapeHessian(blocks, cfg)
+        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(5)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
         w = VectorField(mesh, verify.random_interior_field(mesh, rng))
@@ -145,7 +145,7 @@ class TestSensitivities:
 
     def test_operator_form_pairs_to_reduced_value(self, setup, blocks):
         cfg, target, mesh, *_ = setup
-        hess = ShapeHessian(blocks, cfg)
+        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(6)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
         w = VectorField(mesh, verify.random_interior_field(mesh, rng))
@@ -156,14 +156,14 @@ class TestSensitivities:
 class TestKktSystem:
     def test_matrix_symmetric(self, setup):
         cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                               z_grad=z_grad)
         mat = saddle_matrix(system)
         assert abs(mat - mat.T).max() <= 1e-12 * abs(mat).max()
 
     def test_solve_satisfies_equations(self, setup):
         cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                               z_grad=z_grad)
         du, v, dlam = system.solve()
         x = np.concatenate([du.values, v.flat(), dlam.values])
@@ -174,7 +174,7 @@ class TestKktSystem:
 
     def test_solution_respects_constraints(self, setup):
         cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                               z_grad=z_grad)
         du, v, dlam = system.solve()
         nodes, _ = model.state_dirichlet(mesh)
@@ -187,7 +187,7 @@ class TestKktSystem:
         V solves b(V, .) = -dJ with du, dlambda the induced updates."""
         from deformopt import shape_calculus
         cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                               z_grad=z_grad, reduced=True)
         du, v, dlam = system.solve()
         d = shape_calculus.assemble_shape_derivative(mesh, cfg, u, lam, z,
@@ -204,7 +204,7 @@ class TestKktSystem:
         that r_u, r_lambda and hence dlambda and du are nonzero.  The
         dropped blocks L_uOmega and L_OmegaOmega are never assembled."""
         cfg, target, mesh, z, z_grad, u, lam = perturbed(setup, noise)
-        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                               z_grad=z_grad, reduced=True)
         du, v, dlam = system.solve()
         assert "b_u_shape" not in vars(system.blocks)
@@ -261,7 +261,7 @@ class TestKktSystem:
 
     def test_reduced_step_takes_no_krylov_iterations(self, setup):
         cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                               z_grad=z_grad, reduced=True)
         system.solve()
         assert system.krylov_iterations == 0
@@ -271,16 +271,17 @@ class TestKktSystem:
         of computing them again."""
         cfg, target, mesh, z, z_grad, u, lam = setup
         gradient = lagrangian_gradient(mesh, cfg, u, lam, z, z_grad=z_grad)
-        system = assemble_kkt(mesh, cfg, u, lam, z, 1.0, 3e-2, 0.5,
+        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
                               z_grad=z_grad, gradient=gradient)
         assert system.rhs_u is gradient[0]
         assert system.rhs_shape is gradient[1]
         assert system.rhs_lam is gradient[2]
 
     def test_eps_validation(self, setup):
+        """eps1 = 0 gives no inner product: FemError, a ValueError."""
         cfg, target, mesh, z, z_grad, u, lam = setup
-        with pytest.raises(ValueError):
-            assemble_kkt(mesh, cfg, u, lam, z, 0.0, 3e-2, 0.5, z_grad=z_grad)
+        with pytest.raises(ValueError, match="eps1 must be positive"):
+            assemble_kkt(mesh, cfg, u, lam, z, 0.0, 0.5, z_grad=z_grad)
 
     def test_flip_tr_term_changes_shape_block_only(self, setup, blocks):
         cfg, target, mesh, z, z_grad, u, lam = setup
