@@ -4,7 +4,8 @@ from .mesh import (InclusionShape, Mesh, MeshError, NonInvertibleDeformation,
                    apply_deformation, check_invertibility, generate_mesh,
                    mesh_quality)
 from .fem import ScalarField, SparseOperator, VectorField
-from .model import ProblemConfig, TargetField, TRUE_ELLIPSE, make_target
+from .model import (OperatorSet, ProblemConfig, TargetField, TRUE_ELLIPSE,
+                    make_target)
 from .shape_calculus import (assemble_shape_derivative, deformation_metric,
                              eulerian_fd, riesz_gradient)
 from .kkt import KktSystem, ShapeHessian, assemble_hessian_blocks, assemble_kkt
@@ -19,7 +20,8 @@ __all__ = [
     "InclusionShape", "Mesh", "MeshError", "NonInvertibleDeformation",
     "apply_deformation", "check_invertibility", "generate_mesh",
     "mesh_quality", "ScalarField", "SparseOperator", "VectorField",
-    "ProblemConfig", "TargetField", "TRUE_ELLIPSE", "make_target",
+    "OperatorSet", "ProblemConfig", "TargetField", "TRUE_ELLIPSE",
+    "make_target",
     "assemble_shape_derivative", "deformation_metric", "eulerian_fd",
     "riesz_gradient", "KktSystem", "ShapeHessian", "assemble_hessian_blocks",
     "assemble_kkt", "DenseOperator", "MetricSpace", "epsilon_solve",

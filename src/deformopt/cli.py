@@ -210,9 +210,10 @@ def cmd_optimize(rc: RunConfig) -> int:
     history.write(hist_path)
     produced.append(hist_path)
     if rc.emit_vtk:
+        ops = model.OperatorSet(mesh, rc.problem)
         z = model.transfer_target(target, mesh)
-        u = model.solve_state(mesh, rc.problem)
-        lam = model.solve_adjoint(mesh, rc.problem, u, z)
+        u = model.solve_state(ops)
+        lam = model.solve_adjoint(ops, u, z)
         mesh_path = out / "final_mesh.vtk"
         vtkio.write_vtk(mesh_path, mesh,
                         point_scalars={"u": u.values, "lambda": lam.values,

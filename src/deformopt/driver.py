@@ -5,6 +5,8 @@ gradient) and takes a fixed or an Armijo step; the Newton rule solves the
 full system and takes the full step, falling back to the gradient rule on
 the same system when that solve fails.  Steps are halved until the mesh
 stays invertible, and a failed step ends the run with an `aborted` note.
+Each iterate builds one `model.OperatorSet`; an accepted Armijo trial's
+set, z and u become the next iterate's.
 """
 
 from __future__ import annotations
@@ -93,35 +95,33 @@ class History:
                 fh.write(f"# {note}\n")
 
 
-def _dual_norms(mesh, sched, r_u, r_shape, r_lam):
+def _dual_norms(ops, sched, r_u, r_shape, r_lam):
     """Dual (metric) norms of the KKT right-hand side components."""
     if sched.residual_norm == "euclidean":
         gn = float(np.linalg.norm(r_shape))
         return gn, float(np.sqrt(np.linalg.norm(r_u) ** 2 + gn ** 2
                                  + np.linalg.norm(r_lam) ** 2))
-    u_constrained, _ = model.state_dirichlet(mesh)
-    mass = fem.with_constraints(fem.assemble_mass(mesh), u_constrained)
-    metric = shape_calculus.deformation_metric(mesh, sched.eps1, sched.eps2)
     # the norms are diagnostics: tolerate lower solver accuracy on badly
     # deformed meshes rather than aborting the whole run
-    su = float(r_u @ mass.solve_constrained(r_u, rtol=1e-6))
-    ss = float(r_shape @ metric.solve_constrained(r_shape, rtol=1e-6))
-    sl = float(r_lam @ mass.solve_constrained(r_lam, rtol=1e-6))
+    su = float(r_u @ ops.mass.solve_constrained(r_u, rtol=1e-6))
+    ss = float(r_shape @ ops.metric.solve_constrained(r_shape, rtol=1e-6))
+    sl = float(r_lam @ ops.mass.solve_constrained(r_lam, rtol=1e-6))
     return float(np.sqrt(max(ss, 0.0))), float(np.sqrt(max(su + ss + sl, 0.0)))
 
 
-def line_search(mesh, cfg, target, v: VectorField, j0, dj_v, t0=1.0,
+def line_search(ops, target, v: VectorField, j0, dj_v, t0=1.0,
                 c1=1e-4, max_halvings=MAX_HALVINGS):
-    """Backtracking Armijo search along the deformation direction."""
+    """Backtracking Armijo search along the deformation direction: the
+    accepted step t and the trial iterate (operator set, u, z) at t."""
     if dj_v >= 0:
         raise ValueError(f"not a descent direction: dJ[V] = {dj_v:.3e}")
     t = t0
     for _ in range(max_halvings + 1):
-        ok, _ = check_invertibility(mesh, v, t)
+        ok, _ = check_invertibility(ops.mesh, v, t)
         if ok:
-            j_t = shape_calculus.objective_on_deformed(mesh, cfg, target, v, t)
-            if j_t <= j0 + c1 * t * dj_v:
-                return t
+            trial = shape_calculus.state_on_deformed(ops, target, v, t)
+            if model.objective(*trial) <= j0 + c1 * t * dj_v:
+                return t, trial
         t *= 0.5
     raise LineSearchError(f"no admissible step after {max_halvings} halvings")
 
@@ -137,31 +137,37 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
     """Gradient steps for the first `n_gradient_iters` iterations, Newton
     steps after them (none with `_newton=False`)."""
     n_gradient = sched.n_gradient_iters if _newton else sched.max_iters + 1
-    mesh = mesh0
+    mesh, trial = mesh0, None
     history = History()
     for k in range(sched.max_iters + 1):
-        z = model.transfer_target(target, mesh)
+        # an accepted Armijo trial already holds this mesh's set, z and u
+        ops, u_t, z = trial or (
+            model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2), None,
+            model.transfer_target(target, mesh))
         z_grad = model.target_gradients(target, mesh)
         mode = "newton" if k >= n_gradient else "gradient"
         # project through the switch iteration so Newton starts feasible
         if k == 0 or (sched.project_warmup and k <= n_gradient):
-            u = model.solve_state(mesh, cfg)
-            lam = model.solve_adjoint(mesh, cfg, u, z)
-        j0 = model.objective(mesh, cfg, u, z)
-        gradient = kkt.lagrangian_gradient(mesh, cfg, u, lam, z, z_grad=z_grad)
-        gn, res = _dual_norms(mesh, sched, *gradient)
-        t = 0.0
+            u = model.solve_state(ops) if u_t is None else u_t
+            lam = model.solve_adjoint(ops, u, z)
+        j0 = model.objective(ops, u, z)
+        gradient = kkt.lagrangian_gradient(ops, u, lam, z, z_grad=z_grad)
+        t, trial = 0.0, None
         if k < sched.max_iters:
-            system = kkt.assemble_kkt(mesh, cfg, u, lam, z, sched.eps1,
-                                      sched.eps2, z_grad=z_grad,
-                                      reduced=mode == "gradient",
-                                      gradient=gradient)
             try:
-                mode, (du, v, dlam) = _solve(system, sched, history.notes, k)
-                t, halvings, margin = _step_length(
-                    mesh, cfg, target, sched, mode, v, j0, gradient[1])
+                # no reference to the system (it holds `ops`) outlives k
+                mode, (du, v, dlam) = _solve(
+                    kkt.assemble_kkt(ops, u, lam, z, z_grad=z_grad,
+                                     reduced=mode == "gradient",
+                                     gradient=gradient),
+                    sched, history.notes, k)
+                t, halvings, margin, trial = _step_length(
+                    ops, target, sched, mode, v, j0, gradient[1])
             except (fem.SingularSystemError, LineSearchError) as exc:
                 history.notes.append(f"aborted at iteration {k}: {exc}")
+        # after the step: M's factorization (only used here) then never
+        # coexists with the step's, which keeps peak memory down
+        gn, res = _dual_norms(ops, sched, *gradient)
         if t == 0.0:
             history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
             break
@@ -169,7 +175,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
             history.notes.append(
                 f"iteration {k}: step halved {halvings}x for invertibility")
         history.append(IterationRecord(k, j0, gn, res, t, mode, margin))
-        mesh = apply_deformation(mesh, v, t)
+        mesh = trial[0].mesh if trial else apply_deformation(mesh, v, t)
         u = ScalarField(mesh, u.values + t * du.values)
         lam = ScalarField(mesh, lam.values + t * dlam.values)
     return mesh, history
@@ -190,23 +196,23 @@ def _solve(system, sched, notes, k):
         return "gradient", replace(system, reduced=True).solve()
 
 
-def _step_length(mesh, cfg, target, sched, mode, v, j0, r_shape):
-    """(t, halvings, min area ratio) of an invertible step along V; t = 0
-    once V is below tol_v.  Backtracking gradient steps take the Armijo
-    search; every step is then halved until the mesh stays invertible."""
-    metric = shape_calculus.deformation_metric(mesh, sched.eps1, sched.eps2)
-    if np.sqrt(max(metric.energy(v.flat()), 0.0)) <= sched.tol_v:
-        return 0.0, 0, 1.0
+def _step_length(ops, target, sched, mode, v, j0, r_shape):
+    """(t, halvings, min area ratio, Armijo trial or None) of an invertible
+    step along V; t = 0 once V is below tol_v.  Backtracking gradient steps
+    take the Armijo search; t is then halved until the mesh is invertible."""
+    if np.sqrt(max(ops.metric.energy(v.flat()), 0.0)) <= sched.tol_v:
+        return 0.0, 0, 1.0, None
     t = sched.newton_step if mode == "newton" else sched.gradient_step
+    trial = None
     if mode == "gradient" and sched.line_search == "backtracking":
         try:
-            t = line_search(mesh, cfg, target, v, j0,
-                            float(r_shape @ v.flat()), t0=t)
+            t, trial = line_search(ops, target, v, j0,
+                                   float(r_shape @ v.flat()), t0=t)
         except ValueError as exc:                 # not a descent direction
             raise LineSearchError(str(exc)) from exc
     for halvings in range(MAX_HALVINGS + 1):
-        ok, info = check_invertibility(mesh, v, t)
+        ok, info = check_invertibility(ops.mesh, v, t)
         if ok:
-            return t, halvings, info["min_area_ratio"]
+            return t, halvings, info["min_area_ratio"], trial
         t *= 0.5
     raise LineSearchError("deformation not invertible")

@@ -294,8 +294,6 @@ def assemble_scalar_laplace(mesh: Mesh, mu) -> SparseOperator:
 
 
 def _mu_per_element(mesh, mu):
-    if callable(mu):
-        return np.array([mu(r) for r in mesh.region], dtype=float)
     if isinstance(mu, dict):
         return np.array([mu[r] for r in mesh.region], dtype=float)
     mu = np.asarray(mu, dtype=float)

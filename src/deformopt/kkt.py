@@ -20,13 +20,7 @@ import scipy.sparse.linalg as spla
 
 from . import fem, model, shape_calculus
 from .fem import ScalarField, VectorField
-from .mesh import Mesh, REGION_INCLUSION
-
-
-def _vector_scatter(mesh, local):
-    """Assemble (ne, 3, 2, 3, 2) local blocks into a (2n, 2n) CSR matrix."""
-    return fem._scatter(mesh, local.reshape(mesh.num_triangles, 6, 6),
-                        ndof_per_vertex=2)
+from .mesh import REGION_INCLUSION
 
 
 def _mixed_scatter(mesh, local):
@@ -66,18 +60,9 @@ class HessianBlocks:
     einsums.
     """
 
-    mesh: Mesh
-    mass: sp.csr_matrix          # L_uu
-    stiffness: sp.csr_matrix     # L_ulambda (= state operator)
+    ops: model.OperatorSet       # L_uu = M, L_ulambda = K
     b_lam_shape: sp.csr_matrix   # L_lambdaOmega, (n, 2n)
-    u_constrained: np.ndarray
-    v_constrained: np.ndarray
     terms: _ElementTerms = field(repr=False)
-
-    @cached_property
-    def state_operator(self):
-        """Dirichlet-constrained state operator K; one factorization."""
-        return fem.SparseOperator(self.stiffness, self.u_constrained)
 
     @cached_property
     def b_u_shape(self):
@@ -89,7 +74,7 @@ class HessianBlocks:
         b_u -= t.muA[:, None, None, None] * (
             np.einsum("eib,ej->eijb", t.G, t.Ggl)
             + np.einsum("eij,eb->eijb", t.gg, t.gl))
-        return _mixed_scatter(self.mesh, b_u)
+        return _mixed_scatter(self.ops.mesh, b_u)
 
     @cached_property
     def shape_shape(self):
@@ -117,12 +102,12 @@ class HessianBlocks:
         half -= np.einsum("e,eia,ej,eb->eiajb", muA, G, Ggu, gl)
         cc += half
         cc += half.transpose(0, 3, 4, 1, 2)
-        return _vector_scatter(self.mesh, cc)
+        return fem._scatter(self.ops.mesh, cc.reshape(-1, 6, 6),
+                            ndof_per_vertex=2)
 
 
-def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
-                            u: ScalarField, lam: ScalarField,
-                            z_on_m: ScalarField, z_grad=None, target=None,
+def assemble_hessian_blocks(ops: model.OperatorSet, u: ScalarField,
+                            lam: ScalarField, z_on_m: ScalarField, z_grad,
                             alpha_whole_domain=False,
                             flip_tr_term=False) -> HessianBlocks:
     """Assemble the shape-KKT Hessian blocks (L_uOmega and L_OmegaOmega lazily).
@@ -130,12 +115,10 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
     `flip_tr_term` negates the trace part of the pure shape block; it exists
     as a negative control for the mixed-difference consistency check.
     """
+    mesh, cfg = ops.mesh, ops.cfg
     for f in (u, lam, z_on_m):
         if f.mesh is not mesh:
             raise fem.FemError("field lives on a different mesh")
-    if z_grad is None:
-        z_grad = model.target_gradients(target, mesh) if target is not None \
-            else np.zeros((mesh.num_vertices, 2))
 
     geo = fem.geometry(mesh)
     tris = mesh.triangles
@@ -143,7 +126,7 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
     area = geo.areas
     G = geo.grads                                   # (ne, 3, 2)
     Mloc = geo.local_mass
-    mu_e = np.where(mesh.region == REGION_INCLUSION, cfg.mu_in, cfg.mu_out)
+    mu_e = cfg.mu(mesh)
     gu = fem.elem_grad(u)
     gl = fem.elem_grad(lam)
     w = u.values - z_on_m.values
@@ -169,14 +152,7 @@ def assemble_hessian_blocks(mesh: Mesh, cfg: model.ProblemConfig,
                             + 0.5 * cfg.alpha * chi)
     terms = _ElementTerms(G, Mloc, Mw, z_grad[tris], gu, gl, Ggu, Ggl, gg,
                           muA, c_g, -1.0 if flip_tr_term else 1.0)
-
-    mass = fem.assemble_mass(mesh).matrix
-    stiff = fem.assemble_scalar_laplace(
-        mesh, {0: cfg.mu_in, 1: cfg.mu_out}).matrix
-    u_constrained, _ = model.state_dirichlet(mesh)
-    v_constrained = shape_calculus.deformation_constraints(mesh)
-    return HessianBlocks(mesh, mass, stiff, mat_b_lam, u_constrained,
-                         v_constrained, terms)
+    return HessianBlocks(ops, mat_b_lam, terms)
 
 
 class ShapeHessian:
@@ -193,10 +169,10 @@ class ShapeHessian:
         """Material derivatives (du[V], dlambda[V]) of state and adjoint."""
         b = self.blocks
         vflat = v.flat().copy()
-        vflat[b.v_constrained] = 0.0
-        udot = b.state_operator.solve_constrained(-(b.b_lam_shape @ vflat))
-        rhs = -(b.mass @ udot + b.b_u_shape @ vflat)
-        ldot = b.state_operator.solve_constrained(rhs)
+        vflat[shape_calculus.deformation_constraints(v.mesh)] = 0.0
+        udot = b.ops.state.solve_constrained(-(b.b_lam_shape @ vflat))
+        rhs = -(b.ops.mass.matrix @ udot + b.b_u_shape @ vflat)
+        ldot = b.ops.state.solve_constrained(rhs)
         return udot, ldot
 
     def apply(self, v: VectorField) -> np.ndarray:
@@ -216,8 +192,8 @@ class ShapeHessian:
         b = self.blocks
         v1f, v2f = np.asarray(v1, dtype=float).reshape(-1), \
             np.asarray(v2, dtype=float).reshape(-1)
-        val = u1 @ (b.mass @ u2) + u1 @ (b.stiffness @ l2) \
-            + l1 @ (b.stiffness @ u2)
+        mass, stiff = b.ops.mass.matrix, b.ops.state.matrix
+        val = u1 @ (mass @ u2) + u1 @ (stiff @ l2) + l1 @ (stiff @ u2)
         val += u1 @ (b.b_u_shape @ v2f) + u2 @ (b.b_u_shape @ v1f)
         val += l1 @ (b.b_lam_shape @ v2f) + l2 @ (b.b_lam_shape @ v1f)
         val += v1f @ (b.shape_shape @ v2f)
@@ -246,17 +222,15 @@ class KktSystem:
         [ B_u^T  L_OO + b  B^T ] [V      ] = - [r_Omega ]
         [ K      B         0   ] [dlambda]     [r_lambda]
 
-    with M = L_uu, B_u = L_uOmega, B = L_lambdaOmega, L_OO = L_OmegaOmega
-    and K the state operator; du and dlambda vanish on the Dirichlet
-    boundary and V on the outer boundary.  With `reduced` (the
-    projected-gradient warm-up step) M, B_u and L_OO are dropped.
-    `solve` records the MINRES iteration count and the blockwise relative
-    residual of a Newton step.
+    with M = L_uu, B_u = L_uOmega, B = L_lambdaOmega, L_OO = L_OmegaOmega;
+    M, K (the state operator) and b are the operator set `blocks.ops`.
+    du and dlambda vanish on the Dirichlet boundary and V on the outer
+    boundary.  With `reduced` (the projected-gradient warm-up step) M, B_u
+    and L_OO are dropped.  `solve` records the MINRES iteration count and
+    the blockwise relative residual of a Newton step.
     """
 
-    mesh: Mesh
     blocks: HessianBlocks
-    regularizer: sp.csr_matrix        # b, the Tikhonov term
     rhs_u: np.ndarray
     rhs_shape: np.ndarray
     rhs_lam: np.ndarray
@@ -284,37 +258,37 @@ class KktSystem:
         step is not finite, or a block residual exceeds KKT_RESIDUAL_TOL.
         """
         b = self.blocks
-        state = b.state_operator
-        metric = fem.SparseOperator(self.regularizer, b.v_constrained)
+        state, mass, metric = b.ops.state, b.ops.mass.matrix, b.ops.metric
         if self.reduced:
             dlam = -state.solve_constrained(self.rhs_u)
             v = -metric.solve_constrained(self.rhs_shape
                                           + b.b_lam_shape.T @ dlam)
         else:
             du_p = -state.solve_constrained(self.rhs_lam)
-            dlam_p = -state.solve_constrained(self.rhs_u + b.mass @ du_p)
-            v = -self._minres(metric, self.rhs_shape + b.b_u_shape.T @ du_p
+            dlam_p = -state.solve_constrained(self.rhs_u + mass @ du_p)
+            v = -self._minres(self.rhs_shape + b.b_u_shape.T @ du_p
                               + b.b_lam_shape.T @ dlam_p)
         du = -state.solve_constrained(self.rhs_lam + b.b_lam_shape @ v)
         if not self.reduced:
-            dlam = -state.solve_constrained(self.rhs_u + b.mass @ du
+            dlam = -state.solve_constrained(self.rhs_u + mass @ du
                                             + b.b_u_shape @ v)
             self._check_residual(du, v, dlam)
-        return (ScalarField(self.mesh, du),
-                VectorField(self.mesh, v.reshape(-1, 2)),
-                ScalarField(self.mesh, dlam))
+        mesh = b.ops.mesh
+        return (ScalarField(mesh, du), VectorField(mesh, v.reshape(-1, 2)),
+                ScalarField(mesh, dlam))
 
-    def _minres(self, metric, g):
+    def _minres(self, g):
         """W with S W = g on the free deformation dofs; S acts as the
         identity on the constrained ones, where g and W vanish."""
         hess = ShapeHessian(self.blocks)
-        fixed = self.blocks.v_constrained
+        mesh, metric = self.blocks.ops.mesh, self.blocks.ops.metric
+        fixed = metric.constrained
 
         def s_matvec(x):
             w = x.copy()
             w[fixed] = 0.0
-            y = hess.apply(VectorField(self.mesh, w.reshape(-1, 2))) \
-                + self.regularizer @ w
+            y = hess.apply(VectorField(mesh, w.reshape(-1, 2))) \
+                + metric.matrix @ w
             y[fixed] = x[fixed]
             return y
 
@@ -339,14 +313,15 @@ class KktSystem:
     def _check_residual(self, du, v, dlam):
         """Each block's residual relative to the norms of its terms."""
         b = self.blocks
+        state, metric = b.ops.state, b.ops.metric
         worst = 0.0
         for terms, fixed in [
-                ([b.mass @ du, b.b_u_shape @ v, b.stiffness @ dlam,
-                  self.rhs_u], b.u_constrained),
-                ([b.b_u_shape.T @ du, b.shape_shape @ v, self.regularizer @ v,
-                  b.b_lam_shape.T @ dlam, self.rhs_shape], b.v_constrained),
-                ([b.stiffness @ du, b.b_lam_shape @ v, self.rhs_lam],
-                 b.u_constrained)]:
+                ([b.ops.mass.matrix @ du, b.b_u_shape @ v,
+                  state.matrix @ dlam, self.rhs_u], state.constrained),
+                ([b.b_u_shape.T @ du, b.shape_shape @ v, metric.matrix @ v,
+                  b.b_lam_shape.T @ dlam, self.rhs_shape], metric.constrained),
+                ([state.matrix @ du, b.b_lam_shape @ v, self.rhs_lam],
+                 state.constrained)]:
             res = sum(terms)
             res[fixed] = 0.0
             scale = sum(np.linalg.norm(t) for t in terms)
@@ -357,41 +332,33 @@ class KktSystem:
                 f"KKT step residual {worst:.3e} relative")
 
 
-def lagrangian_gradient(mesh, cfg, u, lam, z_on_m, z_grad=None, target=None,
-                        alpha_whole_domain=False):
+def lagrangian_gradient(ops, u, lam, z_on_m, z_grad, alpha_whole_domain=False):
     """First-order KKT right-hand side pieces (L_u, L_Omega, L_lambda)."""
-    mass = fem.assemble_mass(mesh).matrix
-    stiff = fem.assemble_scalar_laplace(
-        mesh, {0: cfg.mu_in, 1: cfg.mu_out}).matrix
-    w = u.values - z_on_m.values
-    r_u = mass @ w + stiff @ lam.values
+    stiff = ops.state.matrix
+    r_u = ops.mass.matrix @ (u.values - z_on_m.values) + stiff @ lam.values
     r_lam = stiff @ u.values
     d = shape_calculus.assemble_shape_derivative(
-        mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
+        ops, u, lam, z_on_m, z_grad=z_grad,
         alpha_whole_domain=alpha_whole_domain)
-    u_constrained, _ = model.state_dirichlet(mesh)
-    r_u[u_constrained] = 0.0
-    r_lam[u_constrained] = 0.0
+    r_u[ops.state.constrained] = 0.0
+    r_lam[ops.state.constrained] = 0.0
     return r_u, d.dual.copy(), r_lam
 
 
-def assemble_kkt(mesh: Mesh, cfg, u, lam, z_on_m,
-                 eps1: float, eps2: float, z_grad=None, target=None,
-                 reduced=False, alpha_whole_domain=False,
-                 flip_tr_term=False, gradient=None) -> KktSystem:
+def assemble_kkt(ops, u, lam, z_on_m, z_grad, reduced=False,
+                 alpha_whole_domain=False, flip_tr_term=False,
+                 gradient=None) -> KktSystem:
     """Build the KKT system at the current iterate, regularized by the
-    deformation metric b of (eps1, eps2).
+    deformation metric b of the operator set `ops`.
 
     `gradient` is (r_u, r_Omega, r_lambda) from `lagrangian_gradient` at
     the same iterate, when the caller already has it.
     """
     blocks = assemble_hessian_blocks(
-        mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
+        ops, u, lam, z_on_m, z_grad=z_grad,
         alpha_whole_domain=alpha_whole_domain, flip_tr_term=flip_tr_term)
-    reg = fem.assemble_vector_h1_form(mesh, eps1, eps2).matrix
     if gradient is None:
         gradient = lagrangian_gradient(
-            mesh, cfg, u, lam, z_on_m, z_grad=z_grad, target=target,
+            ops, u, lam, z_on_m, z_grad=z_grad,
             alpha_whole_domain=alpha_whole_domain)
-    r_u, r_shape, r_lam = gradient
-    return KktSystem(mesh, blocks, reg, r_u, r_shape, r_lam, reduced=reduced)
+    return KktSystem(blocks, *gradient, reduced=reduced)

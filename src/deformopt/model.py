@@ -39,8 +39,10 @@ class ProblemConfig:
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
 
-    def mu(self, region_tag):
-        return self.mu_in if region_tag == REGION_INCLUSION else self.mu_out
+    def mu(self, mesh):
+        """Per-element conductivity of `mesh`, (ne,), for every assembly."""
+        return np.where(mesh.region == REGION_INCLUSION, self.mu_in,
+                        self.mu_out)
 
 
 class Located:
@@ -163,6 +165,7 @@ class TargetField:
             raise ValueError("z must live on the background mesh")
         self.mesh = background_mesh
         self.z = z
+        self._last = None          # (points, Located) of the last lookup
 
     @cached_property
     def _locator(self):
@@ -187,9 +190,17 @@ class TargetField:
         """
         return self._locator.locate(points)
 
+    def _located(self, points) -> Located:
+        """`locate`, reusing the last result for an equal points array (a
+        copy is compared, so a different or mutated array is located)."""
+        points = np.asarray(points, dtype=float)
+        if self._last is None or not np.array_equal(self._last[0], points):
+            self._last = (points.copy(), self.locate(points))
+        return self._last[1]
+
     def interpolate(self, points):
         """Barycentric evaluation of z at arbitrary points in [0,1]^2."""
-        loc = self.locate(points)
+        loc = self._located(points)
         zv = self.z.values[self.mesh.triangles[loc.elements]]
         # a stacked (1x3)(3x1) matmul runs the same dot as lam @ zv per point
         return (loc.bary[:, None, :] @ zv[:, :, None])[:, 0, 0]
@@ -200,7 +211,7 @@ class TargetField:
         Piecewise constant; on element boundaries the containing element is
         chosen deterministically by the locator.
         """
-        return self._grads[self.locate(points).elements]
+        return self._grads[self._located(points).elements]
 
 
 def state_dirichlet(mesh: Mesh):
@@ -214,28 +225,45 @@ def state_dirichlet(mesh: Mesh):
     return nodes[order], values[order]
 
 
-def state_operator(mesh: Mesh, cfg: ProblemConfig) -> SparseOperator:
-    op = fem.assemble_scalar_laplace(mesh, {0: cfg.mu_in, 1: cfg.mu_out})
-    nodes, _ = state_dirichlet(mesh)
-    return fem.with_constraints(op, nodes)
+class OperatorSet:
+    """One iterate's operators, passed to every consumer: K and M constrained
+    on the state's Dirichlet nodes, b of (eps1, eps2) on the outer boundary
+    (none without eps1, eps2).  Each is assembled on first use and holds
+    the factorization of its first constrained solve: build one set per
+    iterate and drop it with the iterate."""
+
+    def __init__(self, mesh: Mesh, cfg: ProblemConfig, eps1=None, eps2=None):
+        self.mesh, self.cfg, self.eps1, self.eps2 = mesh, cfg, eps1, eps2
+        self.dirichlet_nodes, self.dirichlet_values = state_dirichlet(mesh)
+
+    @cached_property
+    def state(self) -> SparseOperator:
+        op = fem.assemble_scalar_laplace(self.mesh, self.cfg.mu(self.mesh))
+        return fem.with_constraints(op, self.dirichlet_nodes)
+
+    @cached_property
+    def mass(self) -> SparseOperator:
+        return fem.with_constraints(fem.assemble_mass(self.mesh),
+                                    self.dirichlet_nodes)
+
+    @cached_property
+    def metric(self) -> SparseOperator:
+        from .shape_calculus import deformation_metric   # it imports model
+        return deformation_metric(self.mesh, self.eps1, self.eps2)
 
 
-def solve_state(mesh: Mesh, cfg: ProblemConfig) -> ScalarField:
+def solve_state(ops: OperatorSet) -> ScalarField:
     """Potential with u=0 on the bottom, u=1 on the top, insulated sides."""
-    op = state_operator(mesh, cfg)
-    _, values = state_dirichlet(mesh)
-    u = op.solve_constrained(np.zeros(mesh.num_vertices), bc_values=values)
-    return ScalarField(mesh, u)
+    u = ops.state.solve_constrained(np.zeros(ops.mesh.num_vertices),
+                                    bc_values=ops.dirichlet_values)
+    return ScalarField(ops.mesh, u)
 
 
-def solve_adjoint(mesh: Mesh, cfg: ProblemConfig, u: ScalarField,
+def solve_adjoint(ops: OperatorSet, u: ScalarField,
                   z_on_m: ScalarField) -> ScalarField:
     """Adjoint potential driven by the data misfit, zero on bottom and top."""
-    op = state_operator(mesh, cfg)
-    mass = fem.assemble_mass(mesh)
-    rhs = -(mass.matrix @ (u.values - z_on_m.values))
-    lam = op.solve_constrained(rhs)
-    return ScalarField(mesh, lam)
+    rhs = -(ops.mass.matrix @ (u.values - z_on_m.values))
+    return ScalarField(ops.mesh, ops.state.solve_constrained(rhs))
 
 
 def inclusion_area(mesh: Mesh):
@@ -243,12 +271,11 @@ def inclusion_area(mesh: Mesh):
     return float(geo.areas[mesh.region == REGION_INCLUSION].sum())
 
 
-def objective(mesh: Mesh, cfg: ProblemConfig, u: ScalarField,
-              z_on_m: ScalarField) -> float:
+def objective(ops: OperatorSet, u: ScalarField, z_on_m: ScalarField) -> float:
     """J = 1/2 int (u-z)^2 dx + alpha/2 * area of the inclusion."""
     w = u - z_on_m
     misfit = 0.5 * fem.integrate_p1_product([w, w])
-    return misfit + 0.5 * cfg.alpha * inclusion_area(mesh)
+    return misfit + 0.5 * ops.cfg.alpha * inclusion_area(ops.mesh)
 
 
 def transfer_target(target: TargetField, mesh: Mesh) -> ScalarField:
@@ -266,7 +293,7 @@ def make_target(cfg: ProblemConfig, h: float,
                 shape: InclusionShape = TRUE_ELLIPSE) -> TargetField:
     """Solve the problem on a fresh background mesh holding the true shape."""
     background = generate_mesh(shape, h)
-    z = solve_state(background, cfg)
+    z = solve_state(OperatorSet(background, cfg))
     return TargetField(background, z)
 
 
@@ -278,21 +305,19 @@ def energy_fraction(mesh: Mesh, cfg: ProblemConfig, u: ScalarField) -> float:
     """
     geo = fem.geometry(mesh)
     g = fem.elem_grad(u)
-    mu_e = np.array([cfg.mu(r) for r in mesh.region])
-    dens = geo.areas * mu_e * np.einsum("ed,ed->e", g, g)
+    dens = geo.areas * cfg.mu(mesh) * np.einsum("ed,ed->e", g, g)
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
     return float(dens[mesh.region == REGION_INCLUSION].sum()) / total
 
 
-def boundary_flux(mesh: Mesh, cfg: ProblemConfig, u: ScalarField, tag):
+def boundary_flux(ops: OperatorSet, u: ScalarField, tag):
     """Discrete conormal flux of u through one outer boundary part.
 
     Computed variationally: pair the stiffness residual with the hat
     functions of that boundary's vertices.
     """
-    op = fem.assemble_scalar_laplace(mesh, {0: cfg.mu_in, 1: cfg.mu_out})
-    r = op.matrix @ u.values
-    nodes = mesh.boundary_vertices_by_tag[tag]
+    r = ops.state.matrix @ u.values
+    nodes = ops.mesh.boundary_vertices_by_tag[tag]
     return float(r[nodes].sum())

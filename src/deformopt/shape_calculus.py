@@ -19,10 +19,9 @@ from .mesh import Mesh, REGION_INCLUSION, apply_deformation, check_invertibility
 class ShapeGradientFunctional:
     """Dual vector d with d . V = dJ(Omega)[V] for nodal deformations V."""
 
-    def __init__(self, mesh: Mesh, dual: np.ndarray, constrained: np.ndarray):
+    def __init__(self, mesh: Mesh, dual: np.ndarray):
         self.mesh = mesh
         self.dual = dual
-        self.constrained = constrained
 
     def pair(self, v: VectorField) -> float:
         if v.mesh is not self.mesh:
@@ -35,29 +34,26 @@ def deformation_constraints(mesh: Mesh):
     return fem.vector_dofs(mesh.boundary_vertices)
 
 
-def assemble_shape_derivative(mesh: Mesh, cfg: model.ProblemConfig,
-                              u: ScalarField, lam: ScalarField,
-                              z_on_m: ScalarField, z_grad=None, target=None,
+def assemble_shape_derivative(ops: model.OperatorSet, u: ScalarField,
+                              lam: ScalarField, z_on_m: ScalarField, z_grad,
                               alpha_whole_domain=False) -> ShapeGradientFunctional:
     """Volume-form shape derivative of the Lagrangian at (u, lam).
 
     When u solves the state and lam the adjoint equation this equals the
     derivative of the reduced objective.  `z_grad` holds the background
-    gradient of z at each vertex (fetched from `target` if omitted); it
-    feeds the material derivative of the fixed field z.  The regularization
-    term differentiates over the inclusion only; `alpha_whole_domain` is a
-    negative-control switch spreading it over the whole domain.
+    gradient of z at each vertex; it feeds the material derivative of the
+    fixed field z.  The regularization term differentiates over the
+    inclusion only; `alpha_whole_domain` is a negative-control switch
+    spreading it over the whole domain.
     """
+    mesh, cfg = ops.mesh, ops.cfg
     for f in (u, lam, z_on_m):
         if f.mesh is not mesh:
             raise fem.FemError("field lives on a different mesh")
-    if z_grad is None:
-        z_grad = model.target_gradients(target, mesh) if target is not None \
-            else np.zeros((mesh.num_vertices, 2))
 
     geo = fem.geometry(mesh)
     tris = mesh.triangles
-    mu_e = np.where(mesh.region == REGION_INCLUSION, cfg.mu_in, cfg.mu_out)
+    mu_e = cfg.mu(mesh)
     gu = fem.elem_grad(u)
     gl = fem.elem_grad(lam)
     w = u.values - z_on_m.values
@@ -81,13 +77,11 @@ def assemble_shape_derivative(mesh: Mesh, cfg: model.ProblemConfig,
     np.add.at(dual, tris.reshape(-1), d_elem.reshape(-1, 2))
 
     # -(u - z) dz[V] with nodal dz[V]_i = grad z(x_i) . V_i
-    mass = fem.assemble_mass(mesh)
-    dual -= (mass.matrix @ w)[:, None] * z_grad
+    dual -= (ops.mass.matrix @ w)[:, None] * z_grad
 
-    constrained = deformation_constraints(mesh)
     flat = dual.reshape(-1)
-    flat[constrained] = 0.0
-    return ShapeGradientFunctional(mesh, flat, constrained)
+    flat[deformation_constraints(mesh)] = 0.0
+    return ShapeGradientFunctional(mesh, flat)
 
 
 def deformation_metric(mesh: Mesh, eps1: float, eps2: float) -> SparseOperator:
@@ -102,20 +96,26 @@ def riesz_gradient(d: ShapeGradientFunctional, metric: SparseOperator) -> Vector
     return VectorField(d.mesh, g.reshape(-1, 2))
 
 
-def objective_on_deformed(mesh: Mesh, cfg, target: model.TargetField, v, t: float):
+def state_on_deformed(ops: model.OperatorSet, target, v, t: float):
+    """Operator set (cfg, eps1 and eps2 of `ops`), state u and target values
+    z on the mesh moved by t V (the same mesh at t = 0)."""
+    deformed = apply_deformation(ops.mesh, v, t) if t != 0.0 else ops.mesh
+    ops_t = model.OperatorSet(deformed, ops.cfg, ops.eps1, ops.eps2)
+    return ops_t, model.solve_state(ops_t), \
+        model.transfer_target(target, deformed)
+
+
+def objective_on_deformed(ops: model.OperatorSet, target, v, t: float):
     """Re-solve the state on the deformed mesh and evaluate the objective."""
-    deformed = apply_deformation(mesh, v, t) if t != 0.0 else mesh
-    z = model.transfer_target(target, deformed)
-    u = model.solve_state(deformed, cfg)
-    return model.objective(deformed, cfg, u, z)
+    return model.objective(*state_on_deformed(ops, target, v, t))
 
 
-def eulerian_fd(mesh: Mesh, cfg, target: model.TargetField, v, t: float) -> float:
+def eulerian_fd(ops: model.OperatorSet, target, v, t: float) -> float:
     """Central-difference quotient (J(Omega_t) - J(Omega_-t)) / (2t)."""
     for sign in (1.0, -1.0):
-        ok, info = check_invertibility(mesh, v, sign * t)
+        ok, info = check_invertibility(ops.mesh, v, sign * t)
         if not ok:
             raise ValueError(f"deformation not admissible at t={sign * t}: {info}")
-    jp = objective_on_deformed(mesh, cfg, target, v, t)
-    jm = objective_on_deformed(mesh, cfg, target, v, -t)
+    jp = objective_on_deformed(ops, target, v, t)
+    jm = objective_on_deformed(ops, target, v, -t)
     return (jp - jm) / (2.0 * t)

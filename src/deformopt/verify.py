@@ -20,6 +20,7 @@ import numpy as np
 from . import fem, kkt, model, shape_calculus
 from .fem import ScalarField, VectorField
 from .mesh import InclusionShape, Mesh, generate_mesh
+from .shape_calculus import objective_on_deformed
 
 DEFAULT_SEED = 2024
 START_CIRCLE = InclusionShape.circle((0.5, 0.5), 0.2)
@@ -61,22 +62,15 @@ def mask_fields(mesh: Mesh, target: model.TargetField, fields, t_max,
     return [np.where(keep[:, None], v, 0.0) for v in fields]
 
 
-def _setup(h, cfg=None, target_h=None, shape=START_CIRCLE):
-    cfg = cfg or model.ProblemConfig()
-    target = model.make_target(cfg, target_h or h / 2)
-    mesh = generate_mesh(shape, h)
-    z = model.transfer_target(target, mesh)
-    z_grad = model.target_gradients(target, mesh)
-    u = model.solve_state(mesh, cfg)
-    lam = model.solve_adjoint(mesh, cfg, u, z)
-    return cfg, target, mesh, z, z_grad, u, lam
-
-
-def _objective_at(mesh, cfg, target, displacement):
-    deformed = mesh.with_vertices(mesh.vertices + displacement)
-    z = model.transfer_target(target, deformed)
-    u = model.solve_state(deformed, cfg)
-    return model.objective(deformed, cfg, u, z)
+def _setup(h):
+    cfg = model.ProblemConfig()
+    target = model.make_target(cfg, h / 2)
+    ops = model.OperatorSet(generate_mesh(START_CIRCLE, h), cfg)
+    z = model.transfer_target(target, ops.mesh)
+    z_grad = model.target_gradients(target, ops.mesh)
+    u = model.solve_state(ops)
+    lam = model.solve_adjoint(ops, u, z)
+    return ops, target, ops.mesh, z, z_grad, u, lam
 
 
 def gradient_consistency(h=0.1, n_fields=10, seed=DEFAULT_SEED,
@@ -84,19 +78,18 @@ def gradient_consistency(h=0.1, n_fields=10, seed=DEFAULT_SEED,
                          min_order=1.9, alpha_whole_domain=False):
     """Central-difference order of the assembled shape derivative."""
     rng = np.random.default_rng(seed)
-    cfg, target, mesh, z, z_grad, u, lam = _setup(h)
+    ops, target, mesh, z, z_grad, u, lam = _setup(h)
     d = shape_calculus.assemble_shape_derivative(
-        mesh, cfg, u, lam, z, z_grad=z_grad,
-        alpha_whole_domain=alpha_whole_domain)
+        ops, u, lam, z, z_grad=z_grad, alpha_whole_domain=alpha_whole_domain)
     ts = np.asarray(t_values, dtype=float)
     slopes = []
     for _ in range(n_fields):
         (v,) = mask_fields(mesh, target, [random_interior_field(mesh, rng)],
                            ts.max())
         exact = d.pair(VectorField(mesh, v))
-        errs = [abs((_objective_at(mesh, cfg, target, t * v)
-                     - _objective_at(mesh, cfg, target, -t * v)) / (2 * t)
-                    - exact) for t in ts]
+        errs = [abs((objective_on_deformed(ops, target, t * v, 1.0)
+                     - objective_on_deformed(ops, target, -t * v, 1.0))
+                    / (2 * t) - exact) for t in ts]
         slopes.append(_slope(ts, errs))
     slopes = np.array(slopes)
     return {
@@ -114,8 +107,8 @@ def hessian_consistency(h=0.1, n_pairs=5, seed=DEFAULT_SEED,
                         flip_tr_term=False):
     """Mixed central second differences of J against the assembled Hessian."""
     rng = np.random.default_rng(seed)
-    cfg, target, mesh, z, z_grad, u, lam = _setup(h)
-    blocks = kkt.assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad,
+    ops, target, mesh, z, z_grad, u, lam = _setup(h)
+    blocks = kkt.assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad,
                                          flip_tr_term=flip_tr_term)
     hess = kkt.ShapeHessian(blocks)
     ss = np.asarray(s_values, dtype=float)
@@ -127,10 +120,11 @@ def hessian_consistency(h=0.1, n_pairs=5, seed=DEFAULT_SEED,
         exact = hess.reduced_value(VectorField(mesh, v), VectorField(mesh, w))
         errs = []
         for s in ss:
-            fd = (_objective_at(mesh, cfg, target, s * (v + w))
-                  - _objective_at(mesh, cfg, target, s * (v - w))
-                  - _objective_at(mesh, cfg, target, s * (w - v))
-                  + _objective_at(mesh, cfg, target, -s * (v + w))) / (4 * s * s)
+            fd = (objective_on_deformed(ops, target, s * (v + w), 1.0)
+                  - objective_on_deformed(ops, target, s * (v - w), 1.0)
+                  - objective_on_deformed(ops, target, s * (w - v), 1.0)
+                  + objective_on_deformed(ops, target, -s * (v + w), 1.0)
+                  ) / (4 * s * s)
             errs.append(abs(fd - exact))
         slopes.append(_slope(ss, errs))
     slopes = np.array(slopes)
@@ -147,9 +141,9 @@ def hessian_consistency(h=0.1, n_pairs=5, seed=DEFAULT_SEED,
 def hessian_symmetry(h=0.1, n_pairs=100, seed=DEFAULT_SEED, tol=1e-12):
     """Relative symmetry defect of the linear second shape derivative."""
     rng = np.random.default_rng(seed)
-    cfg, target, mesh, z, z_grad, u, lam = _setup(h)
-    blocks = kkt.assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad)
-    hess = kkt.ShapeHessian(blocks)
+    ops, target, mesh, z, z_grad, u, lam = _setup(h)
+    hess = kkt.ShapeHessian(
+        kkt.assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad))
     worst = 0.0
     for _ in range(n_pairs):
         v = VectorField(mesh, random_interior_field(mesh, rng))
@@ -170,12 +164,12 @@ def taylor_remainder(h=0.1, n_fields=3, seed=DEFAULT_SEED,
                      s_values=(2e-2, 1e-2, 5e-3, 2.5e-3), min_slope=2.7):
     """Second-order Taylor remainder slope of the full objective."""
     rng = np.random.default_rng(seed)
-    cfg, target, mesh, z, z_grad, u, lam = _setup(h)
-    d = shape_calculus.assemble_shape_derivative(mesh, cfg, u, lam, z,
+    ops, target, mesh, z, z_grad, u, lam = _setup(h)
+    d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
                                                  z_grad=z_grad)
-    blocks = kkt.assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad)
-    hess = kkt.ShapeHessian(blocks)
-    j0 = model.objective(mesh, cfg, u, z)
+    hess = kkt.ShapeHessian(
+        kkt.assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad))
+    j0 = model.objective(ops, u, z)
     ss = np.asarray(s_values, dtype=float)
     slopes = []
     for _ in range(n_fields):
@@ -183,7 +177,7 @@ def taylor_remainder(h=0.1, n_fields=3, seed=DEFAULT_SEED,
                            ss.max())
         vf = VectorField(mesh, v)
         d1, d2 = d.pair(vf), hess.reduced_value(vf, vf)
-        rems = [abs(_objective_at(mesh, cfg, target, s * v)
+        rems = [abs(objective_on_deformed(ops, target, s * v, 1.0)
                     - (j0 + s * d1 + 0.5 * s * s * d2)) for s in ss]
         slopes.append(_slope(ss, rems))
     slopes = np.array(slopes)
@@ -273,19 +267,19 @@ def pullback_check(h=0.1, seed=DEFAULT_SEED, tol=1e-6, fd_step=1e-5,
     the dual vector assembled on the deformed mesh.
     """
     rng = np.random.default_rng(seed)
-    cfg, target, mesh, *_ = _setup(h)
+    base, target, mesh, *_ = _setup(h)
     metric0 = shape_calculus.deformation_metric(mesh, eps1=1.0, eps2=0.5)
 
     # displace to a non-trivial T and assemble the gradient there
     (disp,) = mask_fields(mesh, target,
                           [random_interior_field(mesh, rng, deform_amplitude)],
                           1.0, n_probe=5)
-    deformed = mesh.with_vertices(mesh.vertices + disp)
-    z = model.transfer_target(target, deformed)
-    z_grad = model.target_gradients(target, deformed)
-    u = model.solve_state(deformed, cfg)
-    lam = model.solve_adjoint(deformed, cfg, u, z)
-    d = shape_calculus.assemble_shape_derivative(deformed, cfg, u, lam, z,
+    ops = model.OperatorSet(mesh.with_vertices(mesh.vertices + disp), base.cfg)
+    z = model.transfer_target(target, ops.mesh)
+    z_grad = model.target_gradients(target, ops.mesh)
+    u = model.solve_state(ops)
+    lam = model.solve_adjoint(ops, u, z)
+    d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
                                                  z_grad=z_grad)
 
     # finite-difference nodal gradient of f at T, masked against z kinks
@@ -294,13 +288,12 @@ def pullback_check(h=0.1, seed=DEFAULT_SEED, tol=1e-6, fd_step=1e-5,
     probes[free] = fd_step
     keep = mask_fields(mesh, target, [probes], 1.0, n_probe=3)[0][:, 0] > 0
     fd_dual = np.zeros(2 * mesh.num_vertices)
-    x0 = deformed.vertices
     for i in np.flatnonzero(keep):
         for a in (0, 1):
-            e = np.zeros_like(x0)
+            e = np.zeros_like(ops.mesh.vertices)
             e[i, a] = fd_step
-            jp = _objective_at(deformed, cfg, target, e)
-            jm = _objective_at(deformed, cfg, target, -e)
+            jp = objective_on_deformed(ops, target, e, 1.0)
+            jm = objective_on_deformed(ops, target, -e, 1.0)
             fd_dual[2 * i + a] = (jp - jm) / (2 * fd_step)
     an_dual = d.dual.copy()
     kept_dofs = fem.vector_dofs(np.flatnonzero(keep))

@@ -15,26 +15,27 @@ def saddle_matrix(system):
     """Unconstrained (3n, 3n) KKT matrix in the (du, V, dlambda) ordering;
     the reduced system drops L_uu, L_uOmega and L_OmegaOmega."""
     b = system.blocks
-    n = system.mesh.num_vertices
+    n = b.ops.mesh.num_vertices
+    mass, stiffness, metric = (b.ops.mass.matrix, b.ops.state.matrix,
+                               b.ops.metric.matrix)
     zero_uu = sp.csr_matrix((n, n))
     zero_un = sp.csr_matrix((n, 2 * n))
     if system.reduced:
-        rows = [[zero_uu, zero_un, b.stiffness],
-                [zero_un.T, system.regularizer, b.b_lam_shape.T],
-                [b.stiffness, b.b_lam_shape, zero_uu]]
+        rows = [[zero_uu, zero_un, stiffness],
+                [zero_un.T, metric, b.b_lam_shape.T],
+                [stiffness, b.b_lam_shape, zero_uu]]
     else:
-        rows = [[b.mass, b.b_u_shape, b.stiffness],
-                [b.b_u_shape.T, b.shape_shape + system.regularizer,
-                 b.b_lam_shape.T],
-                [b.stiffness, b.b_lam_shape, zero_uu]]
+        rows = [[mass, b.b_u_shape, stiffness],
+                [b.b_u_shape.T, b.shape_shape + metric, b.b_lam_shape.T],
+                [stiffness, b.b_lam_shape, zero_uu]]
     return sp.bmat(rows, format="csr")
 
 
 def saddle_constrained_dofs(system):
-    n = system.mesh.num_vertices
-    b = system.blocks
-    return np.concatenate([b.u_constrained, n + b.v_constrained,
-                           3 * n + b.u_constrained])
+    ops = system.blocks.ops
+    n = ops.mesh.num_vertices
+    return np.concatenate([ops.state.constrained, n + ops.metric.constrained,
+                           3 * n + ops.state.constrained])
 
 
 def saddle_constrained_matrix(system):

@@ -57,25 +57,31 @@ class TestLineSearch:
         cfg, target, mesh = coarse
         v = VectorField.zeros(mesh)
         with pytest.raises(ValueError):
-            line_search(mesh, cfg, target, v, 1.0, dj_v=+1.0)
+            line_search(model.OperatorSet(mesh, cfg, 3e-2, 0.5), target, v,
+                        1.0, dj_v=+1.0)
 
     def test_armijo_decreases_objective(self, coarse):
         from deformopt import shape_calculus
         cfg, target, mesh = coarse
+        ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
         z = model.transfer_target(target, mesh)
         z_grad = model.target_gradients(target, mesh)
-        u = model.solve_state(mesh, cfg)
-        lam = model.solve_adjoint(mesh, cfg, u, z)
-        j0 = model.objective(mesh, cfg, u, z)
-        d = shape_calculus.assemble_shape_derivative(mesh, cfg, u, lam, z,
+        u = model.solve_state(ops)
+        lam = model.solve_adjoint(ops, u, z)
+        j0 = model.objective(ops, u, z)
+        d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
                                                      z_grad=z_grad)
-        metric = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
-        g = shape_calculus.riesz_gradient(d, metric)
+        g = shape_calculus.riesz_gradient(d, ops.metric)
         v = VectorField(mesh, -g.values)
-        t = line_search(mesh, cfg, target, v, j0, d.pair(v), t0=1.0)
+        t, (ops_t, u_t, z_t) = line_search(ops, target, v, j0, d.pair(v),
+                                           t0=1.0)
         assert t > 0
-        j_t = shape_calculus.objective_on_deformed(mesh, cfg, target, v, t)
+        j_t = shape_calculus.objective_on_deformed(ops, target, v, t)
         assert j_t < j0
+        # the returned trial is the iterate at t
+        assert np.array_equal(ops_t.mesh.vertices,
+                              mesh.vertices + t * v.values)
+        assert j_t == model.objective(ops_t, u_t, z_t)
 
 
 class TestSteepestDescent:
@@ -93,7 +99,8 @@ class TestSteepestDescent:
         cfg = ProblemConfig(alpha=0.0)
         target_mesh = generate_mesh(model.TRUE_ELLIPSE, 0.1)
         target = model.TargetField(target_mesh,
-                                   model.solve_state(target_mesh, cfg))
+                                   model.solve_state(
+                                       model.OperatorSet(target_mesh, cfg)))
         sched = Schedule(n_gradient_iters=0, max_iters=3,
                          line_search="backtracking")
         final, hist = steepest_descent(target_mesh, cfg, target, sched)
@@ -311,3 +318,47 @@ class TestOneLoop:
         sched = Schedule(n_gradient_iters=0, max_iters=2, gradient_step=0.5)
         _, hist = steepest_descent(mesh, cfg, target, sched)
         assert [r.mode for r in hist.records] == ["gradient"] * 3
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record a call of `owner.name` in the returned list each time."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneOperatorSetPerIterate:
+    def test_factorizations_and_locates_per_row(self, coarse, monkeypatch):
+        """K, M and b are factorized at most once each per History row,
+        and the vertices are located once per row."""
+        cfg, _, mesh = coarse
+        target = model.make_target(cfg, 0.05)
+        splu = count_calls(monkeypatch, spla, "splu")
+        locate = count_calls(monkeypatch, model.TargetField, "locate")
+        sched = Schedule(n_gradient_iters=3, max_iters=6, gradient_step=0.5)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        rows = len(hist.records)
+        assert [r.mode for r in hist.records] == ["gradient"] * 3 \
+            + ["newton"] * 4
+        assert len(splu) <= 3 * rows
+        assert len(locate) == rows
+
+    def test_accepted_armijo_trial_is_the_next_iterate(self, coarse,
+                                                       monkeypatch):
+        """The next iteration takes the accepted trial's state and target
+        values: one state solve and one transfer per row, not two."""
+        cfg, target, mesh = coarse
+        solves = count_calls(monkeypatch, model, "solve_state")
+        transfers = count_calls(monkeypatch, model, "transfer_target")
+        sched = Schedule(n_gradient_iters=5, max_iters=5,
+                         line_search="backtracking")
+        _, hist = steepest_descent(mesh, cfg, target, sched)
+        assert len(hist.records) == 6 and not hist.notes
+        assert hist.column("step")[:-1].tolist() == [0.4] * 5
+        assert len(solves) == len(transfers) == 6

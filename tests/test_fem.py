@@ -216,17 +216,17 @@ class TestDirichletElimination:
     def test_kkt_matrix(self, mesh):
         cfg = model.ProblemConfig()
         target = model.make_target(cfg, 0.05)
+        ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
         z = model.transfer_target(target, mesh)
         z_grad = model.target_gradients(target, mesh)
-        u = model.solve_state(mesh, cfg)
-        lam = model.solve_adjoint(mesh, cfg, u, z)
-        system = kkt.assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                                  z_grad=z_grad)
+        u = model.solve_state(ops)
+        lam = model.solve_adjoint(ops, u, z)
+        system = kkt.assemble_kkt(ops, u, lam, z, z_grad=z_grad)
         self.assert_same_csr(saddle_matrix(system),
                              saddle_constrained_dofs(system))
 
     def test_state_operator(self, mesh):
-        op = model.state_operator(mesh, model.ProblemConfig())
+        op = model.OperatorSet(mesh, model.ProblemConfig()).state
         self.assert_same_csr(op.matrix, op.constrained)
 
     def test_deformation_metric(self, mesh):

@@ -17,11 +17,12 @@ def setup():
     cfg = ProblemConfig()
     target = model.make_target(cfg, 0.05)
     mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.1)
+    ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
     z = model.transfer_target(target, mesh)
     z_grad = model.target_gradients(target, mesh)
-    u = model.solve_state(mesh, cfg)
-    lam = model.solve_adjoint(mesh, cfg, u, z)
-    return cfg, target, mesh, z, z_grad, u, lam
+    u = model.solve_state(ops)
+    lam = model.solve_adjoint(ops, u, z)
+    return ops, target, mesh, z, z_grad, u, lam
 
 
 def newton_iterate(h, target_h, n_warmup):
@@ -31,11 +32,12 @@ def newton_iterate(h, target_h, n_warmup):
     mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
     sched = driver.Schedule(n_gradient_iters=n_warmup, max_iters=n_warmup)
     mesh, _ = driver.run_two_phase(mesh, cfg, target, sched)
+    ops = model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2)
     z = model.transfer_target(target, mesh)
     z_grad = model.target_gradients(target, mesh)
-    u = model.solve_state(mesh, cfg)
-    lam = model.solve_adjoint(mesh, cfg, u, z)
-    return cfg, target, mesh, z, z_grad, u, lam
+    u = model.solve_state(ops)
+    lam = model.solve_adjoint(ops, u, z)
+    return ops, target, mesh, z, z_grad, u, lam
 
 
 @pytest.fixture(scope="module")
@@ -45,30 +47,30 @@ def newton_phase_medium():
 
 def perturbed(setup, noise):
     """`setup` with u and lambda moved off the constraint manifold."""
-    cfg, target, mesh, z, z_grad, u, lam = setup
+    ops, target, mesh, z, z_grad, u, lam = setup
     rng = np.random.default_rng(11)
     n = mesh.num_vertices
     u = ScalarField(mesh, u.values + noise * rng.standard_normal(n))
     lam = ScalarField(mesh, lam.values + noise * rng.standard_normal(n))
-    return cfg, target, mesh, z, z_grad, u, lam
+    return ops, target, mesh, z, z_grad, u, lam
 
 
 def newton_system(iterate):
-    cfg, target, mesh, z, z_grad, u, lam = iterate
-    return assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5, z_grad=z_grad)
+    ops, target, mesh, z, z_grad, u, lam = iterate
+    return assemble_kkt(ops, u, lam, z, z_grad=z_grad)
 
 
 @pytest.fixture(scope="module")
 def blocks(setup):
-    cfg, target, mesh, z, z_grad, u, lam = setup
-    return assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad)
+    ops, target, mesh, z, z_grad, u, lam = setup
+    return assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad)
 
 
 class TestBlocks:
     def test_shapes(self, setup, blocks):
         n = setup[2].num_vertices
-        assert blocks.mass.shape == (n, n)
-        assert blocks.stiffness.shape == (n, n)
+        assert blocks.ops.mass.matrix.shape == (n, n)
+        assert blocks.ops.state.matrix.shape == (n, n)
         assert blocks.b_u_shape.shape == (n, 2 * n)
         assert blocks.b_lam_shape.shape == (n, 2 * n)
         assert blocks.shape_shape.shape == (2 * n, 2 * n)
@@ -79,7 +81,7 @@ class TestBlocks:
         assert asym <= 1e-12 * scale
 
     def test_shape_block_pairing_symmetry_random(self, setup, blocks):
-        cfg, target, mesh, *_ = setup
+        ops, target, mesh, *_ = setup
         hess = ShapeHessian(blocks)
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -91,7 +93,7 @@ class TestBlocks:
     def test_b_u_shape_is_derivative_of_state_residual(self, setup, blocks):
         """FD oracle: L_uOmega V equals d/dt of the u-gradient of the
         Lagrangian when the mesh moves along V (fields transported nodally)."""
-        cfg, target, mesh, z, z_grad, u, lam = setup
+        ops, target, mesh, z, z_grad, u, lam = setup
         rng = np.random.default_rng(2)
         vals = verify.random_interior_field(mesh, rng)
         vals = verify.mask_fields(mesh, target, [vals], t_max=1e-4)[0]
@@ -104,15 +106,16 @@ class TestBlocks:
             u2 = ScalarField(m2, u.values)
             lam2 = ScalarField(m2, lam.values)
             z2 = model.transfer_target(target, m2)
-            ru, _, _ = lagrangian_gradient(m2, cfg, u2, lam2, z2,
-                                           target=target)
+            ru, _, _ = lagrangian_gradient(
+                model.OperatorSet(m2, ops.cfg), u2, lam2, z2,
+                z_grad=model.target_gradients(target, m2))
             return ru
 
         fd = (r_u_at(t) - r_u_at(-t)) / (2 * t)
         pred = blocks.b_u_shape @ v.flat()
         pred = pred.copy()
-        pred[blocks.u_constrained] = 0.0
-        fd[blocks.u_constrained] = 0.0
+        pred[ops.state.constrained] = 0.0
+        fd[ops.state.constrained] = 0.0
         assert np.abs(pred - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1.0)
 
 
@@ -121,19 +124,19 @@ class TestSensitivities:
         """udot from the linearized state equation matches FD of the re-solved
         state under mesh deformation."""
         from deformopt.mesh import apply_deformation
-        cfg, target, mesh, z, z_grad, u, lam = setup
+        ops, target, mesh, z, z_grad, u, lam = setup
         hess = ShapeHessian(blocks)
         rng = np.random.default_rng(4)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
         udot, _ = hess.sensitivities(v)
         t = 1e-5
-        up = model.solve_state(apply_deformation(mesh, v, t), cfg)
-        um = model.solve_state(apply_deformation(mesh, v, -t), cfg)
+        up, um = (model.solve_state(model.OperatorSet(
+            apply_deformation(mesh, v, s), ops.cfg)) for s in (t, -t))
         fd = (up.values - um.values) / (2 * t)
         assert np.abs(udot - fd).max() <= 1e-4 * max(np.abs(fd).max(), 1.0)
 
     def test_reduced_equals_full_on_sensitivity_triples(self, setup, blocks):
-        cfg, target, mesh, *_ = setup
+        ops, target, mesh, *_ = setup
         hess = ShapeHessian(blocks)
         rng = np.random.default_rng(5)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
@@ -144,7 +147,7 @@ class TestSensitivities:
         assert hess.reduced_value(v, w) == pytest.approx(full, rel=1e-12)
 
     def test_operator_form_pairs_to_reduced_value(self, setup, blocks):
-        cfg, target, mesh, *_ = setup
+        ops, target, mesh, *_ = setup
         hess = ShapeHessian(blocks)
         rng = np.random.default_rng(6)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
@@ -155,16 +158,14 @@ class TestSensitivities:
 
 class TestKktSystem:
     def test_matrix_symmetric(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                              z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad)
         mat = saddle_matrix(system)
         assert abs(mat - mat.T).max() <= 1e-12 * abs(mat).max()
 
     def test_solve_satisfies_equations(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                              z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad)
         du, v, dlam = system.solve()
         x = np.concatenate([du.values, v.flat(), dlam.values])
         mat = saddle_constrained_matrix(system)
@@ -173,9 +174,8 @@ class TestKktSystem:
             np.linalg.norm(rhs), 1e-30)
 
     def test_solution_respects_constraints(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                              z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad)
         du, v, dlam = system.solve()
         nodes, _ = model.state_dirichlet(mesh)
         assert np.abs(du.values[nodes]).max() == 0.0
@@ -186,11 +186,10 @@ class TestKktSystem:
         """The reduced system reproduces the projected-gradient direction:
         V solves b(V, .) = -dJ with du, dlambda the induced updates."""
         from deformopt import shape_calculus
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                              z_grad=z_grad, reduced=True)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, reduced=True)
         du, v, dlam = system.solve()
-        d = shape_calculus.assemble_shape_derivative(mesh, cfg, u, lam, z,
+        d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
                                                      z_grad=z_grad)
         metric = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
         g = shape_calculus.riesz_gradient(d, metric)
@@ -203,9 +202,8 @@ class TestKktSystem:
         at the projected start iterate and with u and lambda perturbed so
         that r_u, r_lambda and hence dlambda and du are nonzero.  The
         dropped blocks L_uOmega and L_OmegaOmega are never assembled."""
-        cfg, target, mesh, z, z_grad, u, lam = perturbed(setup, noise)
-        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                              z_grad=z_grad, reduced=True)
+        ops, target, mesh, z, z_grad, u, lam = perturbed(setup, noise)
+        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, reduced=True)
         du, v, dlam = system.solve()
         assert "b_u_shape" not in vars(system.blocks)
         assert "shape_shape" not in vars(system.blocks)
@@ -260,42 +258,41 @@ class TestKktSystem:
             newton_system(setup).solve()
 
     def test_reduced_step_takes_no_krylov_iterations(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                              z_grad=z_grad, reduced=True)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, reduced=True)
         system.solve()
         assert system.krylov_iterations == 0
 
     def test_given_gradient_is_used(self, setup):
         """assemble_kkt takes the driver's (r_u, r_Omega, r_lambda) instead
         of computing them again."""
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        gradient = lagrangian_gradient(mesh, cfg, u, lam, z, z_grad=z_grad)
-        system = assemble_kkt(mesh, cfg, u, lam, z, 3e-2, 0.5,
-                              z_grad=z_grad, gradient=gradient)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        gradient = lagrangian_gradient(ops, u, lam, z, z_grad=z_grad)
+        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, gradient=gradient)
         assert system.rhs_u is gradient[0]
         assert system.rhs_shape is gradient[1]
         assert system.rhs_lam is gradient[2]
 
     def test_eps_validation(self, setup):
         """eps1 = 0 gives no inner product: FemError, a ValueError."""
-        cfg, target, mesh, z, z_grad, u, lam = setup
+        ops, target, mesh, z, z_grad, u, lam = setup
+        ops0 = model.OperatorSet(mesh, ops.cfg, 0.0, 0.5)
         with pytest.raises(ValueError, match="eps1 must be positive"):
-            assemble_kkt(mesh, cfg, u, lam, z, 0.0, 0.5, z_grad=z_grad)
+            assemble_kkt(ops0, u, lam, z, z_grad=z_grad).solve()
 
     def test_flip_tr_term_changes_shape_block_only(self, setup, blocks):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        bad = assemble_hessian_blocks(mesh, cfg, u, lam, z, z_grad=z_grad,
+        ops, target, mesh, z, z_grad, u, lam = setup
+        bad = assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad,
                                       flip_tr_term=True)
         assert abs(bad.shape_shape - blocks.shape_shape).max() > 0
         assert abs(bad.b_u_shape - blocks.b_u_shape).max() == 0
-        assert abs(bad.mass - blocks.mass).max() == 0
+        assert abs(bad.b_lam_shape - blocks.b_lam_shape).max() == 0
 
 
 class TestLagrangianGradient:
     def test_vanishes_at_solved_state_except_shape(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        r_u, r_shape, r_lam = lagrangian_gradient(mesh, cfg, u, lam, z,
+        ops, target, mesh, z, z_grad, u, lam = setup
+        r_u, r_shape, r_lam = lagrangian_gradient(ops, u, lam, z,
                                                   z_grad=z_grad)
         assert np.abs(r_u).max() <= 1e-10
         assert np.abs(r_lam).max() <= 1e-10

@@ -8,7 +8,8 @@ from deformopt import fem, model
 from deformopt.fem import ScalarField
 from deformopt.mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape,
                             generate_mesh)
-from deformopt.model import (ProblemConfig, TargetField, boundary_flux,
+from deformopt.model import (OperatorSet, ProblemConfig, TargetField,
+                             boundary_flux,
                              energy_fraction, inclusion_area, make_target,
                              objective, solve_adjoint, solve_state,
                              state_dirichlet, target_gradients,
@@ -97,7 +98,7 @@ class TestConfig:
             ProblemConfig(alpha=-1.0)
 
     def test_mu_lookup(self, cfg, mesh):
-        mu = np.array([cfg.mu(r) for r in mesh.region])
+        mu = cfg.mu(mesh)
         assert set(np.unique(mu)) == {cfg.mu_in, cfg.mu_out}
 
 
@@ -109,25 +110,27 @@ class TestState:
         assert np.all((np.abs(y) < 1e-12) | (np.abs(y - 1) < 1e-12))
 
     def test_state_respects_bc_and_maximum_principle(self, mesh, cfg):
-        u = solve_state(mesh, cfg)
+        u = solve_state(OperatorSet(mesh, cfg))
         nodes, values = state_dirichlet(mesh)
         assert np.abs(u.values[nodes] - values).max() < 1e-12
         assert u.values.min() > -1e-10 and u.values.max() < 1 + 1e-10
 
     def test_uniform_conductivity_gives_linear_ramp(self, mesh):
         """With mu_in == mu_out the exact solution is u = y."""
-        u = solve_state(mesh, ProblemConfig(mu_in=1.0, mu_out=1.0))
+        uniform = ProblemConfig(mu_in=1.0, mu_out=1.0)
+        u = solve_state(OperatorSet(mesh, uniform))
         assert np.abs(u.values - mesh.vertices[:, 1]).max() < 1e-10
 
     def test_insulating_inclusion_diverts_flux(self, mesh, cfg):
-        u = solve_state(mesh, cfg)
+        u = solve_state(OperatorSet(mesh, cfg))
         assert energy_fraction(mesh, cfg, u) < 1e-4
 
     def test_flux_balance_top_bottom(self, mesh, cfg):
         """Inflow through the bottom equals outflow through the top."""
-        u = solve_state(mesh, cfg)
-        f_bot = boundary_flux(mesh, cfg, u, GAMMA_BOTTOM)
-        f_top = boundary_flux(mesh, cfg, u, GAMMA_TOP)
+        ops = OperatorSet(mesh, cfg)
+        u = solve_state(ops)
+        f_bot = boundary_flux(ops, u, GAMMA_BOTTOM)
+        f_top = boundary_flux(ops, u, GAMMA_TOP)
         assert f_bot + f_top == pytest.approx(0.0, abs=1e-10)
         # an insulating obstacle reduces the net flux below the free value 1
         assert 0.0 < f_top < 1.0
@@ -135,26 +138,29 @@ class TestState:
 
 class TestAdjoint:
     def test_adjoint_zero_for_zero_misfit(self, mesh, cfg):
-        u = solve_state(mesh, cfg)
-        lam = solve_adjoint(mesh, cfg, u, u)
+        ops = OperatorSet(mesh, cfg)
+        u = solve_state(ops)
+        lam = solve_adjoint(ops, u, u)
         assert np.abs(lam.values).max() < 1e-12
 
     def test_adjoint_bc_and_linearity(self, mesh, cfg):
-        u = solve_state(mesh, cfg)
+        ops = OperatorSet(mesh, cfg)
+        u = solve_state(ops)
         z1 = ScalarField(mesh, u.values + 0.3)
         z2 = ScalarField(mesh, u.values + 0.9)
-        l1 = solve_adjoint(mesh, cfg, u, z1)
-        l2 = solve_adjoint(mesh, cfg, u, z2)
+        l1 = solve_adjoint(ops, u, z1)
+        l2 = solve_adjoint(ops, u, z2)
         nodes, _ = state_dirichlet(mesh)
         assert np.abs(l1.values[nodes]).max() < 1e-12
         assert np.allclose(l2.values, 3.0 * l1.values, atol=1e-12)
 
     def test_adjoint_identity_against_quadrature(self, mesh, cfg):
         """Stiffness residual of lambda equals the misfit load."""
-        u = solve_state(mesh, cfg)
+        ops = OperatorSet(mesh, cfg)
+        u = solve_state(ops)
         z = ScalarField.from_callable(mesh, lambda x: x[:, 1] ** 2)
-        lam = solve_adjoint(mesh, cfg, u, z)
-        op = fem.assemble_scalar_laplace(mesh, {0: cfg.mu_in, 1: cfg.mu_out})
+        lam = solve_adjoint(ops, u, z)
+        op = fem.assemble_scalar_laplace(mesh, cfg.mu(mesh))
         mass = fem.assemble_mass(mesh)
         res = op.matrix @ lam.values + mass.matrix @ (u.values - z.values)
         nodes, _ = state_dirichlet(mesh)
@@ -168,12 +174,14 @@ class TestObjective:
         z = ScalarField.zeros(mesh)
         # 1/2 int y^2 = 1/6 plus the area penalty
         expected = 1.0 / 6.0 + 0.5 * cfg.alpha * inclusion_area(mesh)
-        assert objective(mesh, cfg, u, z) == pytest.approx(expected, rel=1e-12)
+        assert objective(OperatorSet(mesh, cfg), u, z) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_objective_zero_at_match_without_penalty(self, mesh):
         cfg0 = ProblemConfig(alpha=0.0)
-        u = solve_state(mesh, cfg0)
-        assert objective(mesh, cfg0, u, u) == 0.0
+        ops = OperatorSet(mesh, cfg0)
+        u = solve_state(ops)
+        assert objective(ops, u, u) == 0.0
 
 
 class TestTarget:
@@ -254,6 +262,35 @@ class TestTarget:
         assert np.array_equal(target_gradients(target, mesh),
                               target._grads[[e for e, _ in want]])
 
+    def test_locate_reused_only_for_equal_points(self, target, mesh,
+                                                 monkeypatch):
+        """`interpolate` and `gradient_at` share one locate for an equal
+        points array; a different or in-place mutated array is located
+        afresh and gives the values a fresh target field gives."""
+        calls = []
+        real = TargetField.locate
+
+        def counted(self, points):
+            calls.append(1)
+            return real(self, points)
+
+        monkeypatch.setattr(TargetField, "locate", counted)
+        field = TargetField(target.mesh, target.z)
+        points = mesh.vertices.copy()
+        field.interpolate(points)
+        field.gradient_at(points)
+        assert len(calls) == 1
+        points[:, 0] = 0.5 * points[:, 0] + 0.1          # mutated in place
+        values, grads = field.interpolate(points), field.gradient_at(points)
+        assert len(calls) == 2
+        other = points[::-1] * 0.9                      # a different array
+        other_values = field.interpolate(other)
+        assert len(calls) == 3
+        fresh = TargetField(target.mesh, target.z)
+        assert np.array_equal(values, fresh.interpolate(points))
+        assert np.array_equal(grads, fresh.gradient_at(points))
+        assert np.array_equal(other_values, fresh.interpolate(other))
+
     def test_target_field_requires_matching_mesh(self, target, mesh):
         with pytest.raises(ValueError):
             TargetField(mesh, target.z)
@@ -261,5 +298,5 @@ class TestTarget:
     def test_target_state_near_mismatch_is_positive(self, mesh, cfg, target):
         """Solving on the circle mesh does not match the elliptic target."""
         z = transfer_target(target, mesh)
-        u = solve_state(mesh, cfg)
-        assert objective(mesh, cfg, u, z) > 1e-5
+        ops = OperatorSet(mesh, cfg)
+        assert objective(ops, solve_state(ops), z) > 1e-5

@@ -18,18 +18,19 @@ def setup():
     cfg = ProblemConfig()
     target = model.make_target(cfg, 0.05)
     mesh = generate_mesh(CIRCLE, 0.1)
+    ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
     z = model.transfer_target(target, mesh)
     z_grad = model.target_gradients(target, mesh)
-    u = model.solve_state(mesh, cfg)
-    lam = model.solve_adjoint(mesh, cfg, u, z)
-    return cfg, target, mesh, z, z_grad, u, lam
+    u = model.solve_state(ops)
+    lam = model.solve_adjoint(ops, u, z)
+    return ops, target, mesh, z, z_grad, u, lam
 
 
 class TestShapeDerivative:
     def test_matches_central_difference(self, setup):
         """Assembled dual pairs with random fields like the FD quotient."""
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(mesh, cfg, u, lam, z, z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
         rng = np.random.default_rng(11)
         checked = 0
         for _ in range(5):
@@ -38,8 +39,8 @@ class TestShapeDerivative:
             if not np.any(vals):
                 continue
             v = VectorField(mesh, vals)
-            fd = eulerian_fd(mesh, cfg, target, v, 1e-3)
-            fd_fine = eulerian_fd(mesh, cfg, target, v, 2.5e-4)
+            fd = eulerian_fd(ops, target, v, 1e-3)
+            fd_fine = eulerian_fd(ops, target, v, 2.5e-4)
             # Richardson: eliminate the O(t^2) term to expose agreement
             extrap = (16 * fd_fine - fd) / 15
             assert d.pair(v) == pytest.approx(extrap, rel=5e-6, abs=1e-12)
@@ -50,10 +51,13 @@ class TestShapeDerivative:
         """With only the area penalty the derivative is exact: the inclusion
         area is a polynomial in t, so one central difference at a quadratic-
         exact step length reproduces it to rounding."""
-        cfg, target, mesh, *_ = setup
-        cfg2 = ProblemConfig(alpha=2.0, mu_in=cfg.mu_in, mu_out=cfg.mu_out)
+        ops, target, mesh, *_ = setup
+        cfg2 = ProblemConfig(alpha=2.0, mu_in=ops.cfg.mu_in,
+                             mu_out=ops.cfg.mu_out)
         zero = ScalarField.zeros(mesh)
-        d = assemble_shape_derivative(mesh, cfg2, zero, zero, zero)
+        no_z_grad = np.zeros((mesh.num_vertices, 2))
+        d = assemble_shape_derivative(model.OperatorSet(mesh, cfg2), zero,
+                                      zero, zero, no_z_grad)
         rng = np.random.default_rng(3)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
         t = 1e-3
@@ -63,21 +67,21 @@ class TestShapeDerivative:
         assert d.pair(v) == pytest.approx(fd, rel=1e-9)
 
     def test_boundary_dofs_zeroed(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(mesh, cfg, u, lam, z, z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
         assert np.all(d.dual[deformation_constraints(mesh)] == 0.0)
 
     def test_pair_requires_same_mesh(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(mesh, cfg, u, lam, z, z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
         other = generate_mesh(CIRCLE, 0.15)
         with pytest.raises(fem.FemError):
             d.pair(VectorField.zeros(other))
 
     def test_alpha_domain_control_changes_value(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(mesh, cfg, u, lam, z, z_grad=z_grad)
-        d_bad = assemble_shape_derivative(mesh, cfg, u, lam, z, z_grad=z_grad,
+        ops, target, mesh, z, z_grad, u, lam = setup
+        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
+        d_bad = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad,
                                           alpha_whole_domain=True)
         assert not np.allclose(d.dual, d_bad.dual)
 
@@ -93,8 +97,8 @@ class TestMetricAndGradient:
 
     def test_riesz_identity(self, setup):
         """b(grad J, Z) equals dJ[Z] for arbitrary admissible Z."""
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(mesh, cfg, u, lam, z, z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
         metric = deformation_metric(mesh, 3e-2, 0.5)
         g = riesz_gradient(d, metric)
         rng = np.random.default_rng(6)
@@ -104,8 +108,8 @@ class TestMetricAndGradient:
                 d.pair(zdir), rel=1e-8, abs=1e-14)
 
     def test_gradient_is_descent_direction(self, setup):
-        cfg, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(mesh, cfg, u, lam, z, z_grad=z_grad)
+        ops, target, mesh, z, z_grad, u, lam = setup
+        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
         metric = deformation_metric(mesh, 3e-2, 0.5)
         g = riesz_gradient(d, metric)
         assert d.pair(VectorField(mesh, -g.values)) < 0.0
@@ -113,16 +117,16 @@ class TestMetricAndGradient:
 
 class TestObjectiveOnDeformed:
     def test_zero_step_is_identity(self, setup):
-        cfg, target, mesh, z, _, u, _ = setup
-        j0 = model.objective(mesh, cfg, u, z)
+        ops, target, mesh, z, _, u, _ = setup
+        j0 = model.objective(ops, u, z)
         v = VectorField.zeros(mesh)
-        assert objective_on_deformed(mesh, cfg, target, v, 0.0) \
+        assert objective_on_deformed(ops, target, v, 0.0) \
             == pytest.approx(j0, rel=1e-14)
 
     def test_fd_rejects_folding_step(self, setup):
-        cfg, target, mesh, *_ = setup
+        ops, target, mesh, *_ = setup
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((mesh.num_vertices, 2))
         vals[mesh.boundary_vertices] = 0.0
         with pytest.raises(ValueError):
-            eulerian_fd(mesh, cfg, target, VectorField(mesh, vals), 1.0)
+            eulerian_fd(ops, target, VectorField(mesh, vals), 1.0)

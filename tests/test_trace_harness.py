@@ -1,0 +1,29 @@
+"""The benchmark's traced run still sees every layer of the program.
+
+`perfbench/run.py --trace 1` wraps the functions listed in
+`perfbench/layers.py` and checks that each recorded a call and that
+`model.target_gradients` ran once per History row.  A refactor that renames
+or stops calling one of them makes its result incorrect; this test runs the
+harness as a subprocess and reads its JSON result line.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_warmup_trace_is_correct_with_one_operator_set_per_row():
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "warmup",
+         "--seed", "2024", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"], out.stdout
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    assert metrics["driver.iterations"] == 21
+    # K, M and b factorized once each per row; the vertices located once
+    assert metrics["fem.factor_calls"] == 63
+    assert metrics["model.locate_calls"] == 21
