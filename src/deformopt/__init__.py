@@ -3,7 +3,7 @@
 from .mesh import (InclusionShape, Mesh, MeshError, NonInvertibleDeformation,
                    apply_deformation, check_invertibility, generate_mesh,
                    mesh_quality)
-from .fem import ScalarField, SparseOperator, VectorField
+from .fem import ScalarField, SparseOperator, VectorField, VectorOperator
 from .model import (OperatorSet, ProblemConfig, TargetField, TRUE_ELLIPSE,
                     make_target)
 from .shape_calculus import (assemble_shape_derivative, deformation_metric,
@@ -20,8 +20,8 @@ __all__ = [
     "InclusionShape", "Mesh", "MeshError", "NonInvertibleDeformation",
     "apply_deformation", "check_invertibility", "generate_mesh",
     "mesh_quality", "ScalarField", "SparseOperator", "VectorField",
-    "OperatorSet", "ProblemConfig", "TargetField", "TRUE_ELLIPSE",
-    "make_target",
+    "VectorOperator", "OperatorSet", "ProblemConfig", "TargetField",
+    "TRUE_ELLIPSE", "make_target",
     "assemble_shape_derivative", "deformation_metric", "eulerian_fd",
     "riesz_gradient", "KktSystem", "ShapeHessian", "assemble_hessian_blocks",
     "assemble_kkt", "DenseOperator", "MetricSpace", "epsilon_solve",

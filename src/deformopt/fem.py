@@ -195,6 +195,14 @@ class SparseOperator:
 
     `matrix` is the unconstrained operator.  `constrained` lists dof indices
     eliminated symmetrically (identity row/column) when solving.
+
+    The constrained matrix is factorized by SuperLU in symmetric mode:
+    minimum-degree ordering on A + A^T and diagonal pivots only.  That
+    assumes it is symmetric positive definite, as every operator built here
+    is after the elimination (stiffness, mass and the metric block); nothing
+    nonsymmetric or indefinite may go through `_factor`.  A singular matrix
+    (the pure-Neumann stiffness) is caught by the residual check of
+    `solve_constrained`.
     """
 
     matrix: sp.csr_matrix
@@ -208,7 +216,9 @@ class SparseOperator:
     def _factor(self):
         mat = self.constrained_matrix.tocsc()
         try:
-            return spla.splu(mat)
+            return spla.splu(mat, permc_spec="MMD_AT_PLUS_A",
+                             diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
 
@@ -217,7 +227,11 @@ class SparseOperator:
         return float(x @ (self.matrix @ y))
 
     def solve_constrained(self, rhs, bc_values=None, rtol=1e-8):
-        """Solve with homogeneous (or given) values at constrained dofs."""
+        """Solve with homogeneous (or given) values at constrained dofs.
+
+        `rhs` is one right-hand side (n,) or several as columns (n, k),
+        solved on the one factorization; the residual check and the
+        iterative refinement then take all columns together."""
         rhs = np.asarray(rhs, dtype=float).copy()
         lift = np.zeros_like(rhs)
         if bc_values is not None and self.constrained.size:
@@ -239,6 +253,35 @@ class SparseOperator:
         if bc_values is not None:
             x = x + lift
         return x
+
+
+@dataclass
+class VectorOperator:
+    """The form I2 (x) B on interleaved (x, y) vertex dofs: B applied to each
+    component of a P1 vector field, for a scalar operator `block` = B.
+
+    Only B (n x n) is factorized: `solve_constrained` solves both components
+    as one two-column right-hand side on B's factorization.  `matrix` is
+    kron(B, I2) in CSR and `constrained` both dofs of each of B's
+    constrained vertices, for products and energies at 2n.
+    """
+
+    block: SparseOperator
+    matrix: sp.csr_matrix
+
+    @property
+    def constrained(self):
+        return vector_dofs(self.block.constrained)
+
+    def energy(self, x, y=None):
+        y = x if y is None else y
+        return float(x @ (self.matrix @ y))
+
+    def solve_constrained(self, rhs, rtol=1e-8):
+        """Solve with homogeneous values at the constrained dofs."""
+        rhs = np.asarray(rhs, dtype=float)
+        x = self.block.solve_constrained(rhs.reshape(-1, 2), rtol=rtol)
+        return x.reshape(rhs.shape)
 
 
 def apply_dirichlet(matrix, constrained):
@@ -308,25 +351,24 @@ def assemble_mass(mesh: Mesh) -> SparseOperator:
                           np.array([], dtype=np.int64))
 
 
-def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float) -> SparseOperator:
+def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float) -> VectorOperator:
     """Deformation metric b(W, V) = int eps1 (<W,V> + eps2 <DW,DV>_F).
 
     Serves both as the Riesz metric for the shape gradient and as the
-    Tikhonov term of the regularized Newton system.
+    Tikhonov term of the regularized Newton system.  b = I2 (x) B with the
+    scalar block B = eps1 (M + eps2 K1) (mass plus unit stiffness), which
+    is all that is assembled and, once constrained, factorized.
     """
     if eps1 <= 0:
         raise FemError("eps1 must be positive (metric must be an inner product)")
     if eps2 < 0:
         raise FemError("eps2 must be nonnegative")
     geo = geometry(mesh)
-    mloc = geo.local_mass
     kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
-    scalar = eps1 * (mloc + eps2 * kloc)
-    local = np.zeros((mesh.num_triangles, 6, 6))
-    local[:, 0::2, 0::2] = scalar
-    local[:, 1::2, 1::2] = scalar
-    return SparseOperator(_scatter(mesh, local, ndof_per_vertex=2),
-                          np.array([], dtype=np.int64))
+    block = _scatter(mesh, eps1 * (geo.local_mass + eps2 * kloc))
+    return VectorOperator(
+        SparseOperator(block, np.array([], dtype=np.int64)),
+        sp.kron(block, sp.identity(2), format="csr"))
 
 
 def vector_dofs(vertex_indices):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import fem
-from .fem import ScalarField, SparseOperator
+from .fem import ScalarField, SparseOperator, VectorOperator
 from .mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape, Mesh,
                    REGION_INCLUSION, generate_mesh)
 
@@ -228,9 +228,9 @@ def state_dirichlet(mesh: Mesh):
 class OperatorSet:
     """One iterate's operators, passed to every consumer: K and M constrained
     on the state's Dirichlet nodes, b of (eps1, eps2) on the outer boundary
-    (none without eps1, eps2).  Each is assembled on first use and holds
-    the factorization of its first constrained solve: build one set per
-    iterate and drop it with the iterate."""
+    (a FemError for a set built without eps1 and eps2).  Each is assembled
+    on first use and holds the factorization of its first constrained
+    solve: build one set per iterate and drop it with the iterate."""
 
     def __init__(self, mesh: Mesh, cfg: ProblemConfig, eps1=None, eps2=None):
         self.mesh, self.cfg, self.eps1, self.eps2 = mesh, cfg, eps1, eps2
@@ -247,7 +247,10 @@ class OperatorSet:
                                     self.dirichlet_nodes)
 
     @cached_property
-    def metric(self) -> SparseOperator:
+    def metric(self) -> VectorOperator:
+        if self.eps1 is None or self.eps2 is None:
+            raise fem.FemError("this operator set has no metric b: it was "
+                               "built without eps1 and eps2")
         from .shape_calculus import deformation_metric   # it imports model
         return deformation_metric(self.mesh, self.eps1, self.eps2)
 

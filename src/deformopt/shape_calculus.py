@@ -9,10 +9,12 @@ oracle `eulerian_fd` measures.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import fem, model
-from .fem import ScalarField, SparseOperator, VectorField
+from .fem import ScalarField, VectorField, VectorOperator
 from .mesh import Mesh, REGION_INCLUSION, apply_deformation, check_invertibility
 
 
@@ -84,13 +86,18 @@ def assemble_shape_derivative(ops: model.OperatorSet, u: ScalarField,
     return ShapeGradientFunctional(mesh, flat)
 
 
-def deformation_metric(mesh: Mesh, eps1: float, eps2: float) -> SparseOperator:
-    """H1-type inner product on deformations, constrained on the boundary."""
+def deformation_metric(mesh: Mesh, eps1: float, eps2: float) -> VectorOperator:
+    """H1-type inner product on deformations, constrained on the boundary.
+
+    b = I2 (x) B: only the n x n block B, constrained on the outer-boundary
+    vertices, is factorized, and a solve takes both components together.
+    """
     op = fem.assemble_vector_h1_form(mesh, eps1, eps2)
-    return fem.with_constraints(op, deformation_constraints(mesh))
+    return replace(op, block=fem.with_constraints(op.block,
+                                                  mesh.boundary_vertices))
 
 
-def riesz_gradient(d: ShapeGradientFunctional, metric: SparseOperator) -> VectorField:
+def riesz_gradient(d: ShapeGradientFunctional, metric: VectorOperator) -> VectorField:
     """Gradient representative: b(grad J, Z) = dJ[Z] for all admissible Z."""
     g = metric.solve_constrained(d.dual)
     return VectorField(d.mesh, g.reshape(-1, 2))

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from deformopt import fem, kkt, model, shape_calculus
 from deformopt.fem import (FemError, ScalarField, SingularSystemError,
@@ -19,6 +20,19 @@ from kkt_reference import saddle_constrained_dofs, saddle_matrix
 @pytest.fixture(scope="module")
 def mesh():
     return generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.1)
+
+
+def padded_vector_form(mesh, eps1, eps2):
+    """The 2n metric as `assemble_vector_h1_form` built it before it kept
+    only the scalar block: a zero-padded 6x6 local matrix per element
+    scattered on interleaved dofs; test reference."""
+    geo = fem.geometry(mesh)
+    kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
+    scalar = eps1 * (geo.local_mass + eps2 * kloc)
+    local = np.zeros((mesh.num_triangles, 6, 6))
+    local[:, 0::2, 0::2] = scalar
+    local[:, 1::2, 1::2] = scalar
+    return fem._scatter(mesh, local, ndof_per_vertex=2)
 
 
 def reference_dirichlet(matrix, constrained):
@@ -162,6 +176,47 @@ class TestAssembly:
         """Per row of a triangle array, as the vector scatters use it."""
         assert vector_dofs([[0, 3, 1], [2, 0, 4]]).tolist() == [
             [0, 1, 6, 7, 2, 3], [4, 5, 0, 1, 8, 9]]
+
+
+class TestVectorMetric:
+    """b = I2 (x) B against the 2n assembly and solve it replaced."""
+
+    def test_matrix_equals_padded_assembly(self, mesh):
+        got = assemble_vector_h1_form(mesh, 3e-2, 0.5).matrix
+        want = padded_vector_form(mesh, 3e-2, 0.5)
+        want.eliminate_zeros()          # the padding's x-y zeros
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        np.testing.assert_array_max_ulp(got.data, want.data, maxulp=4)
+
+    @pytest.mark.parametrize("h", [0.05, 0.02])
+    def test_block_solve_equals_2n_solve(self, h):
+        """Two-column solve on B's factorization against the old 2n splu
+        solve (COLAMD ordering, default partial pivoting)."""
+        m = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
+        metric = shape_calculus.deformation_metric(m, 3e-2, 0.5)
+        assert metric.block.matrix.shape == (m.num_vertices, m.num_vertices)
+        fixed = vector_dofs(m.boundary_vertices)
+        assert np.array_equal(metric.constrained, fixed)
+        rhs = np.random.default_rng(5).standard_normal(2 * m.num_vertices)
+        rhs[fixed] = 0.0
+        old = fem.apply_dirichlet(padded_vector_form(m, 3e-2, 0.5), fixed)
+        want = spla.splu(old.tocsc()).solve(rhs)
+        got = metric.solve_constrained(rhs)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_two_column_solve_equals_two_solves(self, mesh):
+        a = with_constraints(assemble_scalar_laplace(mesh, 1.0),
+                             mesh.boundary_vertices)
+        rng = np.random.default_rng(3)
+        rhs = rng.standard_normal((mesh.num_vertices, 2))
+        bc = rng.standard_normal((mesh.boundary_vertices.size, 2))
+        got = a.solve_constrained(rhs, bc_values=bc)
+        assert got.shape == rhs.shape
+        for col in range(2):
+            want = a.solve_constrained(rhs[:, col], bc_values=bc[:, col])
+            np.testing.assert_allclose(got[:, col], want, rtol=0,
+                                       atol=1e-14 * np.abs(want).max())
 
 
 class TestConstrainedSolve:

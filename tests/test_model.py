@@ -101,6 +101,15 @@ class TestConfig:
         mu = cfg.mu(mesh)
         assert set(np.unique(mu)) == {cfg.mu_in, cfg.mu_out}
 
+    def test_operator_set_without_eps_has_no_metric(self, cfg, mesh):
+        """make_target, verify and the CLI build sets without eps1, eps2:
+        touching their metric names what is missing."""
+        ops = OperatorSet(mesh, cfg)
+        with pytest.raises(fem.FemError, match="eps1 and eps2"):
+            ops.metric
+        assert OperatorSet(mesh, cfg, 3e-2, 0.5).metric.block.matrix.shape \
+            == (mesh.num_vertices, mesh.num_vertices)
+
 
 class TestState:
     def test_dirichlet_values(self, mesh):

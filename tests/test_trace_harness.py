@@ -26,4 +26,7 @@ def test_warmup_trace_is_correct_with_one_operator_set_per_row():
     assert metrics["driver.iterations"] == 21
     # K, M and b factorized once each per row; the vertices located once
     assert metrics["fem.factor_calls"] == 63
+    # the largest factorization is n x n (the start mesh's 495 vertices):
+    # the metric is factorized as its scalar block, not at 2n
+    assert metrics["fem.factor_max_dofs"] == 495
     assert metrics["model.locate_calls"] == 21
