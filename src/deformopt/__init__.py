@@ -7,7 +7,7 @@ from .fem import ScalarField, SparseOperator, VectorField, VectorOperator
 from .model import (OperatorSet, ProblemConfig, TargetField, TRUE_ELLIPSE,
                     make_target)
 from .shape_calculus import (assemble_shape_derivative, deformation_metric,
-                             eulerian_fd, riesz_gradient)
+                             element_terms, eulerian_fd, riesz_gradient)
 from .kkt import KktSystem, ShapeHessian, assemble_hessian_blocks, assemble_kkt
 from .pseudoinverse import (DenseOperator, MetricSpace, epsilon_solve,
                             min_norm_solve)
@@ -22,7 +22,8 @@ __all__ = [
     "mesh_quality", "ScalarField", "SparseOperator", "VectorField",
     "VectorOperator", "OperatorSet", "ProblemConfig", "TargetField",
     "TRUE_ELLIPSE", "make_target",
-    "assemble_shape_derivative", "deformation_metric", "eulerian_fd",
+    "assemble_shape_derivative", "deformation_metric", "element_terms",
+    "eulerian_fd",
     "riesz_gradient", "KktSystem", "ShapeHessian", "assemble_hessian_blocks",
     "assemble_kkt", "DenseOperator", "MetricSpace", "epsilon_solve",
     "min_norm_solve", "History", "IterationRecord", "Schedule",

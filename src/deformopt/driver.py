@@ -5,7 +5,8 @@ gradient) and takes a fixed or an Armijo step; the Newton rule solves the
 full system and takes the full step, falling back to the gradient rule on
 the same system when that solve fails.  Steps are halved until the mesh
 stays invertible, and a failed step ends the run with an `aborted` note.
-Each iterate builds one `model.OperatorSet`; an accepted Armijo trial's
+Each iterate builds one `model.OperatorSet` and one set of element terms,
+which the gradient and the KKT system read; an accepted Armijo trial's
 set, z and u become the next iterate's.
 """
 
@@ -51,9 +52,9 @@ class Schedule:
     project_warmup: bool = True
 
     def __post_init__(self):
-        if min(self.gradient_step, self.newton_step, self.eps1,
-               self.tol_v) <= 0 or self.eps2 < 0:
-            raise ValueError("schedule parameters must be positive")
+        model.check_fields(
+            self, positive=("gradient_step", "newton_step", "eps1", "tol_v"),
+            nonnegative=("eps2",))
         if self.n_gradient_iters > self.max_iters:
             raise ValueError("n_gradient_iters must not exceed max_iters")
         if self.line_search not in ("fixed", "backtracking"):
@@ -151,20 +152,21 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
             u = model.solve_state(ops) if u_t is None else u_t
             lam = model.solve_adjoint(ops, u, z)
         j0 = model.objective(ops, u, z)
-        gradient = kkt.lagrangian_gradient(ops, u, lam, z, z_grad=z_grad)
+        terms = shape_calculus.element_terms(ops, u, lam, z, z_grad)
+        gradient = kkt.lagrangian_gradient(terms)
         t, trial = 0.0, None
         if k < sched.max_iters:
             try:
                 # no reference to the system (it holds `ops`) outlives k
                 mode, (du, v, dlam) = _solve(
-                    kkt.assemble_kkt(ops, u, lam, z, z_grad=z_grad,
-                                     reduced=mode == "gradient",
+                    kkt.assemble_kkt(terms, reduced=mode == "gradient",
                                      gradient=gradient),
                     sched, history.notes, k)
                 t, halvings, margin, trial = _step_length(
                     ops, target, sched, mode, v, j0, gradient[1])
             except (fem.SingularSystemError, LineSearchError) as exc:
                 history.notes.append(f"aborted at iteration {k}: {exc}")
+        del terms       # it holds `ops`: the set dies with its iterate
         # after the step: M's factorization (only used here) then never
         # coexists with the step's, which keeps peak memory down
         gn, res = _dual_norms(ops, sched, *gradient)

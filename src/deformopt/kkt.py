@@ -6,7 +6,8 @@ second material derivatives of u and lambda are excluded by construction,
 which keeps the system symmetric without any commutation assumption on the
 direction fields.  The step is solved in the deformation alone, with the
 reduced shape Hessian as a symmetric operator; the 3x3 block matrix is
-never formed.
+never formed.  The blocks and the KKT gradient read the iterate's
+`shape_calculus.ElementTerms`, the terms the first derivative reads.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import scipy.sparse.linalg as spla
 
 from . import fem, model, shape_calculus
 from .fem import ScalarField, VectorField
-from .mesh import REGION_INCLUSION
 
 
 def _mixed_scatter(mesh, local):
@@ -33,36 +33,22 @@ def _mixed_scatter(mesh, local):
 
 
 @dataclass
-class _ElementTerms:
-    """Per-element factors of the mixed and pure shape blocks at one iterate."""
-
-    G: np.ndarray          # (ne, 3, 2) basis gradients
-    Mloc: np.ndarray       # (ne, 3, 3) local mass
-    Mw: np.ndarray         # (ne, 3) int_e (u - z) phi_i
-    gz: np.ndarray         # (ne, 3, 2) nodal grad z
-    gu: np.ndarray         # (ne, 2)
-    gl: np.ndarray         # (ne, 2)
-    Ggu: np.ndarray        # (ne, 3) grad phi_i . grad u
-    Ggl: np.ndarray        # (ne, 3) grad phi_i . grad lambda
-    gg: np.ndarray         # (ne, 3, 3) grad phi_i . grad phi_j
-    muA: np.ndarray        # (ne,) mu |e|
-    c_g: np.ndarray        # (ne,) div V coefficient of the Lagrangian
-    tr_sign: float
-
-
-@dataclass
 class HessianBlocks:
     """All second-derivative blocks of the Lagrangian at one iterate.
 
     `b_u_shape` (L_uOmega) and `shape_shape` (L_OmegaOmega) are assembled
-    on first access from the stored element terms: the reduced (warm-up)
-    step drops both, so it never pays for the five-index L_OmegaOmega
-    einsums.
+    on first access from the element terms: the reduced (warm-up) step
+    drops both, so it never pays for the five-index L_OmegaOmega einsums.
     """
 
-    ops: model.OperatorSet       # L_uu = M, L_ulambda = K
+    terms: shape_calculus.ElementTerms
     b_lam_shape: sp.csr_matrix   # L_lambdaOmega, (n, 2n)
-    terms: _ElementTerms = field(repr=False)
+    tr_sign: float = 1.0         # -1 negates the trace term (a control)
+
+    @property
+    def ops(self) -> model.OperatorSet:
+        """The iterate's operator set: L_uu = M, L_ulambda = K."""
+        return self.terms.ops
 
     @cached_property
     def b_u_shape(self):
@@ -80,16 +66,16 @@ class HessianBlocks:
     def shape_shape(self):
         """L_OmegaOmega, (2n, 2n), assembled as S + T + T^T.
 
-        S holds the three self-symmetric terms (c_g G G, the trace term and
-        Mloc gz gz); the other twelve terms form six transpose pairs, of
+        S holds the three self-symmetric terms (c_div G G, the trace term
+        and Mloc gz gz); the other twelve terms form six transpose pairs, of
         which T holds one member each.  The block is symmetric by
         construction.
         """
         t = self.terms
         G, Mw, gz, muA, gu, gl = t.G, t.Mw, t.gz, t.muA, t.gu, t.gl
         Ggu, Ggl, gg = t.Ggu, t.Ggl, t.gg
-        cc = np.einsum("e,eia,ejb->eiajb", t.c_g, G, G)
-        cc -= t.tr_sign * np.einsum("e,eib,eja->eiajb", t.c_g, G, G)
+        cc = np.einsum("e,eia,ejb->eiajb", t.c_div, G, G)
+        cc -= self.tr_sign * np.einsum("e,eib,eja->eiajb", t.c_div, G, G)
         cc += np.einsum("eij,eia,ejb->eiajb", t.Mloc, gz, gz)
         # z material-derivative coupling
         half = -np.einsum("eia,ej,ejb->eiajb", G, Mw, gz)
@@ -106,53 +92,20 @@ class HessianBlocks:
                             ndof_per_vertex=2)
 
 
-def assemble_hessian_blocks(ops: model.OperatorSet, u: ScalarField,
-                            lam: ScalarField, z_on_m: ScalarField, z_grad,
-                            alpha_whole_domain=False,
+def assemble_hessian_blocks(terms: shape_calculus.ElementTerms,
                             flip_tr_term=False) -> HessianBlocks:
     """Assemble the shape-KKT Hessian blocks (L_uOmega and L_OmegaOmega lazily).
 
     `flip_tr_term` negates the trace part of the pure shape block; it exists
     as a negative control for the mixed-difference consistency check.
     """
-    mesh, cfg = ops.mesh, ops.cfg
-    for f in (u, lam, z_on_m):
-        if f.mesh is not mesh:
-            raise fem.FemError("field lives on a different mesh")
-
-    geo = fem.geometry(mesh)
-    tris = mesh.triangles
-    ne = mesh.num_triangles
-    area = geo.areas
-    G = geo.grads                                   # (ne, 3, 2)
-    Mloc = geo.local_mass
-    mu_e = cfg.mu(mesh)
-    gu = fem.elem_grad(u)
-    gl = fem.elem_grad(lam)
-    w = u.values - z_on_m.values
-    wloc = w[tris]
-    Mw = np.einsum("eij,ej->ei", Mloc, wloc)        # int_e w phi_i
-    chi = np.ones(ne) if alpha_whole_domain \
-        else (mesh.region == REGION_INCLUSION).astype(float)
-
-    gg = np.einsum("eid,ejd->eij", G, G)            # grad phi_i . grad phi_j
-    Ggl = np.einsum("eid,ed->ei", G, gl)
-    Ggu = np.einsum("eid,ed->ei", G, gu)
-    muA = mu_e * area
-
-    # --- L_lambdaOmega
-    b_lam = np.einsum("ei,ejb->eijb", muA[:, None] * Ggu, G)
-    b_lam -= muA[:, None, None, None] * (
-        np.einsum("eij,eb->eijb", gg, gu)
-        + np.einsum("eib,ej->eijb", G, Ggu))
-    mat_b_lam = _mixed_scatter(mesh, b_lam)
-
-    half_w2 = 0.5 * np.einsum("ei,ei->e", wloc, Mw)
-    c_g = half_w2 + area * (mu_e * np.einsum("ed,ed->e", gu, gl)
-                            + 0.5 * cfg.alpha * chi)
-    terms = _ElementTerms(G, Mloc, Mw, z_grad[tris], gu, gl, Ggu, Ggl, gg,
-                          muA, c_g, -1.0 if flip_tr_term else 1.0)
-    return HessianBlocks(ops, mat_b_lam, terms)
+    t = terms
+    b_lam = np.einsum("ei,ejb->eijb", t.muA[:, None] * t.Ggu, t.G)
+    b_lam -= t.muA[:, None, None, None] * (
+        np.einsum("eij,eb->eijb", t.gg, t.gu)
+        + np.einsum("eib,ej->eijb", t.G, t.Ggu))
+    return HessianBlocks(terms, _mixed_scatter(t.ops.mesh, b_lam),
+                         -1.0 if flip_tr_term else 1.0)
 
 
 class ShapeHessian:
@@ -332,33 +285,27 @@ class KktSystem:
                 f"KKT step residual {worst:.3e} relative")
 
 
-def lagrangian_gradient(ops, u, lam, z_on_m, z_grad, alpha_whole_domain=False):
+def lagrangian_gradient(terms: shape_calculus.ElementTerms):
     """First-order KKT right-hand side pieces (L_u, L_Omega, L_lambda)."""
+    ops = terms.ops
     stiff = ops.state.matrix
-    r_u = ops.mass.matrix @ (u.values - z_on_m.values) + stiff @ lam.values
-    r_lam = stiff @ u.values
-    d = shape_calculus.assemble_shape_derivative(
-        ops, u, lam, z_on_m, z_grad=z_grad,
-        alpha_whole_domain=alpha_whole_domain)
+    r_u = terms.mass_w + stiff @ terms.lam.values
+    r_lam = stiff @ terms.u.values
+    d = shape_calculus.assemble_shape_derivative(terms)
     r_u[ops.state.constrained] = 0.0
     r_lam[ops.state.constrained] = 0.0
-    return r_u, d.dual.copy(), r_lam
+    return r_u, d.dual, r_lam
 
 
-def assemble_kkt(ops, u, lam, z_on_m, z_grad, reduced=False,
-                 alpha_whole_domain=False, flip_tr_term=False,
+def assemble_kkt(terms: shape_calculus.ElementTerms, reduced=False,
                  gradient=None) -> KktSystem:
-    """Build the KKT system at the current iterate, regularized by the
-    deformation metric b of the operator set `ops`.
+    """Build the KKT system at the terms' iterate, regularized by the
+    deformation metric b of its operator set.
 
     `gradient` is (r_u, r_Omega, r_lambda) from `lagrangian_gradient` at
     the same iterate, when the caller already has it.
     """
-    blocks = assemble_hessian_blocks(
-        ops, u, lam, z_on_m, z_grad=z_grad,
-        alpha_whole_domain=alpha_whole_domain, flip_tr_term=flip_tr_term)
+    blocks = assemble_hessian_blocks(terms)
     if gradient is None:
-        gradient = lagrangian_gradient(
-            ops, u, lam, z_on_m, z_grad=z_grad,
-            alpha_whole_domain=alpha_whole_domain)
+        gradient = lagrangian_gradient(terms)
     return KktSystem(blocks, *gradient, reduced=reduced)

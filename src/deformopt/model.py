@@ -25,6 +25,18 @@ from .mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape, Mesh,
 TRUE_ELLIPSE = InclusionShape.ellipse((0.5, 0.5), (0.25, 0.125))
 
 
+def check_fields(owner, positive=(), nonnegative=()):
+    """ValueError naming the first field of `owner` that is not finite and
+    > 0 (`positive`) or >= 0 (`nonnegative`); NaN passes a `<= 0` test."""
+    for names, ok, kind in [(positive, lambda x: x > 0, "positive"),
+                            (nonnegative, lambda x: x >= 0, "nonnegative")]:
+        for name in names:
+            value = getattr(owner, name)
+            if not (math.isfinite(value) and ok(value)):
+                raise ValueError(f"{name} must be finite and {kind}, "
+                                 f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Physical parameters of the reconstruction problem."""
@@ -34,10 +46,8 @@ class ProblemConfig:
     mu_out: float = 1.0
 
     def __post_init__(self):
-        if self.mu_in <= 0 or self.mu_out <= 0:
-            raise ValueError("conductivities must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        check_fields(self, positive=("mu_in", "mu_out"),
+                     nonnegative=("alpha",))
 
     def mu(self, mesh):
         """Per-element conductivity of `mesh`, (ne,), for every assembly."""

@@ -5,11 +5,14 @@ P1 deformation space (zero on the outer boundary).  For P1 elements this is
 the exact derivative of the discrete objective with respect to vertex
 positions moved along the field, which is what the central-difference
 oracle `eulerian_fd` measures.
+
+`element_terms` computes the per-element factors of the Lagrangian at one
+iterate; this derivative and the Hessian blocks of `kkt` read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,17 +39,39 @@ def deformation_constraints(mesh: Mesh):
     return fem.vector_dofs(mesh.boundary_vertices)
 
 
-def assemble_shape_derivative(ops: model.OperatorSet, u: ScalarField,
-                              lam: ScalarField, z_on_m: ScalarField, z_grad,
-                              alpha_whole_domain=False) -> ShapeGradientFunctional:
-    """Volume-form shape derivative of the Lagrangian at (u, lam).
+@dataclass(repr=False)
+class ElementTerms:
+    """Per-element factors of the Lagrangian at one iterate (u, lambda, z on
+    the set `ops`): the first shape derivative and every Hessian block read
+    them.  They hold `ops`, so drop them with their iterate."""
 
-    When u solves the state and lam the adjoint equation this equals the
-    derivative of the reduced objective.  `z_grad` holds the background
-    gradient of z at each vertex; it feeds the material derivative of the
-    fixed field z.  The regularization term differentiates over the
-    inclusion only; `alpha_whole_domain` is a negative-control switch
-    spreading it over the whole domain.
+    ops: model.OperatorSet
+    u: ScalarField
+    lam: ScalarField
+    z_grad: np.ndarray     # (n, 2) background gradient of z at each vertex
+    mass_w: np.ndarray     # (n,) M (u - z)
+    gz: np.ndarray         # (ne, 3, 2) z_grad at each element's vertices
+    G: np.ndarray          # (ne, 3, 2) basis gradients
+    Mloc: np.ndarray       # (ne, 3, 3) local mass
+    gg: np.ndarray         # (ne, 3, 3) grad phi_i . grad phi_j
+    Mw: np.ndarray         # (ne, 3) int_e (u - z) phi_i
+    gu: np.ndarray         # (ne, 2)
+    gl: np.ndarray         # (ne, 2)
+    Ggu: np.ndarray        # (ne, 3) grad phi_i . grad u
+    Ggl: np.ndarray        # (ne, 3) grad phi_i . grad lambda
+    muA: np.ndarray        # (ne,) mu |e|
+    c_div: np.ndarray      # (ne,) div V coefficient
+
+
+def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
+                  z_on_m: ScalarField, z_grad,
+                  alpha_whole_domain=False) -> ElementTerms:
+    """The element terms of the Lagrangian at (u, lam) on `ops`.
+
+    `z_grad` holds the background gradient of z at each vertex; it feeds
+    the material derivative of the fixed field z.  The regularization term
+    differentiates over the inclusion only; `alpha_whole_domain` is a
+    negative-control switch spreading it over the whole domain.
     """
     mesh, cfg = ops.mesh, ops.cfg
     for f in (u, lam, z_on_m):
@@ -54,32 +79,45 @@ def assemble_shape_derivative(ops: model.OperatorSet, u: ScalarField,
             raise fem.FemError("field lives on a different mesh")
 
     geo = fem.geometry(mesh)
-    tris = mesh.triangles
+    G, Mloc = geo.grads, geo.local_mass
     mu_e = cfg.mu(mesh)
     gu = fem.elem_grad(u)
     gl = fem.elem_grad(lam)
     w = u.values - z_on_m.values
-    wloc = w[tris]
+    wloc = w[mesh.triangles]
 
     # div V coefficient: int_e 1/2 w^2 + |e| (mu grad u . grad lam) + alpha/2 chi
-    half_w2 = 0.5 * np.einsum("ei,eij,ej->e", wloc, geo.local_mass, wloc)
+    half_w2 = 0.5 * np.einsum("ei,eij,ej->e", wloc, Mloc, wloc)
     chi = np.ones(mesh.num_triangles) if alpha_whole_domain \
         else (mesh.region == REGION_INCLUSION).astype(float)
     c_div = half_w2 + geo.areas * (mu_e * np.einsum("ed,ed->e", gu, gl)
                                    + 0.5 * cfg.alpha * chi)
-    d_elem = c_div[:, None, None] * geo.grads          # (ne, 3, 2)
+    return ElementTerms(
+        ops, u, lam, z_grad, ops.mass.matrix @ w, z_grad[mesh.triangles],
+        G, Mloc, np.einsum("eid,ejd->eij", G, G),
+        np.einsum("eij,ej->ei", Mloc, wloc), gu, gl,
+        np.einsum("eid,ed->ei", G, gu), np.einsum("eid,ed->ei", G, gl),
+        mu_e * geo.areas, c_div)
+
+
+def assemble_shape_derivative(t: ElementTerms) -> ShapeGradientFunctional:
+    """Volume-form shape derivative of the Lagrangian at the terms' iterate.
+
+    When u solves the state and lam the adjoint equation this equals the
+    derivative of the reduced objective.
+    """
+    mesh = t.ops.mesh
+    d_elem = t.c_div[:, None, None] * t.G              # (ne, 3, 2)
 
     # -mu grad u^T (DV + DV^T) grad lam
-    gl_dot = np.einsum("eid,ed->ei", geo.grads, gl)    # grad phi_i . grad lam
-    gu_dot = np.einsum("eid,ed->ei", geo.grads, gu)
-    d_elem -= (mu_e * geo.areas)[:, None, None] * (
-        gl_dot[:, :, None] * gu[:, None, :] + gu_dot[:, :, None] * gl[:, None, :])
+    d_elem -= t.muA[:, None, None] * (t.Ggl[:, :, None] * t.gu[:, None, :]
+                                      + t.Ggu[:, :, None] * t.gl[:, None, :])
 
     dual = np.zeros((mesh.num_vertices, 2))
-    np.add.at(dual, tris.reshape(-1), d_elem.reshape(-1, 2))
+    np.add.at(dual, mesh.triangles.reshape(-1), d_elem.reshape(-1, 2))
 
     # -(u - z) dz[V] with nodal dz[V]_i = grad z(x_i) . V_i
-    dual -= (ops.mass.matrix @ w)[:, None] * z_grad
+    dual -= t.mass_w[:, None] * t.z_grad
 
     flat = dual.reshape(-1)
     flat[deformation_constraints(mesh)] = 0.0

@@ -79,8 +79,8 @@ def gradient_consistency(h=0.1, n_fields=10, seed=DEFAULT_SEED,
     """Central-difference order of the assembled shape derivative."""
     rng = np.random.default_rng(seed)
     ops, target, mesh, z, z_grad, u, lam = _setup(h)
-    d = shape_calculus.assemble_shape_derivative(
-        ops, u, lam, z, z_grad=z_grad, alpha_whole_domain=alpha_whole_domain)
+    d = shape_calculus.assemble_shape_derivative(shape_calculus.element_terms(
+        ops, u, lam, z, z_grad, alpha_whole_domain=alpha_whole_domain))
     ts = np.asarray(t_values, dtype=float)
     slopes = []
     for _ in range(n_fields):
@@ -108,9 +108,9 @@ def hessian_consistency(h=0.1, n_pairs=5, seed=DEFAULT_SEED,
     """Mixed central second differences of J against the assembled Hessian."""
     rng = np.random.default_rng(seed)
     ops, target, mesh, z, z_grad, u, lam = _setup(h)
-    blocks = kkt.assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad,
-                                         flip_tr_term=flip_tr_term)
-    hess = kkt.ShapeHessian(blocks)
+    hess = kkt.ShapeHessian(kkt.assemble_hessian_blocks(
+        shape_calculus.element_terms(ops, u, lam, z, z_grad),
+        flip_tr_term=flip_tr_term))
     ss = np.asarray(s_values, dtype=float)
     slopes = []
     for _ in range(n_pairs):
@@ -142,8 +142,8 @@ def hessian_symmetry(h=0.1, n_pairs=100, seed=DEFAULT_SEED, tol=1e-12):
     """Relative symmetry defect of the linear second shape derivative."""
     rng = np.random.default_rng(seed)
     ops, target, mesh, z, z_grad, u, lam = _setup(h)
-    hess = kkt.ShapeHessian(
-        kkt.assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad))
+    hess = kkt.ShapeHessian(kkt.assemble_hessian_blocks(
+        shape_calculus.element_terms(ops, u, lam, z, z_grad)))
     worst = 0.0
     for _ in range(n_pairs):
         v = VectorField(mesh, random_interior_field(mesh, rng))
@@ -165,10 +165,9 @@ def taylor_remainder(h=0.1, n_fields=3, seed=DEFAULT_SEED,
     """Second-order Taylor remainder slope of the full objective."""
     rng = np.random.default_rng(seed)
     ops, target, mesh, z, z_grad, u, lam = _setup(h)
-    d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
-                                                 z_grad=z_grad)
-    hess = kkt.ShapeHessian(
-        kkt.assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad))
+    terms = shape_calculus.element_terms(ops, u, lam, z, z_grad)
+    d = shape_calculus.assemble_shape_derivative(terms)
+    hess = kkt.ShapeHessian(kkt.assemble_hessian_blocks(terms))
     j0 = model.objective(ops, u, z)
     ss = np.asarray(s_values, dtype=float)
     slopes = []
@@ -279,8 +278,8 @@ def pullback_check(h=0.1, seed=DEFAULT_SEED, tol=1e-6, fd_step=1e-5,
     z_grad = model.target_gradients(target, ops.mesh)
     u = model.solve_state(ops)
     lam = model.solve_adjoint(ops, u, z)
-    d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
-                                                 z_grad=z_grad)
+    d = shape_calculus.assemble_shape_derivative(
+        shape_calculus.element_terms(ops, u, lam, z, z_grad))
 
     # finite-difference nodal gradient of f at T, masked against z kinks
     free = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_vertices)

@@ -95,6 +95,12 @@ emit_vtk = false
         with pytest.raises(ValueError, match="unknown problem key 'bogus'"):
             parse_config("[problem]\nbogus = 1\n")
 
+    @pytest.mark.parametrize("section, key", [("schedule", "eps1"),
+                                              ("problem", "mu_in")])
+    def test_non_finite_value_rejected(self, section, key):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            parse_config(f"[{section}]\n{key} = nan\n")
+
     def test_overrides(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("[mesh]\nh = 0.1\n")

@@ -30,6 +30,17 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(residual_norm="manhattan")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("cls, name", [
+        (Schedule, "gradient_step"), (Schedule, "newton_step"),
+        (Schedule, "eps1"), (Schedule, "eps2"), (Schedule, "tol_v"),
+        (ProblemConfig, "alpha"), (ProblemConfig, "mu_in"),
+        (ProblemConfig, "mu_out")])
+    def test_non_finite_float_field_rejected(self, cls, name, value):
+        """NaN passes a `<= 0` test; every float field must be finite."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cls(**{name: value})
+
 
 class TestHistory:
     def test_write_format(self, tmp_path):
@@ -69,8 +80,8 @@ class TestLineSearch:
         u = model.solve_state(ops)
         lam = model.solve_adjoint(ops, u, z)
         j0 = model.objective(ops, u, z)
-        d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
-                                                     z_grad=z_grad)
+        d = shape_calculus.assemble_shape_derivative(
+            shape_calculus.element_terms(ops, u, lam, z, z_grad))
         g = shape_calculus.riesz_gradient(d, ops.metric)
         v = VectorField(mesh, -g.values)
         t, (ops_t, u_t, z_t) = line_search(ops, target, v, j0, d.pair(v),
@@ -312,6 +323,18 @@ class TestOneLoop:
         _, hist = run_two_phase(mesh, cfg, target, sched)
         assert any("gradient fallback" in n for n in hist.notes)
         assert len(calls) == len(hist.records) - 1
+
+    def test_element_gradients_twice_per_row(self, coarse, monkeypatch):
+        """The derivative and the Hessian blocks read one set of element
+        terms: grad u and grad lambda are formed once each per row."""
+        cfg, target, mesh = coarse
+        model.target_gradients(target, mesh)    # caches the target's own
+        grads = count_calls(monkeypatch, fem, "elem_grad")
+        sched = Schedule(n_gradient_iters=3, max_iters=6, gradient_step=0.5)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert [r.mode for r in hist.records] == ["gradient"] * 3 \
+            + ["newton"] * 4
+        assert len(grads) == 2 * len(hist.records) == 14
 
     def test_steepest_descent_rows_are_gradient(self, coarse):
         cfg, target, mesh = coarse

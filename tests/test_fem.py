@@ -276,7 +276,8 @@ class TestDirichletElimination:
         z_grad = model.target_gradients(target, mesh)
         u = model.solve_state(ops)
         lam = model.solve_adjoint(ops, u, z)
-        system = kkt.assemble_kkt(ops, u, lam, z, z_grad=z_grad)
+        system = kkt.assemble_kkt(
+            shape_calculus.element_terms(ops, u, lam, z, z_grad))
         self.assert_same_csr(saddle_matrix(system),
                              saddle_constrained_dofs(system))
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from deformopt import driver, fem, kkt, model, verify
+from deformopt import driver, fem, kkt, model, shape_calculus, verify
 from deformopt.fem import ScalarField, VectorField
 from deformopt.kkt import (ShapeHessian, assemble_hessian_blocks,
                            assemble_kkt, lagrangian_gradient)
 from deformopt.mesh import InclusionShape, generate_mesh
 from deformopt.model import ProblemConfig
+import element_terms_reference
 from kkt_reference import (reference_newton_solve, saddle_constrained_matrix,
                            saddle_matrix, saddle_rhs)
 
@@ -55,15 +56,18 @@ def perturbed(setup, noise):
     return ops, target, mesh, z, z_grad, u, lam
 
 
-def newton_system(iterate):
+def element_terms(iterate):
     ops, target, mesh, z, z_grad, u, lam = iterate
-    return assemble_kkt(ops, u, lam, z, z_grad=z_grad)
+    return shape_calculus.element_terms(ops, u, lam, z, z_grad)
+
+
+def newton_system(iterate):
+    return assemble_kkt(element_terms(iterate))
 
 
 @pytest.fixture(scope="module")
 def blocks(setup):
-    ops, target, mesh, z, z_grad, u, lam = setup
-    return assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad)
+    return assemble_hessian_blocks(element_terms(setup))
 
 
 class TestBlocks:
@@ -106,9 +110,9 @@ class TestBlocks:
             u2 = ScalarField(m2, u.values)
             lam2 = ScalarField(m2, lam.values)
             z2 = model.transfer_target(target, m2)
-            ru, _, _ = lagrangian_gradient(
+            ru, _, _ = lagrangian_gradient(shape_calculus.element_terms(
                 model.OperatorSet(m2, ops.cfg), u2, lam2, z2,
-                z_grad=model.target_gradients(target, m2))
+                model.target_gradients(target, m2)))
             return ru
 
         fd = (r_u_at(t) - r_u_at(-t)) / (2 * t)
@@ -158,14 +162,12 @@ class TestSensitivities:
 
 class TestKktSystem:
     def test_matrix_symmetric(self, setup):
-        ops, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad)
+        system = newton_system(setup)
         mat = saddle_matrix(system)
         assert abs(mat - mat.T).max() <= 1e-12 * abs(mat).max()
 
     def test_solve_satisfies_equations(self, setup):
-        ops, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad)
+        system = newton_system(setup)
         du, v, dlam = system.solve()
         x = np.concatenate([du.values, v.flat(), dlam.values])
         mat = saddle_constrained_matrix(system)
@@ -174,9 +176,8 @@ class TestKktSystem:
             np.linalg.norm(rhs), 1e-30)
 
     def test_solution_respects_constraints(self, setup):
-        ops, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad)
-        du, v, dlam = system.solve()
+        mesh = setup[2]
+        du, v, dlam = newton_system(setup).solve()
         nodes, _ = model.state_dirichlet(mesh)
         assert np.abs(du.values[nodes]).max() == 0.0
         assert np.abs(dlam.values[nodes]).max() == 0.0
@@ -185,12 +186,10 @@ class TestKktSystem:
     def test_reduced_step_matches_riesz_gradient(self, setup):
         """The reduced system reproduces the projected-gradient direction:
         V solves b(V, .) = -dJ with du, dlambda the induced updates."""
-        from deformopt import shape_calculus
-        ops, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, reduced=True)
-        du, v, dlam = system.solve()
-        d = shape_calculus.assemble_shape_derivative(ops, u, lam, z,
-                                                     z_grad=z_grad)
+        mesh = setup[2]
+        terms = element_terms(setup)
+        du, v, dlam = assemble_kkt(terms, reduced=True).solve()
+        d = shape_calculus.assemble_shape_derivative(terms)
         metric = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
         g = shape_calculus.riesz_gradient(d, metric)
         assert np.abs(v.values + g.values).max() <= 1e-7 * max(
@@ -202,8 +201,8 @@ class TestKktSystem:
         at the projected start iterate and with u and lambda perturbed so
         that r_u, r_lambda and hence dlambda and du are nonzero.  The
         dropped blocks L_uOmega and L_OmegaOmega are never assembled."""
-        ops, target, mesh, z, z_grad, u, lam = perturbed(setup, noise)
-        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, reduced=True)
+        system = assemble_kkt(element_terms(perturbed(setup, noise)),
+                              reduced=True)
         du, v, dlam = system.solve()
         assert "b_u_shape" not in vars(system.blocks)
         assert "shape_shape" not in vars(system.blocks)
@@ -258,17 +257,16 @@ class TestKktSystem:
             newton_system(setup).solve()
 
     def test_reduced_step_takes_no_krylov_iterations(self, setup):
-        ops, target, mesh, z, z_grad, u, lam = setup
-        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, reduced=True)
+        system = assemble_kkt(element_terms(setup), reduced=True)
         system.solve()
         assert system.krylov_iterations == 0
 
     def test_given_gradient_is_used(self, setup):
         """assemble_kkt takes the driver's (r_u, r_Omega, r_lambda) instead
         of computing them again."""
-        ops, target, mesh, z, z_grad, u, lam = setup
-        gradient = lagrangian_gradient(ops, u, lam, z, z_grad=z_grad)
-        system = assemble_kkt(ops, u, lam, z, z_grad=z_grad, gradient=gradient)
+        terms = element_terms(setup)
+        gradient = lagrangian_gradient(terms)
+        system = assemble_kkt(terms, gradient=gradient)
         assert system.rhs_u is gradient[0]
         assert system.rhs_shape is gradient[1]
         assert system.rhs_lam is gradient[2]
@@ -278,22 +276,81 @@ class TestKktSystem:
         ops, target, mesh, z, z_grad, u, lam = setup
         ops0 = model.OperatorSet(mesh, ops.cfg, 0.0, 0.5)
         with pytest.raises(ValueError, match="eps1 must be positive"):
-            assemble_kkt(ops0, u, lam, z, z_grad=z_grad).solve()
+            newton_system((ops0, target, mesh, z, z_grad, u, lam)).solve()
 
     def test_flip_tr_term_changes_shape_block_only(self, setup, blocks):
-        ops, target, mesh, z, z_grad, u, lam = setup
-        bad = assemble_hessian_blocks(ops, u, lam, z, z_grad=z_grad,
+        bad = assemble_hessian_blocks(element_terms(setup),
                                       flip_tr_term=True)
         assert abs(bad.shape_shape - blocks.shape_shape).max() > 0
         assert abs(bad.b_u_shape - blocks.b_u_shape).max() == 0
         assert abs(bad.b_lam_shape - blocks.b_lam_shape).max() == 0
 
 
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.fixture(scope="module")
+def non_stationary():
+    """h=0.05 start iterate with lambda a random field, zero on the
+    Dirichlet nodes: no term of the Lagrangian vanishes."""
+    cfg = ProblemConfig()
+    target = model.make_target(cfg, 0.025)
+    mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.05)
+    ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
+    u = model.solve_state(ops)
+    lam = np.random.default_rng(3).standard_normal(mesh.num_vertices)
+    lam[ops.state.constrained] = 0.0
+    return (ops, model.transfer_target(target, mesh),
+            model.target_gradients(target, mesh), u, ScalarField(mesh, lam))
+
+
+@pytest.mark.parametrize("alpha_whole_domain", [False, True])
+class TestElementTermsEquivalence:
+    """One `ElementTerms` against the formulas the derivative and the
+    Hessian blocks each evaluated on their own."""
+
+    def terms(self, non_stationary, alpha_whole_domain):
+        ops, z, z_grad, u, lam = non_stationary
+        return shape_calculus.element_terms(
+            ops, u, lam, z, z_grad, alpha_whole_domain=alpha_whole_domain)
+
+    def test_derivative_is_bit_identical(self, non_stationary,
+                                         alpha_whole_domain):
+        ops, z, z_grad, u, lam = non_stationary
+        d = shape_calculus.assemble_shape_derivative(
+            self.terms(non_stationary, alpha_whole_domain))
+        want = element_terms_reference.shape_derivative_dual(
+            ops, u, lam, z, z_grad, alpha_whole_domain)
+        assert np.array_equal(d.dual, want)
+
+    def test_hessian_blocks_are_bit_identical(self, non_stationary,
+                                              alpha_whole_domain):
+        """L_lambdaOmega and L_uOmega bit for bit; L_OmegaOmega bit for bit
+        given the terms' div V coefficient.  That coefficient differs from
+        the Hessian's own only in how its 1/2 int (u - z)^2 part is
+        rounded.  The coefficient is itself a cancelling sum, so a block
+        entry can move by far more ulp of its own value than the
+        coefficient does."""
+        ops, z, z_grad, u, lam = non_stationary
+        terms = self.terms(non_stationary, alpha_whole_domain)
+        blocks = assemble_hessian_blocks(terms)
+        b_lam, b_u, shape_shape = element_terms_reference.hessian_blocks(
+            ops, u, lam, z, z_grad, terms.c_div)
+        assert_same_csr(blocks.b_lam_shape, b_lam)
+        assert_same_csr(blocks.b_u_shape, b_u)
+        assert_same_csr(blocks.shape_shape, shape_shape)
+        c_g, half_w2 = element_terms_reference.hessian_div_coefficient(
+            ops, u, lam, z, alpha_whole_domain)
+        assert np.all(np.abs(terms.c_div - c_g)
+                      <= 4 * (np.spacing(np.abs(c_g)) + np.spacing(half_w2)))
+
+
 class TestLagrangianGradient:
     def test_vanishes_at_solved_state_except_shape(self, setup):
-        ops, target, mesh, z, z_grad, u, lam = setup
-        r_u, r_shape, r_lam = lagrangian_gradient(ops, u, lam, z,
-                                                  z_grad=z_grad)
+        r_u, r_shape, r_lam = lagrangian_gradient(element_terms(setup))
         assert np.abs(r_u).max() <= 1e-10
         assert np.abs(r_lam).max() <= 1e-10
         assert np.abs(r_shape).max() > 0

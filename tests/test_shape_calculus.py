@@ -7,8 +7,9 @@ from deformopt.mesh import InclusionShape, apply_deformation, generate_mesh
 from deformopt.model import ProblemConfig, inclusion_area
 from deformopt.shape_calculus import (assemble_shape_derivative,
                                       deformation_constraints,
-                                      deformation_metric, eulerian_fd,
-                                      objective_on_deformed, riesz_gradient)
+                                      deformation_metric, element_terms,
+                                      eulerian_fd, objective_on_deformed,
+                                      riesz_gradient)
 
 CIRCLE = InclusionShape.circle((0.5, 0.5), 0.2)
 
@@ -26,11 +27,17 @@ def setup():
     return ops, target, mesh, z, z_grad, u, lam
 
 
+def derivative(setup, alpha_whole_domain=False):
+    ops, target, mesh, z, z_grad, u, lam = setup
+    return assemble_shape_derivative(element_terms(
+        ops, u, lam, z, z_grad, alpha_whole_domain=alpha_whole_domain))
+
+
 class TestShapeDerivative:
     def test_matches_central_difference(self, setup):
         """Assembled dual pairs with random fields like the FD quotient."""
         ops, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
+        d = derivative(setup)
         rng = np.random.default_rng(11)
         checked = 0
         for _ in range(5):
@@ -56,8 +63,8 @@ class TestShapeDerivative:
                              mu_out=ops.cfg.mu_out)
         zero = ScalarField.zeros(mesh)
         no_z_grad = np.zeros((mesh.num_vertices, 2))
-        d = assemble_shape_derivative(model.OperatorSet(mesh, cfg2), zero,
-                                      zero, zero, no_z_grad)
+        d = assemble_shape_derivative(element_terms(
+            model.OperatorSet(mesh, cfg2), zero, zero, zero, no_z_grad))
         rng = np.random.default_rng(3)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
         t = 1e-3
@@ -68,21 +75,20 @@ class TestShapeDerivative:
 
     def test_boundary_dofs_zeroed(self, setup):
         ops, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
+        d = derivative(setup)
         assert np.all(d.dual[deformation_constraints(mesh)] == 0.0)
 
     def test_pair_requires_same_mesh(self, setup):
         ops, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
+        d = derivative(setup)
         other = generate_mesh(CIRCLE, 0.15)
         with pytest.raises(fem.FemError):
             d.pair(VectorField.zeros(other))
 
     def test_alpha_domain_control_changes_value(self, setup):
         ops, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
-        d_bad = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad,
-                                          alpha_whole_domain=True)
+        d = derivative(setup)
+        d_bad = derivative(setup, alpha_whole_domain=True)
         assert not np.allclose(d.dual, d_bad.dual)
 
 
@@ -98,7 +104,7 @@ class TestMetricAndGradient:
     def test_riesz_identity(self, setup):
         """b(grad J, Z) equals dJ[Z] for arbitrary admissible Z."""
         ops, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
+        d = derivative(setup)
         metric = deformation_metric(mesh, 3e-2, 0.5)
         g = riesz_gradient(d, metric)
         rng = np.random.default_rng(6)
@@ -109,7 +115,7 @@ class TestMetricAndGradient:
 
     def test_gradient_is_descent_direction(self, setup):
         ops, target, mesh, z, z_grad, u, lam = setup
-        d = assemble_shape_derivative(ops, u, lam, z, z_grad=z_grad)
+        d = derivative(setup)
         metric = deformation_metric(mesh, 3e-2, 0.5)
         g = riesz_gradient(d, metric)
         assert d.pair(VectorField(mesh, -g.values)) < 0.0

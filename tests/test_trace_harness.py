@@ -30,3 +30,9 @@ def test_warmup_trace_is_correct_with_one_operator_set_per_row():
     # the metric is factorized as its scalar block, not at 2n
     assert metrics["fem.factor_max_dofs"] == 495
     assert metrics["model.locate_calls"] == 21
+    # the wrapped derivative layers still run once per row (the gradient)
+    # or per step (the blocks), though they now share one set of element
+    # terms, which no wrapper sees
+    assert metrics["shape_calculus.derivative_calls"] == 21
+    assert metrics["kkt.lagrangian_gradient_calls"] == 21
+    assert metrics["kkt.hessian_blocks_calls"] == 20
