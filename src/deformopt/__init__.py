@@ -8,7 +8,7 @@ from .model import (OperatorSet, ProblemConfig, TargetField, TRUE_ELLIPSE,
                     make_target)
 from .shape_calculus import (assemble_shape_derivative, deformation_metric,
                              element_terms, eulerian_fd, riesz_gradient)
-from .kkt import KktSystem, ShapeHessian, assemble_hessian_blocks, assemble_kkt
+from .kkt import KktSystem, assemble_hessian_blocks, assemble_kkt
 from .pseudoinverse import (DenseOperator, MetricSpace, epsilon_solve,
                             min_norm_solve)
 from .driver import History, IterationRecord, Schedule, run_two_phase, \
@@ -24,7 +24,7 @@ __all__ = [
     "TRUE_ELLIPSE", "make_target",
     "assemble_shape_derivative", "deformation_metric", "element_terms",
     "eulerian_fd",
-    "riesz_gradient", "KktSystem", "ShapeHessian", "assemble_hessian_blocks",
+    "riesz_gradient", "KktSystem", "assemble_hessian_blocks",
     "assemble_kkt", "DenseOperator", "MetricSpace", "epsilon_solve",
     "min_norm_solve", "History", "IterationRecord", "Schedule",
     "run_two_phase", "steepest_descent", "__version__",

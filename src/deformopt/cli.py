@@ -70,10 +70,21 @@ def _coerce(current, text):
     return text
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse sectioned key=value text into a RunConfig."""
+def parse_config(text: str, overrides=()) -> RunConfig:
+    """Parse sectioned key=value text into a RunConfig.
+
+    Each ``section.key=value`` override is read after the text, as one more
+    line of it, so the config is validated once, with every override in
+    place.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read_string(text)
+    for item in overrides:
+        if "=" not in item or "." not in item.split("=", 1)[0]:
+            raise ValueError(f"override must be section.key=value: {item!r}")
+        key, value = item.split("=", 1)
+        section, key = key.split(".", 1)
+        cp.read_string(f"[{section}]\n{key} = {value}\n")
     rc = RunConfig()
     problem = dict()
     schedule = dict()
@@ -143,21 +154,7 @@ def serialize_config(rc: RunConfig) -> str:
 
 def load_config(path, overrides=()):
     text = Path(path).read_text() if path else ""
-    rc = parse_config(text)
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ValueError(f"override must be section.key=value: {item!r}")
-        key, value = item.split("=", 1)
-        section, key = key.split(".", 1)
-        cp = configparser.ConfigParser()
-        cp.read_string(serialize_config(rc))
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, value)
-        buf = io.StringIO()
-        cp.write(buf)
-        rc = parse_config(buf.getvalue())
-    return rc
+    return parse_config(text, overrides)
 
 
 def _sha256(path):

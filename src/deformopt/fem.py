@@ -27,68 +27,48 @@ class SingularSystemError(RuntimeError):
     pass
 
 
-class ScalarField:
+class _NodalField:
+    """P1 field given by an array of shape `value_shape` per mesh vertex."""
+
+    value_shape: tuple = ()
+
+    def __init__(self, mesh: Mesh, values):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (mesh.num_vertices, *self.value_shape):
+            raise FemError("nodal value count does not match the mesh")
+        self.mesh = mesh
+        self.values = values
+
+    @classmethod
+    def zeros(cls, mesh):
+        return cls(mesh, np.zeros((mesh.num_vertices, *cls.value_shape)))
+
+    @classmethod
+    def from_callable(cls, mesh, fn):
+        return cls(mesh, fn(mesh.vertices))
+
+    def __add__(self, other):
+        _same_mesh(self, other)
+        return type(self)(self.mesh, self.values + other.values)
+
+    def __sub__(self, other):
+        _same_mesh(self, other)
+        return type(self)(self.mesh, self.values - other.values)
+
+    def __mul__(self, c):
+        return type(self)(self.mesh, self.values * float(c))
+
+    __rmul__ = __mul__
+
+
+class ScalarField(_NodalField):
     """P1 scalar function given by one value per mesh vertex."""
 
-    def __init__(self, mesh: Mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.num_vertices,):
-            raise FemError("nodal value count does not match the mesh")
-        self.mesh = mesh
-        self.values = values
 
-    @staticmethod
-    def zeros(mesh):
-        return ScalarField(mesh, np.zeros(mesh.num_vertices))
-
-    @staticmethod
-    def from_callable(mesh, fn):
-        return ScalarField(mesh, fn(mesh.vertices))
-
-    def __add__(self, other):
-        _same_mesh(self, other)
-        return ScalarField(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        _same_mesh(self, other)
-        return ScalarField(self.mesh, self.values - other.values)
-
-    def __mul__(self, c):
-        return ScalarField(self.mesh, self.values * float(c))
-
-    __rmul__ = __mul__
-
-
-class VectorField:
+class VectorField(_NodalField):
     """P1 vector function with a 2-vector per mesh vertex."""
 
-    def __init__(self, mesh: Mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.num_vertices, 2):
-            raise FemError("nodal value count does not match the mesh")
-        self.mesh = mesh
-        self.values = values
-
-    @staticmethod
-    def zeros(mesh):
-        return VectorField(mesh, np.zeros((mesh.num_vertices, 2)))
-
-    @staticmethod
-    def from_callable(mesh, fn):
-        return VectorField(mesh, fn(mesh.vertices))
-
-    def __add__(self, other):
-        _same_mesh(self, other)
-        return VectorField(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        _same_mesh(self, other)
-        return VectorField(self.mesh, self.values - other.values)
-
-    def __mul__(self, c):
-        return VectorField(self.mesh, self.values * float(c))
-
-    __rmul__ = __mul__
+    value_shape = (2,)
 
     def flat(self):
         return self.values.reshape(-1)
@@ -311,15 +291,21 @@ def apply_dirichlet(matrix, constrained):
     return (mat + diag.tocsr()).tocsr()
 
 
-def _scatter(mesh, local, ndof_per_vertex=1):
-    """Assemble (ne, k, k) local matrices into a global CSR matrix."""
-    k = local.shape[1]
-    dofs = mesh.triangles if ndof_per_vertex == 1 \
-        else vector_dofs(mesh.triangles)
-    rows = np.repeat(dofs, k, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, k)).reshape(-1)
-    n = mesh.num_vertices * ndof_per_vertex
-    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
+def _scatter(mesh, local, row_dofs=None, col_dofs=None):
+    """Assemble (ne, r, c) local matrices into a global CSR matrix.
+
+    `row_dofs` (ne, r) and `col_dofs` (ne, c) map each element's local
+    rows and columns to global dofs: `mesh.triangles` (the default, one dof
+    per vertex) or `vector_dofs(mesh.triangles)` (two).  `col_dofs`
+    defaults to `row_dofs`.
+    """
+    row_dofs = mesh.triangles if row_dofs is None else row_dofs
+    col_dofs = row_dofs if col_dofs is None else col_dofs
+    r, c = row_dofs.shape[1], col_dofs.shape[1]
+    rows = np.repeat(row_dofs, c, axis=1).reshape(-1)
+    cols = np.tile(col_dofs, (1, r)).reshape(-1)
+    shape = (mesh.num_vertices * r // 3, mesh.num_vertices * c // 3)
+    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=shape)
     return mat.tocsr()
 
 

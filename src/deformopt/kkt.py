@@ -1,12 +1,14 @@
 """Linear second shape derivative and the regularized one-shot KKT system.
 
 Unknown ordering is (u-direction, deformation, lambda-direction).  The
-deformation block carries the linear second shape derivative; nonsymmetric
-second material derivatives of u and lambda are excluded by construction,
-which keeps the system symmetric without any commutation assumption on the
-direction fields.  The step is solved in the deformation alone, with the
-reduced shape Hessian as a symmetric operator; the 3x3 block matrix is
-never formed.  The blocks and the KKT gradient read the iterate's
+linear second shape derivative is one object, `HessianBlocks`: its blocks
+(L_uOmega, L_lambdaOmega, L_OmegaOmega), its action as an operator on
+deformations and its bilinear forms.  Nonsymmetric second material
+derivatives of u and lambda are excluded by construction, which keeps the
+system symmetric without any commutation assumption on the direction
+fields.  The step is solved in the deformation alone, with the reduced
+shape Hessian as a symmetric operator; the 3x3 block matrix is never
+formed.  The blocks and the KKT gradient read the iterate's
 `shape_calculus.ElementTerms`, the terms the first derivative reads.
 """
 
@@ -23,18 +25,15 @@ from . import fem, model, shape_calculus
 from .fem import ScalarField, VectorField
 
 
-def _mixed_scatter(mesh, local):
-    """Assemble (ne, 3, 3, 2) scalar-by-vector blocks into (n, 2n) CSR."""
-    rows = np.repeat(mesh.triangles, 6).reshape(-1)
-    cols = np.tile(fem.vector_dofs(mesh.triangles), (1, 3)).reshape(-1)
-    n = mesh.num_vertices
-    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, 2 * n))
-    return mat.tocsr()
-
-
 @dataclass
 class HessianBlocks:
-    """All second-derivative blocks of the Lagrangian at one iterate.
+    """The linear second shape derivative of the Lagrangian at one iterate.
+
+    One object holds its blocks, its action as an operator on deformations
+    (`apply`) and its bilinear forms (`full_value`, `reduced_value`).  The
+    state and adjoint directions induced by a deformation come from one
+    elimination (`eliminate`), which the Newton step shares.  Deformations
+    are flat 2n arrays.
 
     `b_u_shape` (L_uOmega) and `shape_shape` (L_OmegaOmega) are assembled
     on first access from the element terms: the reduced (warm-up) step
@@ -60,7 +59,9 @@ class HessianBlocks:
         b_u -= t.muA[:, None, None, None] * (
             np.einsum("eib,ej->eijb", t.G, t.Ggl)
             + np.einsum("eij,eb->eijb", t.gg, t.gl))
-        return _mixed_scatter(self.ops.mesh, b_u)
+        tris = self.ops.mesh.triangles
+        return fem._scatter(self.ops.mesh, b_u.reshape(-1, 3, 6), tris,
+                            fem.vector_dofs(tris))
 
     @cached_property
     def shape_shape(self):
@@ -89,7 +90,52 @@ class HessianBlocks:
         cc += half
         cc += half.transpose(0, 3, 4, 1, 2)
         return fem._scatter(self.ops.mesh, cc.reshape(-1, 6, 6),
-                            ndof_per_vertex=2)
+                            fem.vector_dofs(self.ops.mesh.triangles))
+
+    def eliminate(self, v, r_u, r_lam):
+        """State and adjoint directions (du, dlambda) for deformation v,
+        with K^-1 the constrained state solve:
+            du      = -K^-1 (r_lambda + B V),
+            dlambda = -K^-1 (r_u + M du + B_u V).
+        r_u and r_lam are (n,) residuals or 0.0; costs two K solves."""
+        state = self.ops.state
+        du = -state.solve_constrained(r_lam + self.b_lam_shape @ v)
+        dlam = -state.solve_constrained(r_u + self.ops.mass.matrix @ du
+                                        + self.b_u_shape @ v)
+        return du, dlam
+
+    def sensitivities(self, v):
+        """Material derivatives (du[V], dlambda[V]) of state and adjoint,
+        with V pinned to zero on the outer boundary."""
+        v = v.copy()
+        v[shape_calculus.deformation_constraints(self.ops.mesh)] = 0.0
+        return self.eliminate(v, 0.0, 0.0)
+
+    def apply(self, v):
+        """Linear second shape derivative as an operator on deformations:
+        L_OmegaOmega V + L_uOmega^T du[V] + L_lambdaOmega^T dlambda[V], so
+        that W . apply(V) = reduced_value(V, W) for V, W vanishing on the
+        boundary.  Costs two solves with the state operator."""
+        udot, ldot = self.sensitivities(v)
+        return (self.shape_shape @ v + self.b_u_shape.T @ udot
+                + self.b_lam_shape.T @ ldot)
+
+    def full_value(self, triple1, triple2) -> float:
+        """L''[(udot, V, ldot), (udot~, W, ldot~)] on explicit directions."""
+        u1, v1, l1 = triple1
+        u2, v2, l2 = triple2
+        mass, stiff = self.ops.mass.matrix, self.ops.state.matrix
+        val = u1 @ (mass @ u2) + u1 @ (stiff @ l2) + l1 @ (stiff @ u2)
+        val += u1 @ (self.b_u_shape @ v2) + u2 @ (self.b_u_shape @ v1)
+        val += l1 @ (self.b_lam_shape @ v2) + l2 @ (self.b_lam_shape @ v1)
+        val += v1 @ (self.shape_shape @ v2)
+        return float(val)
+
+    def reduced_value(self, v, w_dir) -> float:
+        """Linear second shape derivative of the reduced objective."""
+        uv, lv = self.sensitivities(v)
+        uw, lw = self.sensitivities(w_dir)
+        return self.full_value((uv, v, lv), (uw, w_dir, lw))
 
 
 def assemble_hessian_blocks(terms: shape_calculus.ElementTerms,
@@ -104,59 +150,10 @@ def assemble_hessian_blocks(terms: shape_calculus.ElementTerms,
     b_lam -= t.muA[:, None, None, None] * (
         np.einsum("eij,eb->eijb", t.gg, t.gu)
         + np.einsum("eib,ej->eijb", t.G, t.Ggu))
-    return HessianBlocks(terms, _mixed_scatter(t.ops.mesh, b_lam),
-                         -1.0 if flip_tr_term else 1.0)
-
-
-class ShapeHessian:
-    """Evaluation helper around the assembled blocks."""
-
-    def __init__(self, blocks: HessianBlocks):
-        self.blocks = blocks
-
-    def shape_value(self, v: VectorField, w_dir: VectorField) -> float:
-        """Pure deformation block L_OmegaOmega[V, W] (no sensitivities)."""
-        return float(v.flat() @ (self.blocks.shape_shape @ w_dir.flat()))
-
-    def sensitivities(self, v: VectorField):
-        """Material derivatives (du[V], dlambda[V]) of state and adjoint."""
-        b = self.blocks
-        vflat = v.flat().copy()
-        vflat[shape_calculus.deformation_constraints(v.mesh)] = 0.0
-        udot = b.ops.state.solve_constrained(-(b.b_lam_shape @ vflat))
-        rhs = -(b.ops.mass.matrix @ udot + b.b_u_shape @ vflat)
-        ldot = b.ops.state.solve_constrained(rhs)
-        return udot, ldot
-
-    def apply(self, v: VectorField) -> np.ndarray:
-        """Linear second shape derivative as an operator on deformations:
-        L_OmegaOmega V + L_uOmega^T du[V] + L_lambdaOmega^T dlambda[V], so
-        that W . apply(V) = reduced_value(V, W) for V, W vanishing on the
-        boundary.  Costs two solves with the state operator."""
-        b = self.blocks
-        udot, ldot = self.sensitivities(v)
-        return (b.shape_shape @ v.flat() + b.b_u_shape.T @ udot
-                + b.b_lam_shape.T @ ldot)
-
-    def full_value(self, triple1, triple2) -> float:
-        """L''[(udot, V, ldot), (udot~, W, ldot~)] on explicit directions."""
-        u1, v1, l1 = triple1
-        u2, v2, l2 = triple2
-        b = self.blocks
-        v1f, v2f = np.asarray(v1, dtype=float).reshape(-1), \
-            np.asarray(v2, dtype=float).reshape(-1)
-        mass, stiff = b.ops.mass.matrix, b.ops.state.matrix
-        val = u1 @ (mass @ u2) + u1 @ (stiff @ l2) + l1 @ (stiff @ u2)
-        val += u1 @ (b.b_u_shape @ v2f) + u2 @ (b.b_u_shape @ v1f)
-        val += l1 @ (b.b_lam_shape @ v2f) + l2 @ (b.b_lam_shape @ v1f)
-        val += v1f @ (b.shape_shape @ v2f)
-        return float(val)
-
-    def reduced_value(self, v: VectorField, w_dir: VectorField) -> float:
-        """Linear second shape derivative of the reduced objective."""
-        uv, lv = self.sensitivities(v)
-        uw, lw = self.sensitivities(w_dir)
-        return self.full_value((uv, v.flat(), lv), (uw, w_dir.flat(), lw))
+    tris = t.ops.mesh.triangles
+    b_lam = fem._scatter(t.ops.mesh, b_lam.reshape(-1, 3, 6), tris,
+                         fem.vector_dofs(tris))
+    return HessianBlocks(terms, b_lam, -1.0 if flip_tr_term else 1.0)
 
 
 # MINRES on the reduced shape Hessian: rtol 1e-12 left the step up to 2e-10
@@ -202,46 +199,43 @@ class KktSystem:
             dlambda   = -K^-1 (r_u + M du + B_u V).
         S V = (L_OO + b) V + B_u^T udot + B^T ldot with
         udot = -K^-1 B V and ldot = -K^-1 (M udot + B_u V) is the reduced
-        shape Hessian (`ShapeHessian.apply`) plus the Tikhonov term.  It is
+        shape Hessian (`HessianBlocks.apply`) plus the Tikhonov term.  It is
         symmetric, and MINRES solves it preconditioned by the constrained
-        b factorization.  The reduced step drops M, B_u and L_OO: then
-        S = b, V is one direct metric solve and dlambda = dlambda_p.
+        b factorization.  The Newton step makes its K solves through
+        `HessianBlocks.eliminate`: with V = 0 for (du_p, dlambda_p), and
+        with V for (du, dlambda).  The reduced step drops M, B_u and L_OO:
+        then S = b, V is one direct metric solve and dlambda = dlambda_p.
 
         Raises SingularSystemError when MINRES reaches MINRES_MAXITER, the
         step is not finite, or a block residual exceeds KKT_RESIDUAL_TOL.
         """
         b = self.blocks
-        state, mass, metric = b.ops.state, b.ops.mass.matrix, b.ops.metric
+        mesh, state = b.ops.mesh, b.ops.state
         if self.reduced:
             dlam = -state.solve_constrained(self.rhs_u)
-            v = -metric.solve_constrained(self.rhs_shape
-                                          + b.b_lam_shape.T @ dlam)
+            v = -b.ops.metric.solve_constrained(self.rhs_shape
+                                                + b.b_lam_shape.T @ dlam)
+            du = -state.solve_constrained(self.rhs_lam + b.b_lam_shape @ v)
         else:
-            du_p = -state.solve_constrained(self.rhs_lam)
-            dlam_p = -state.solve_constrained(self.rhs_u + mass @ du_p)
+            du_p, dlam_p = b.eliminate(np.zeros(2 * mesh.num_vertices),
+                                       self.rhs_u, self.rhs_lam)
             v = -self._minres(self.rhs_shape + b.b_u_shape.T @ du_p
                               + b.b_lam_shape.T @ dlam_p)
-        du = -state.solve_constrained(self.rhs_lam + b.b_lam_shape @ v)
-        if not self.reduced:
-            dlam = -state.solve_constrained(self.rhs_u + mass @ du
-                                            + b.b_u_shape @ v)
+            du, dlam = b.eliminate(v, self.rhs_u, self.rhs_lam)
             self._check_residual(du, v, dlam)
-        mesh = b.ops.mesh
         return (ScalarField(mesh, du), VectorField(mesh, v.reshape(-1, 2)),
                 ScalarField(mesh, dlam))
 
     def _minres(self, g):
         """W with S W = g on the free deformation dofs; S acts as the
         identity on the constrained ones, where g and W vanish."""
-        hess = ShapeHessian(self.blocks)
-        mesh, metric = self.blocks.ops.mesh, self.blocks.ops.metric
+        metric = self.blocks.ops.metric
         fixed = metric.constrained
 
         def s_matvec(x):
             w = x.copy()
             w[fixed] = 0.0
-            y = hess.apply(VectorField(mesh, w.reshape(-1, 2))) \
-                + metric.matrix @ w
+            y = self.blocks.apply(w) + metric.matrix @ w
             y[fixed] = x[fixed]
             return y
 

@@ -253,16 +253,15 @@ def generate_mesh(shape: InclusionShape, target_h: float) -> Mesh:
                       REGION_INCLUSION, REGION_EXTERIOR).astype(np.int64)
 
     # Fitted-ness: every interface polygon edge must appear in the mesh.
-    edge_set = set()
-    for t in simplices:
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            edge_set.add((min(t[i], t[j]), max(t[i], t[j])))
-    for k in range(n_if):
-        e = (min(k, (k + 1) % n_if), max(k, (k + 1) % n_if))
-        if e not in edge_set:
-            raise MeshError(
-                f"interface edge {e} missing from triangulation; "
-                "reduce target_h or adjust the shape")
+    edges = _edge_table(simplices, points.shape[0])
+    k = np.arange(n_if)
+    if_ends = np.sort(np.column_stack([k, (k + 1) % n_if]), axis=1)
+    missing = ~np.isin(if_ends @ [points.shape[0], 1], edges[0])
+    if missing.any():
+        e = tuple(if_ends[np.argmax(missing)].tolist())
+        raise MeshError(
+            f"interface edge {e} missing from triangulation; "
+            "reduce target_h or adjust the shape")
 
     # No triangle may straddle the interface.
     lev = shape.level(points)
@@ -275,18 +274,27 @@ def generate_mesh(shape: InclusionShape, target_h: float) -> Mesh:
     if np.any(has_in & has_out):
         raise MeshError("triangulation straddles the interface")
 
-    bedges, btags = _outer_boundary(points, simplices)
+    bedges, btags = _outer_boundary(points, edges)
     m = Mesh(points, simplices, bedges, btags, region, np.arange(n_if))
     return m
 
 
-def _outer_boundary(points, simplices):
-    edges = {}
-    for t in simplices:
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = (min(t[i], t[j]), max(t[i], t[j]))
-            edges[key] = edges.get(key, 0) + 1
-    bedges = np.array([e for e, c in edges.items() if c == 1], dtype=np.int64)
+def _edge_table(simplices, n):
+    """Each edge of the triangulation once, as the key i * n + j (i < j),
+    with the first position where it occurs among the triangles' edges
+    (0-1, 1-2, 2-0 of each triangle in turn) and its number of triangles."""
+    ends = np.stack([simplices, np.roll(simplices, -1, axis=1)], axis=-1)
+    ends = np.sort(ends.reshape(-1, 2).astype(np.int64), axis=1)
+    return np.unique(ends @ [n, 1], return_index=True, return_counts=True)
+
+
+def _outer_boundary(points, edge_table):
+    """Edges of exactly one triangle, in order of first occurrence, and
+    their side tags."""
+    keys, first, counts = edge_table
+    single = counts == 1
+    bkeys = keys[single][np.argsort(first[single])]
+    bedges = np.column_stack(np.divmod(bkeys, points.shape[0]))
     mids = 0.5 * (points[bedges[:, 0]] + points[bedges[:, 1]])
     tags = np.empty(bedges.shape[0], dtype=np.int64)
     tol = 1e-9

@@ -56,10 +56,7 @@ class ProblemConfig:
 
 
 class Located:
-    """Containing background element and barycentrics of each located point.
-
-    Iterates as ``(element, barycentrics)`` pairs, one per point.
-    """
+    """Containing background element and barycentrics of each located point."""
 
     def __init__(self, elements, bary):
         self.elements = elements
@@ -67,9 +64,6 @@ class Located:
 
     def __len__(self):
         return len(self.elements)
-
-    def __iter__(self):
-        return zip(self.elements.tolist(), self.bary)
 
 
 class _PointLocator:

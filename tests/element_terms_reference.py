@@ -10,8 +10,9 @@ bit too.
 
 import numpy as np
 
-from deformopt import fem, kkt
+from deformopt import fem
 from deformopt.mesh import REGION_INCLUSION
+from kkt_reference import mixed_scatter, scatter
 
 
 def _chi(mesh, alpha_whole_domain):
@@ -99,5 +100,5 @@ def hessian_blocks(ops, u, lam, z_on_m, z_grad, c_div):
     half -= np.einsum("e,eia,ej,eb->eiajb", muA, G, Ggu, gl)
     cc += half
     cc += half.transpose(0, 3, 4, 1, 2)
-    return (kkt._mixed_scatter(mesh, b_lam), kkt._mixed_scatter(mesh, b_u),
-            fem._scatter(mesh, cc.reshape(-1, 6, 6), ndof_per_vertex=2))
+    return (mixed_scatter(mesh, b_lam), mixed_scatter(mesh, b_u),
+            scatter(mesh, cc.reshape(-1, 6, 6), ndof_per_vertex=2))

@@ -1,14 +1,21 @@
-"""The 3x3 block saddle-point matrix of a `KktSystem` and its direct solve.
+"""Test references for the KKT layer.
 
-`KktSystem.solve` never forms this matrix: it solves the step in V alone.
-The tests use it as the reference that the step must reproduce.
+- The 3x3 block saddle-point matrix of a `KktSystem` and its direct solve.
+  `KktSystem.solve` never forms this matrix: it solves the step in V alone.
+  The tests use it as the reference that the step must reproduce.
+- The sensitivities, the reduced Hessian operator and the Newton step with
+  each K solve written out, as they were before `HessianBlocks.eliminate`
+  served all three; the tests require bit-equal results.
+- The square and the scalar-by-vector scatters as they were before one
+  `fem._scatter` took row and column dof maps; the tests require
+  bit-equal CSR arrays.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from deformopt import fem
+from deformopt import fem, kkt, shape_calculus
 
 
 def saddle_matrix(system):
@@ -66,3 +73,75 @@ def reference_newton_solve(system):
             break
         x = x + factor.solve(rhs - mat @ x)
     return d * x
+
+
+def sensitivities(blocks, v):
+    """(du[V], dlambda[V]) for a flat deformation v, solves written out."""
+    state, mass = blocks.ops.state, blocks.ops.mass.matrix
+    vflat = v.copy()
+    vflat[shape_calculus.deformation_constraints(blocks.ops.mesh)] = 0.0
+    udot = state.solve_constrained(-(blocks.b_lam_shape @ vflat))
+    ldot = state.solve_constrained(-(mass @ udot + blocks.b_u_shape @ vflat))
+    return udot, ldot
+
+
+def apply(blocks, v):
+    """The reduced shape Hessian applied to a flat deformation v."""
+    udot, ldot = sensitivities(blocks, v)
+    return (blocks.shape_shape @ v + blocks.b_u_shape.T @ udot
+            + blocks.b_lam_shape.T @ ldot)
+
+
+def newton_step(system):
+    """Flat (du, V, dlambda) of a Newton system, each K solve written out
+    and MINRES run on `apply` with the settings of `KktSystem.solve`."""
+    b = system.blocks
+    state, mass, metric = b.ops.state, b.ops.mass.matrix, b.ops.metric
+    du_p = -state.solve_constrained(system.rhs_lam)
+    dlam_p = -state.solve_constrained(system.rhs_u + mass @ du_p)
+    g = (system.rhs_shape + b.b_u_shape.T @ du_p
+         + b.b_lam_shape.T @ dlam_p)
+    fixed = metric.constrained
+
+    def s_matvec(x):
+        w = x.copy()
+        w[fixed] = 0.0
+        y = apply(b, w) + metric.matrix @ w
+        y[fixed] = x[fixed]
+        return y
+
+    n = g.size
+    rhs = g.copy()
+    rhs[fixed] = 0.0
+    w, info = spla.minres(
+        spla.LinearOperator((n, n), matvec=s_matvec, dtype=float), rhs,
+        M=spla.LinearOperator((n, n), matvec=metric.solve_constrained,
+                              dtype=float),
+        rtol=kkt.MINRES_RTOL, maxiter=kkt.MINRES_MAXITER)
+    assert info == 0
+    v = -w
+    du = -state.solve_constrained(system.rhs_lam + b.b_lam_shape @ v)
+    dlam = -state.solve_constrained(system.rhs_u + mass @ du
+                                    + b.b_u_shape @ v)
+    return du, v, dlam
+
+
+def scatter(mesh, local, ndof_per_vertex=1):
+    """Assemble (ne, k, k) local matrices into a global CSR matrix."""
+    k = local.shape[1]
+    dofs = mesh.triangles if ndof_per_vertex == 1 \
+        else fem.vector_dofs(mesh.triangles)
+    rows = np.repeat(dofs, k, axis=1).reshape(-1)
+    cols = np.tile(dofs, (1, k)).reshape(-1)
+    n = mesh.num_vertices * ndof_per_vertex
+    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
+    return mat.tocsr()
+
+
+def mixed_scatter(mesh, local):
+    """Assemble (ne, 3, 3, 2) scalar-by-vector blocks into (n, 2n) CSR."""
+    rows = np.repeat(mesh.triangles, 6).reshape(-1)
+    cols = np.tile(fem.vector_dofs(mesh.triangles), (1, 3)).reshape(-1)
+    n = mesh.num_vertices
+    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, 2 * n))
+    return mat.tocsr()

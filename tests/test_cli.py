@@ -109,8 +109,16 @@ emit_vtk = false
                                    "mesh.h=0.2"])
         assert rc.schedule.max_iters == 5
         assert rc.mesh_h == 0.2
+        assert load_config(cfgfile, ["mesh.h=0.3  # coarse"]).mesh_h == 0.3
         with pytest.raises(ValueError):
             load_config(cfgfile, ["noequals"])
+        # validated once, with every override applied, in either order:
+        # n_gradient_iters=100 alone would exceed the default max_iters
+        items = ["schedule.n_gradient_iters=100", "schedule.max_iters=200"]
+        for order in (items, items[::-1]):
+            rc = load_config(cfgfile, order)
+            assert (rc.schedule.n_gradient_iters,
+                    rc.schedule.max_iters) == (100, 200)
 
     def test_shape_parsing_errors(self):
         rc = RunConfig(mesh_shape="triangle 1 2 3")

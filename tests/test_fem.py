@@ -14,7 +14,7 @@ from deformopt.fem import (FemError, ScalarField, SingularSystemError,
                            integrate_p1_product, vector_dofs, with_constraints)
 from deformopt.mesh import (REGION_EXTERIOR, REGION_INCLUSION, InclusionShape,
                             apply_deformation, generate_mesh)
-from kkt_reference import saddle_constrained_dofs, saddle_matrix
+from kkt_reference import saddle_constrained_dofs, saddle_matrix, scatter
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def padded_vector_form(mesh, eps1, eps2):
     local = np.zeros((mesh.num_triangles, 6, 6))
     local[:, 0::2, 0::2] = scalar
     local[:, 1::2, 1::2] = scalar
-    return fem._scatter(mesh, local, ndof_per_vertex=2)
+    return scatter(mesh, local, ndof_per_vertex=2)
 
 
 def reference_dirichlet(matrix, constrained):
@@ -66,6 +66,15 @@ class TestFields:
         other = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.15)
         with pytest.raises(FemError):
             ScalarField.zeros(mesh) + ScalarField.zeros(other)
+
+    def test_field_types_kept(self, mesh):
+        """Zeros, sums, differences and scalings keep the field's type and
+        per-vertex value shape."""
+        for cls, shape in [(ScalarField, (mesh.num_vertices,)),
+                           (VectorField, (mesh.num_vertices, 2))]:
+            f = cls.zeros(mesh)
+            for g in (f, f + f, f - f, 2.0 * f, f * 2.0):
+                assert type(g) is cls and g.values.shape == shape
 
     def test_vector_flat_interleaved(self, mesh):
         v = VectorField.from_callable(
@@ -168,6 +177,24 @@ class TestAssembly:
             assemble_vector_h1_form(mesh, 0.0, 0.5)
         with pytest.raises(FemError):
             assemble_vector_h1_form(mesh, 1.0, -1.0)
+
+    def test_scatter_csr_bit_identical(self, mesh):
+        """K, M and the metric block b_s through the row/column dof-map
+        scatter: the same CSR arrays as the square scatter it replaced."""
+        geo = fem.geometry(mesh)
+        kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
+        mu = model.ProblemConfig().mu(mesh)
+        for got, local in [
+                (assemble_scalar_laplace(mesh, mu).matrix,
+                 np.einsum("e,eia,eja->eij", mu * geo.areas, geo.grads,
+                           geo.grads)),
+                (assemble_mass(mesh).matrix, geo.local_mass),
+                (assemble_vector_h1_form(mesh, 3e-2, 0.5).block.matrix,
+                 3e-2 * (geo.local_mass + 0.5 * kloc))]:
+            want = scatter(mesh, local)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.data, want.data)
 
     def test_vector_dofs_interleaving(self):
         assert vector_dofs([0, 3]).tolist() == [0, 1, 6, 7]

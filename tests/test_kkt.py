@@ -4,11 +4,12 @@ import scipy.sparse.linalg as spla
 
 from deformopt import driver, fem, kkt, model, shape_calculus, verify
 from deformopt.fem import ScalarField, VectorField
-from deformopt.kkt import (ShapeHessian, assemble_hessian_blocks,
-                           assemble_kkt, lagrangian_gradient)
+from deformopt.kkt import (assemble_hessian_blocks, assemble_kkt,
+                           lagrangian_gradient)
 from deformopt.mesh import InclusionShape, generate_mesh
 from deformopt.model import ProblemConfig
 import element_terms_reference
+import kkt_reference
 from kkt_reference import (reference_newton_solve, saddle_constrained_matrix,
                            saddle_matrix, saddle_rhs)
 
@@ -86,13 +87,12 @@ class TestBlocks:
 
     def test_shape_block_pairing_symmetry_random(self, setup, blocks):
         ops, target, mesh, *_ = setup
-        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(1)
         for _ in range(10):
-            v = VectorField(mesh, verify.random_interior_field(mesh, rng))
-            w = VectorField(mesh, verify.random_interior_field(mesh, rng))
-            assert hess.shape_value(v, w) == pytest.approx(
-                hess.shape_value(w, v), rel=1e-12, abs=1e-16)
+            v = verify.random_interior_field(mesh, rng).reshape(-1)
+            w = verify.random_interior_field(mesh, rng).reshape(-1)
+            assert v @ (blocks.shape_shape @ w) == pytest.approx(
+                w @ (blocks.shape_shape @ v), rel=1e-12, abs=1e-16)
 
     def test_b_u_shape_is_derivative_of_state_residual(self, setup, blocks):
         """FD oracle: L_uOmega V equals d/dt of the u-gradient of the
@@ -129,10 +129,9 @@ class TestSensitivities:
         state under mesh deformation."""
         from deformopt.mesh import apply_deformation
         ops, target, mesh, z, z_grad, u, lam = setup
-        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(4)
         v = VectorField(mesh, verify.random_interior_field(mesh, rng))
-        udot, _ = hess.sensitivities(v)
+        udot, _ = blocks.sensitivities(v.flat())
         t = 1e-5
         up, um = (model.solve_state(model.OperatorSet(
             apply_deformation(mesh, v, s), ops.cfg)) for s in (t, -t))
@@ -141,23 +140,50 @@ class TestSensitivities:
 
     def test_reduced_equals_full_on_sensitivity_triples(self, setup, blocks):
         ops, target, mesh, *_ = setup
-        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(5)
-        v = VectorField(mesh, verify.random_interior_field(mesh, rng))
-        w = VectorField(mesh, verify.random_interior_field(mesh, rng))
-        uv, lv = hess.sensitivities(v)
-        uw, lw = hess.sensitivities(w)
-        full = hess.full_value((uv, v.flat(), lv), (uw, w.flat(), lw))
-        assert hess.reduced_value(v, w) == pytest.approx(full, rel=1e-12)
+        v = verify.random_interior_field(mesh, rng).reshape(-1)
+        w = verify.random_interior_field(mesh, rng).reshape(-1)
+        uv, lv = blocks.sensitivities(v)
+        uw, lw = blocks.sensitivities(w)
+        full = blocks.full_value((uv, v, lv), (uw, w, lw))
+        assert blocks.reduced_value(v, w) == pytest.approx(full, rel=1e-12)
 
     def test_operator_form_pairs_to_reduced_value(self, setup, blocks):
         ops, target, mesh, *_ = setup
-        hess = ShapeHessian(blocks)
         rng = np.random.default_rng(6)
-        v = VectorField(mesh, verify.random_interior_field(mesh, rng))
-        w = VectorField(mesh, verify.random_interior_field(mesh, rng))
-        assert w.flat() @ hess.apply(v) == pytest.approx(
-            hess.reduced_value(v, w), rel=1e-12)
+        v = verify.random_interior_field(mesh, rng).reshape(-1)
+        w = verify.random_interior_field(mesh, rng).reshape(-1)
+        assert w @ blocks.apply(v) == pytest.approx(
+            blocks.reduced_value(v, w), rel=1e-12)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+class TestEliminationEquivalence:
+    """`HessianBlocks.eliminate` serves the sensitivities, the Hessian
+    operator and the Newton step.  Each must equal, bit for bit, the same
+    quantity with its K solves written out (`kkt_reference`): at the h=0.1
+    start iterate and with u and lambda perturbed by 1e-3 noise, so that
+    the Newton step's r_u and r_lambda are nonzero."""
+
+    def test_sensitivities_and_apply(self, setup, noise):
+        iterate = perturbed(setup, noise)
+        blocks = assemble_hessian_blocks(element_terms(iterate))
+        mesh = iterate[2]
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            v = rng.standard_normal(2 * mesh.num_vertices)
+            got = blocks.sensitivities(v)
+            want = kkt_reference.sensitivities(blocks, v)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.array_equal(blocks.apply(v),
+                                  kkt_reference.apply(blocks, v))
+
+    def test_newton_step(self, setup, noise):
+        system = newton_system(perturbed(setup, noise))
+        du, v, dlam = system.solve()
+        want = kkt_reference.newton_step(system)
+        got = (du.values, v.flat(), dlam.values)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestKktSystem:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deformopt import fem
+from deformopt import fem, mesh as mesh_module
 from deformopt.fem import VectorField
 from deformopt.mesh import (GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_RIGHT, GAMMA_TOP,
                             InclusionShape, Mesh, MeshError,
@@ -17,6 +17,17 @@ CIRCLE = InclusionShape.circle((0.5, 0.5), 0.2)
 @pytest.fixture(scope="module")
 def mesh():
     return generate_mesh(ELLIPSE, 0.1)
+
+
+def reference_edge_counts(simplices):
+    """Sorted edge -> number of triangles, in first-seen order: the loop
+    the edge table replaced; test reference."""
+    edges = {}
+    for t in simplices:
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            key = (min(t[i], t[j]), max(t[i], t[j]))
+            edges[key] = edges.get(key, 0) + 1
+    return edges
 
 
 class TestInclusionShape:
@@ -107,6 +118,35 @@ class TestGenerateMesh:
     def test_vertices_read_only(self, mesh):
         with pytest.raises(ValueError):
             mesh.vertices[0, 0] = 2.0
+
+    @pytest.mark.parametrize("shape", [ELLIPSE, CIRCLE])
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_edge_table_matches_loop(self, shape, h):
+        """The numpy edge table against the per-triangle loop: the same
+        edges and counts, every interface edge present, and the boundary
+        edges of one triangle each in the loop's first-seen order."""
+        m = generate_mesh(shape, h)
+        n = m.num_vertices
+        want = reference_edge_counts(m.triangles)
+        keys, first, counts = mesh_module._edge_table(m.triangles, n)
+        order = np.argsort(first)
+        got = np.column_stack(np.divmod(keys[order], n))
+        assert np.array_equal(got, np.array(list(want), dtype=np.int64))
+        assert np.array_equal(counts[order], list(want.values()))
+        k = m.interface_vertices.size
+        assert all((min(i, (i + 1) % k), max(i, (i + 1) % k)) in want
+                   for i in range(k))
+        bedges = np.array([e for e, c in want.items() if c == 1],
+                          dtype=np.int64)
+        assert np.array_equal(m.boundary_edges, bedges)
+
+    def test_interior_hole_rejected(self, mesh):
+        """An edge of one triangle away from the outer square (here the
+        edges of a removed triangle) is a MeshError."""
+        table = mesh_module._edge_table(mesh.triangles[1:],
+                                        mesh.num_vertices)
+        with pytest.raises(MeshError, match="away from the outer square"):
+            mesh_module._outer_boundary(mesh.vertices, table)
 
 
 class TestDeformation:
