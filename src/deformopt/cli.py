@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,6 @@ from .driver import Schedule
 from .fem import ScalarField
 from .mesh import InclusionShape, generate_mesh
 from .model import ProblemConfig, TargetField
-
-_SHAPE_KINDS = ("circle", "ellipse")
 
 
 @dataclass
@@ -70,6 +68,31 @@ def _coerce(current, text):
     return text
 
 
+def _value(rc, attr, name):
+    owner = getattr(rc, attr)
+    return owner if name is None else getattr(owner, name)
+
+
+_DEFAULTS = RunConfig()
+# Every settable value, in file order: (section, key) -> (RunConfig
+# attribute, field of it or None).  Parsing, the unknown-key errors, the
+# coercion (by the type of the default) and serialization read this table.
+_KEYS = {
+    **{("problem", f.name): ("problem", f.name)
+       for f in dc_fields(ProblemConfig)},
+    **{("schedule", f.name): ("schedule", f.name) for f in dc_fields(Schedule)},
+    ("mesh", "h"): ("mesh_h", None),
+    ("mesh", "shape"): ("mesh_shape", None),
+    ("mesh", "load"): ("mesh_load", None),
+    ("target", "h"): ("target_h", None),
+    ("target", "load"): ("target_load", None),
+    ("output", "output_dir"): ("output_dir", None),
+    ("output", "seed"): ("seed", None),
+    ("output", "emit_vtk"): ("emit_vtk", None),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
 def parse_config(text: str, overrides=()) -> RunConfig:
     """Parse sectioned key=value text into a RunConfig.
 
@@ -85,68 +108,35 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         key, value = item.split("=", 1)
         section, key = key.split(".", 1)
         cp.read_string(f"[{section}]\n{key} = {value}\n")
-    rc = RunConfig()
-    problem = dict()
-    schedule = dict()
-    known = {"problem": {f.name for f in dc_fields(ProblemConfig)},
-             "schedule": {f.name for f in dc_fields(Schedule)}}
+    attrs, nested = {}, {}
     for section in cp.sections():
-        for key, value in cp.items(section):
-            if section in known and key not in known[section]:
+        if section not in _SECTIONS:
+            raise ValueError(f"unknown config section {section!r}")
+        for key, text_value in cp.items(section):
+            if (section, key) not in _KEYS:
                 raise ValueError(f"unknown {section} key {key!r}")
-            if section == "problem":
-                problem[key] = float(value)
-            elif section == "schedule":
-                default = getattr(Schedule(), key)
-                schedule[key] = _coerce(default, value)
-            elif section == "mesh":
-                if key == "h":
-                    rc.mesh_h = float(value)
-                elif key == "shape":
-                    rc.mesh_shape = value
-                elif key == "load":
-                    rc.mesh_load = value
-                else:
-                    raise ValueError(f"unknown mesh key {key!r}")
-            elif section == "target":
-                if key == "h":
-                    rc.target_h = float(value)
-                elif key == "load":
-                    rc.target_load = value
-                else:
-                    raise ValueError(f"unknown target key {key!r}")
-            elif section == "output":
-                if key == "output_dir":
-                    rc.output_dir = value
-                elif key == "seed":
-                    rc.seed = int(value)
-                elif key == "emit_vtk":
-                    rc.emit_vtk = _coerce(True, value)
-                else:
-                    raise ValueError(f"unknown output key {key!r}")
+            attr, name = _KEYS[section, key]
+            value = _coerce(_value(_DEFAULTS, attr, name), text_value)
+            if name is None:
+                attrs[attr] = value
             else:
-                raise ValueError(f"unknown config section {section!r}")
-    rc.problem = ProblemConfig(**problem)
-    rc.schedule = Schedule(**schedule)
-    return rc
+                nested.setdefault(attr, {})[name] = value
+    for attr, values in nested.items():
+        attrs[attr] = replace(getattr(_DEFAULTS, attr), **values)
+    return RunConfig(**attrs)
 
 
 def serialize_config(rc: RunConfig) -> str:
-    """Inverse of parse_config (parse -> serialize -> parse is idempotent)."""
+    """Inverse of parse_config (parse -> serialize -> parse is idempotent).
+    An unset ``load`` path is not written."""
     cp = configparser.ConfigParser()
-    cp["problem"] = {f.name: repr(getattr(rc.problem, f.name))
-                     for f in dc_fields(ProblemConfig)}
-    cp["schedule"] = {f.name: str(getattr(rc.schedule, f.name))
-                      for f in dc_fields(Schedule)}
-    mesh = {"h": repr(rc.mesh_h), "shape": rc.mesh_shape}
-    if rc.mesh_load:
-        mesh = {"load": rc.mesh_load}
-    cp["mesh"] = mesh
-    target = {"load": rc.target_load} if rc.target_load \
-        else {"h": repr(rc.target_h)}
-    cp["target"] = target
-    cp["output"] = {"output_dir": rc.output_dir, "seed": str(rc.seed),
-                    "emit_vtk": str(rc.emit_vtk)}
+    for (section, key), (attr, name) in _KEYS.items():
+        value = _value(rc, attr, name)
+        if value == "" == _value(_DEFAULTS, attr, name):
+            continue
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, str(value))
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()

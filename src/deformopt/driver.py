@@ -1,10 +1,12 @@
 """The deformation loop: one iteration, a gradient and a Newton step rule.
 
-The gradient rule solves the reduced KKT system (V is the b-Riesz
-gradient) and takes a fixed or an Armijo step; the Newton rule solves the
-full system and takes the full step, falling back to the gradient rule on
-the same system when that solve fails.  Steps are halved until the mesh
-stays invertible, and a failed step ends the run with an `aborted` note.
+The first `n_gradient_iters` iterations are a projected gradient warm-up:
+the state and adjoint are re-solved at each iterate, the reduced KKT
+system is solved (V is the b-Riesz gradient) and a fixed or an Armijo
+step is taken.  The later iterations are one-shot Newton steps on the
+full system, which fall back to the gradient rule on the same system when
+that solve fails.  Steps are halved until the mesh stays invertible, and
+a failed step ends the run with an `aborted` note.
 Each iterate builds one `model.OperatorSet` and one set of element terms,
 which the gradient and the KKT system read; an accepted Armijo trial's
 set, z and u become the next iterate's.
@@ -44,23 +46,15 @@ class Schedule:
     eps2: float = 5e-1
     tol_v: float = 1e-9
     line_search: str = "fixed"          # gradient steps: {fixed, backtracking}
-    residual_norm: str = "metric"       # {metric, euclidean}
-    newton_fallback: bool = True
-    # The warm-up is a *projected* gradient method: after each deformation
-    # the state and adjoint are re-solved (projection onto the constraint
-    # manifold).  The Newton phase keeps the one-shot simultaneous updates.
-    project_warmup: bool = True
 
     def __post_init__(self):
         model.check_fields(
             self, positive=("gradient_step", "newton_step", "eps1", "tol_v"),
-            nonnegative=("eps2",))
+            nonnegative=("eps2", "n_gradient_iters", "max_iters"))
         if self.n_gradient_iters > self.max_iters:
             raise ValueError("n_gradient_iters must not exceed max_iters")
         if self.line_search not in ("fixed", "backtracking"):
             raise ValueError(f"unknown line search {self.line_search!r}")
-        if self.residual_norm not in ("metric", "euclidean"):
-            raise ValueError(f"unknown residual norm {self.residual_norm!r}")
 
 
 @dataclass
@@ -96,12 +90,9 @@ class History:
                 fh.write(f"# {note}\n")
 
 
-def _dual_norms(ops, sched, r_u, r_shape, r_lam):
-    """Dual (metric) norms of the KKT right-hand side components."""
-    if sched.residual_norm == "euclidean":
-        gn = float(np.linalg.norm(r_shape))
-        return gn, float(np.sqrt(np.linalg.norm(r_u) ** 2 + gn ** 2
-                                 + np.linalg.norm(r_lam) ** 2))
+def _dual_norms(ops, r_u, r_shape, r_lam):
+    """Dual norms of the KKT right-hand side: (shape part in b^-1, the
+    whole with M^-1 on r_u and r_lambda)."""
     # the norms are diagnostics: tolerate lower solver accuracy on badly
     # deformed meshes rather than aborting the whole run
     su = float(r_u @ ops.mass.solve_constrained(r_u, rtol=1e-6))
@@ -130,13 +121,13 @@ def line_search(ops, target, v: VectorField, j0, dj_v, t0=1.0,
 def steepest_descent(mesh0: Mesh, cfg, target, sched: Schedule):
     """Projected-gradient loop: `run_two_phase` with every iteration a
     gradient step and the state and adjoint re-solved each time."""
-    return run_two_phase(mesh0, cfg, target,
-                         replace(sched, project_warmup=True), _newton=False)
+    return run_two_phase(mesh0, cfg, target, sched, _newton=False)
 
 
 def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
-    """Gradient steps for the first `n_gradient_iters` iterations, Newton
-    steps after them (none with `_newton=False`)."""
+    """Projected gradient steps for the first `n_gradient_iters`
+    iterations, one-shot Newton steps after them (none with
+    `_newton=False`)."""
     n_gradient = sched.n_gradient_iters if _newton else sched.max_iters + 1
     mesh, trial = mesh0, None
     history = History()
@@ -148,7 +139,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
         z_grad = model.target_gradients(target, mesh)
         mode = "newton" if k >= n_gradient else "gradient"
         # project through the switch iteration so Newton starts feasible
-        if k == 0 or (sched.project_warmup and k <= n_gradient):
+        if k <= n_gradient:
             u = model.solve_state(ops) if u_t is None else u_t
             lam = model.solve_adjoint(ops, u, z)
         j0 = model.objective(ops, u, z)
@@ -161,7 +152,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
                 mode, (du, v, dlam) = _solve(
                     kkt.assemble_kkt(terms, reduced=mode == "gradient",
                                      gradient=gradient),
-                    sched, history.notes, k)
+                    history.notes, k)
                 t, halvings, margin, trial = _step_length(
                     ops, target, sched, mode, v, j0, gradient[1])
             except (fem.SingularSystemError, LineSearchError) as exc:
@@ -169,7 +160,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
         del terms       # it holds `ops`: the set dies with its iterate
         # after the step: M's factorization (only used here) then never
         # coexists with the step's, which keeps peak memory down
-        gn, res = _dual_norms(ops, sched, *gradient)
+        gn, res = _dual_norms(ops, *gradient)
         if t == 0.0:
             history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
             break
@@ -183,7 +174,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
     return mesh, history
 
 
-def _solve(system, sched, notes, k):
+def _solve(system, notes, k):
     """The rule that gave the step, and the step (du, V, dlambda).  A failed
     Newton solve falls back to the gradient rule on the same system."""
     if system.reduced:
@@ -191,8 +182,6 @@ def _solve(system, sched, notes, k):
     try:
         return "newton", system.solve()
     except fem.SingularSystemError as exc:
-        if not sched.newton_fallback:
-            raise
         notes.append(f"iteration {k}: newton solve failed ({exc}); "
                      "gradient fallback")
         return "gradient", replace(system, reduced=True).solve()

@@ -59,16 +59,26 @@ def write_vtk(path, mesh: Mesh, point_scalars=None, point_vectors=None,
 
 
 def read_vtk(path):
-    """Read a file written by write_vtk; returns (mesh, scalars, vectors)."""
+    """Read a file written by write_vtk; returns (mesh, scalars, vectors).
+    A file of another layout, or a truncated one, raises MeshError."""
     with open(path) as fh:
         tokens_lines = fh.read().splitlines()
     idx = 0
 
     def line():
         nonlocal idx
-        out = tokens_lines[idx]
+        if idx == len(tokens_lines):
+            raise MeshError(f"truncated VTK file: {len(tokens_lines)} lines")
         idx += 1
-        return out
+        return tokens_lines[idx - 1]
+
+    def count(keyword):
+        """The count of the `keyword count type` header on the next line."""
+        parts = line().split()
+        if len(parts) != 3 or parts[0] != keyword:
+            raise MeshError(f"expected a {keyword} section, got "
+                            f"{' '.join(parts)!r}")
+        return int(parts[1])
 
     header = line()
     if not header.startswith("# vtk"):
@@ -79,14 +89,10 @@ def read_vtk(path):
     if line().strip() != "DATASET UNSTRUCTURED_GRID":
         raise MeshError("only unstructured grids are supported")
 
-    kw, n, _ = line().split()
-    assert kw == "POINTS"
-    n = int(n)
+    n = count("POINTS")
     pts = np.array([line().split() for _ in range(n)], dtype=float)[:, :2]
 
-    kw, ne, _ = line().split()
-    assert kw == "CELLS"
-    ne = int(ne)
+    ne = count("CELLS")
     tris = np.array([line().split()[1:] for _ in range(ne)], dtype=np.int64)
     line()  # CELL_TYPES
     for _ in range(ne):

@@ -1,4 +1,7 @@
+import configparser
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,9 @@ import pytest
 from deformopt import cli, model, vtkio
 from deformopt.cli import (RunConfig, load_config, parse_config,
                            serialize_config)
-from deformopt.mesh import InclusionShape, generate_mesh
+from deformopt.mesh import InclusionShape, MeshError, generate_mesh
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +45,18 @@ class TestVtkRoundTrip:
         assert lines[2] == "ASCII"
         assert lines[3] == "DATASET UNSTRUCTURED_GRID"
 
-    def test_reject_foreign_file(self, tmp_path):
-        bad = tmp_path / "x.vtk"
-        bad.write_text("not a vtk file\n")
-        with pytest.raises(Exception):
-            vtkio.read_vtk(bad)
+    def test_reject_foreign_file(self, small_mesh, tmp_path):
+        path = tmp_path / "m.vtk"
+        vtkio.write_vtk(path, small_mesh)
+        lines = path.read_text().splitlines()
+        for text, message in [
+                ("not a vtk file", "not a legacy VTK file"),
+                ("\n".join(lines[:20]), "truncated VTK file"),
+                ("\n".join(lines).replace("CELLS", "POLYGONS"),
+                 "expected a CELLS section")]:
+            path.write_text(text + "\n")
+            with pytest.raises(MeshError, match=message):
+                vtkio.read_vtk(path)
 
 
 class TestConfig:
@@ -54,10 +66,12 @@ class TestConfig:
         assert rc.schedule.n_gradient_iters == 20
 
     def test_round_trip_idempotent(self):
-        rc = RunConfig()
-        text = serialize_config(rc)
-        rc2 = parse_config(text)
-        assert serialize_config(rc2) == text
+        for rc in (RunConfig(),
+                   RunConfig(mesh_load="m.vtk", target_load="t.vtk")):
+            text = serialize_config(rc)
+            rc2 = parse_config(text)
+            assert serialize_config(rc2) == text
+            assert rc2 == rc
 
     def test_sections_parsed(self):
         rc = parse_config("""
@@ -94,6 +108,12 @@ emit_vtk = false
             parse_config("[schedule]\neps = 1.0\n")
         with pytest.raises(ValueError, match="unknown problem key 'bogus'"):
             parse_config("[problem]\nbogus = 1\n")
+        with pytest.raises(ValueError, match="unknown config section"):
+            parse_config("[solver]\n")
+        for key in ("project_warmup", "newton_fallback", "residual_norm"):
+            with pytest.raises(ValueError,
+                               match=f"unknown schedule key '{key}'"):
+                parse_config(f"[schedule]\n{key} = 1\n")
 
     @pytest.mark.parametrize("section, key", [("schedule", "eps1"),
                                               ("problem", "mu_in")])
@@ -119,6 +139,17 @@ emit_vtk = false
             rc = load_config(cfgfile, order)
             assert (rc.schedule.n_gradient_iters,
                     rc.schedule.max_iters) == (100, 200)
+
+    def test_readme_configuration(self):
+        """README's configuration block parses, and documents every key
+        (a commented-out `# key = value` line counts)."""
+        block = README.read_text().split("### Configuration", 1)[1]
+        block = block.split("```", 2)[1]
+        parse_config(block)
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        cp.read_string(re.sub(r"^#\s*(\w+\s*=)", r"\1", block, flags=re.M))
+        documented = {(s, k) for s in cp.sections() for k in cp[s]}
+        assert documented == set(cli._KEYS)
 
     def test_shape_parsing_errors(self):
         rc = RunConfig(mesh_shape="triangle 1 2 3")
