@@ -2,14 +2,13 @@
 
 The first `n_gradient_iters` iterations are a projected gradient warm-up:
 the state and adjoint are re-solved at each iterate, the reduced KKT
-system is solved (V is the b-Riesz gradient) and a fixed or an Armijo
-step is taken.  The later iterations are one-shot Newton steps on the
-full system, which fall back to the gradient rule on the same system when
-that solve fails.  Steps are halved until the mesh stays invertible, and
-a failed step ends the run with an `aborted` note.
+system is solved (V is the b-Riesz gradient) and the fixed step
+`gradient_step` is taken.  The later iterations are one-shot Newton steps
+on the full system, which fall back to the gradient rule on the same
+system when that solve fails.  Steps are halved until the mesh stays
+invertible, and a failed step ends the run with an `aborted` note.
 Each iterate builds one `model.OperatorSet` and one set of element terms,
-which the gradient and the KKT system read; an accepted Armijo trial's
-set, z and u become the next iterate's.
+which the gradient and the KKT system read.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, kkt, model, shape_calculus
-from .fem import ScalarField, VectorField
+from .fem import ScalarField
 from .mesh import Mesh, apply_deformation, check_invertibility
 
 
@@ -32,9 +31,11 @@ MAX_HALVINGS = 30      # step halvings before a step is given up
 
 @dataclass(frozen=True)
 class Schedule:
-    """Iteration schedule and regularization knobs.  The metric b of
-    (eps1, eps2) is the gradient rule's Riesz metric and the Newton rule's
-    Tikhonov term; eps1 alone sets its strength."""
+    """Iteration schedule and regularization knobs.  The gradient rule
+    takes `gradient_step` and the Newton rule `newton_step`, each halved
+    only until the mesh stays invertible.  The metric b of (eps1, eps2) is
+    the gradient rule's Riesz metric and the Newton rule's Tikhonov term;
+    eps1 alone sets its strength."""
 
     n_gradient_iters: int = 20
     # 0.4 keeps the warm-up monotone on fine meshes; larger steps oscillate
@@ -45,7 +46,6 @@ class Schedule:
     eps1: float = 3e-2
     eps2: float = 5e-1
     tol_v: float = 1e-9
-    line_search: str = "fixed"          # gradient steps: {fixed, backtracking}
 
     def __post_init__(self):
         model.check_fields(
@@ -53,8 +53,6 @@ class Schedule:
             nonnegative=("eps2", "n_gradient_iters", "max_iters"))
         if self.n_gradient_iters > self.max_iters:
             raise ValueError("n_gradient_iters must not exceed max_iters")
-        if self.line_search not in ("fixed", "backtracking"):
-            raise ValueError(f"unknown line search {self.line_search!r}")
 
 
 @dataclass
@@ -94,28 +92,13 @@ def _dual_norms(ops, r_u, r_shape, r_lam):
     """Dual norms of the KKT right-hand side: (shape part in b^-1, the
     whole with M^-1 on r_u and r_lambda)."""
     # the norms are diagnostics: tolerate lower solver accuracy on badly
-    # deformed meshes rather than aborting the whole run
-    su = float(r_u @ ops.mass.solve_constrained(r_u, rtol=1e-6))
+    # deformed meshes rather than aborting the whole run; r_u and r_lambda
+    # are one two-column right-hand side on M's factorization
+    xu, xl = ops.mass.solve_constrained(np.column_stack([r_u, r_lam]),
+                                        rtol=1e-6).T
+    su, sl = float(r_u @ xu), float(r_lam @ xl)
     ss = float(r_shape @ ops.metric.solve_constrained(r_shape, rtol=1e-6))
-    sl = float(r_lam @ ops.mass.solve_constrained(r_lam, rtol=1e-6))
     return float(np.sqrt(max(ss, 0.0))), float(np.sqrt(max(su + ss + sl, 0.0)))
-
-
-def line_search(ops, target, v: VectorField, j0, dj_v, t0=1.0,
-                c1=1e-4, max_halvings=MAX_HALVINGS):
-    """Backtracking Armijo search along the deformation direction: the
-    accepted step t and the trial iterate (operator set, u, z) at t."""
-    if dj_v >= 0:
-        raise ValueError(f"not a descent direction: dJ[V] = {dj_v:.3e}")
-    t = t0
-    for _ in range(max_halvings + 1):
-        ok, _ = check_invertibility(ops.mesh, v, t)
-        if ok:
-            trial = shape_calculus.state_on_deformed(ops, target, v, t)
-            if model.objective(*trial) <= j0 + c1 * t * dj_v:
-                return t, trial
-        t *= 0.5
-    raise LineSearchError(f"no admissible step after {max_halvings} halvings")
 
 
 def steepest_descent(mesh0: Mesh, cfg, target, sched: Schedule):
@@ -129,23 +112,21 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
     iterations, one-shot Newton steps after them (none with
     `_newton=False`)."""
     n_gradient = sched.n_gradient_iters if _newton else sched.max_iters + 1
-    mesh, trial = mesh0, None
+    mesh = mesh0
     history = History()
     for k in range(sched.max_iters + 1):
-        # an accepted Armijo trial already holds this mesh's set, z and u
-        ops, u_t, z = trial or (
-            model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2), None,
-            model.transfer_target(target, mesh))
+        ops = model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2)
+        z = model.transfer_target(target, mesh)
         z_grad = model.target_gradients(target, mesh)
         mode = "newton" if k >= n_gradient else "gradient"
         # project through the switch iteration so Newton starts feasible
         if k <= n_gradient:
-            u = model.solve_state(ops) if u_t is None else u_t
+            u = model.solve_state(ops)
             lam = model.solve_adjoint(ops, u, z)
         j0 = model.objective(ops, u, z)
         terms = shape_calculus.element_terms(ops, u, lam, z, z_grad)
         gradient = kkt.lagrangian_gradient(terms)
-        t, trial = 0.0, None
+        t = 0.0
         if k < sched.max_iters:
             try:
                 # no reference to the system (it holds `ops`) outlives k
@@ -153,8 +134,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
                     kkt.assemble_kkt(terms, reduced=mode == "gradient",
                                      gradient=gradient),
                     history.notes, k)
-                t, halvings, margin, trial = _step_length(
-                    ops, target, sched, mode, v, j0, gradient[1])
+                t, halvings, margin = _step_length(ops, sched, mode, v)
             except (fem.SingularSystemError, LineSearchError) as exc:
                 history.notes.append(f"aborted at iteration {k}: {exc}")
         del terms       # it holds `ops`: the set dies with its iterate
@@ -168,7 +148,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
             history.notes.append(
                 f"iteration {k}: step halved {halvings}x for invertibility")
         history.append(IterationRecord(k, j0, gn, res, t, mode, margin))
-        mesh = trial[0].mesh if trial else apply_deformation(mesh, v, t)
+        mesh = apply_deformation(mesh, v, t)
         u = ScalarField(mesh, u.values + t * du.values)
         lam = ScalarField(mesh, lam.values + t * dlam.values)
     return mesh, history
@@ -187,23 +167,16 @@ def _solve(system, notes, k):
         return "gradient", replace(system, reduced=True).solve()
 
 
-def _step_length(ops, target, sched, mode, v, j0, r_shape):
-    """(t, halvings, min area ratio, Armijo trial or None) of an invertible
-    step along V; t = 0 once V is below tol_v.  Backtracking gradient steps
-    take the Armijo search; t is then halved until the mesh is invertible."""
+def _step_length(ops, sched, mode, v):
+    """(t, halvings, min area ratio) of an invertible step along V: the
+    rule's step, halved until the mesh is invertible; t = 0 once V is below
+    tol_v."""
     if np.sqrt(max(ops.metric.energy(v.flat()), 0.0)) <= sched.tol_v:
-        return 0.0, 0, 1.0, None
+        return 0.0, 0, 1.0
     t = sched.newton_step if mode == "newton" else sched.gradient_step
-    trial = None
-    if mode == "gradient" and sched.line_search == "backtracking":
-        try:
-            t, trial = line_search(ops, target, v, j0,
-                                   float(r_shape @ v.flat()), t0=t)
-        except ValueError as exc:                 # not a descent direction
-            raise LineSearchError(str(exc)) from exc
     for halvings in range(MAX_HALVINGS + 1):
         ok, info = check_invertibility(ops.mesh, v, t)
         if ok:
-            return t, halvings, info["min_area_ratio"], trial
+            return t, halvings, info["min_area_ratio"]
         t *= 0.5
     raise LineSearchError("deformation not invertible")

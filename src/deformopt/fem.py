@@ -240,22 +240,25 @@ class VectorOperator:
     """The form I2 (x) B on interleaved (x, y) vertex dofs: B applied to each
     component of a P1 vector field, for a scalar operator `block` = B.
 
-    Only B (n x n) is factorized: `solve_constrained` solves both components
-    as one two-column right-hand side on B's factorization.  `matrix` is
-    kron(B, I2) in CSR and `constrained` both dofs of each of B's
-    constrained vertices, for products and energies at 2n.
+    Only B (n x n) is stored and factorized: `metric @ x` applies B to the
+    (n, 2) view of a 2n vector, and `solve_constrained` solves both
+    components as one two-column right-hand side on B's factorization.
+    `constrained` is both dofs of each of B's constrained vertices.
     """
 
     block: SparseOperator
-    matrix: sp.csr_matrix
 
     @property
     def constrained(self):
         return vector_dofs(self.block.constrained)
 
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        return (self.block.matrix @ x.reshape(-1, 2)).reshape(x.shape)
+
     def energy(self, x, y=None):
         y = x if y is None else y
-        return float(x @ (self.matrix @ y))
+        return float(x @ (self @ y))
 
     def solve_constrained(self, rhs, rtol=1e-8):
         """Solve with homogeneous values at the constrained dofs."""
@@ -352,9 +355,7 @@ def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float) -> VectorOpera
     geo = geometry(mesh)
     kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
     block = _scatter(mesh, eps1 * (geo.local_mass + eps2 * kloc))
-    return VectorOperator(
-        SparseOperator(block, np.array([], dtype=np.int64)),
-        sp.kron(block, sp.identity(2), format="csr"))
+    return VectorOperator(SparseOperator(block, np.array([], dtype=np.int64)))
 
 
 def vector_dofs(vertex_indices):

@@ -235,7 +235,7 @@ class KktSystem:
         def s_matvec(x):
             w = x.copy()
             w[fixed] = 0.0
-            y = self.blocks.apply(w) + metric.matrix @ w
+            y = self.blocks.apply(w) + metric @ w
             y[fixed] = x[fixed]
             return y
 
@@ -265,7 +265,7 @@ class KktSystem:
         for terms, fixed in [
                 ([b.ops.mass.matrix @ du, b.b_u_shape @ v,
                   state.matrix @ dlam, self.rhs_u], state.constrained),
-                ([b.b_u_shape.T @ du, b.shape_shape @ v, metric.matrix @ v,
+                ([b.b_u_shape.T @ du, b.shape_shape @ v, metric @ v,
                   b.b_lam_shape.T @ dlam, self.rhs_shape], metric.constrained),
                 ([state.matrix @ du, b.b_lam_shape @ v, self.rhs_lam],
                  state.constrained)]:

@@ -119,14 +119,27 @@ class Mesh:
             self._validate()
 
     def _validate(self):
+        """Shapes, index ranges and positive, finite areas: for meshes from
+        outside, not for iterates (`with_vertices` skips it)."""
+        n = self.vertices.shape[0]
+        for name, trailing in [("vertices", (2,)), ("triangles", (3,)),
+                               ("boundary_edges", (2,)), ("boundary_tags", ()),
+                               ("region", ()), ("interface_vertices", ())]:
+            a = getattr(self, name)
+            if a.shape[1:] != trailing or a.ndim != len(trailing) + 1:
+                raise MeshError(f"{name} has shape {a.shape}")
         if self.interface_vertices.size < 3:
             raise MeshError("interface needs at least 3 vertices")
         if self.region.shape[0] != self.triangles.shape[0]:
             raise MeshError("region tag count does not match triangle count")
         if self.boundary_tags.shape[0] != self.boundary_edges.shape[0]:
             raise MeshError("boundary tag count does not match edge count")
+        for name in ("triangles", "boundary_edges", "interface_vertices"):
+            idx = getattr(self, name)
+            if idx.size and not (idx.min() >= 0 and idx.max() < n):
+                raise MeshError(f"{name} index outside [0, {n})")
         areas = signed_areas(self.vertices, self.triangles)
-        if np.any(areas <= 0):
+        if np.any(~(areas > 0)):        # NaN fails `> 0`, not `<= 0`
             bad = int(np.argmin(areas))
             raise MeshError(f"triangle {bad} has non-positive area {areas[bad]:.3e}")
 
@@ -322,7 +335,7 @@ def apply_deformation(m: Mesh, v, t: float) -> Mesh:
         raise ValueError("deformation field does not match the mesh")
     new_pts = m.vertices + t * vals
     areas = signed_areas(new_pts, m.triangles)
-    if np.any(areas <= 0):
+    if np.any(~(areas > 0)):        # NaN fails `> 0`, not `<= 0`
         bad = int(np.argmin(areas))
         raise NonInvertibleDeformation(
             f"deformed triangle {bad} has area {areas[bad]:.3e}")
@@ -340,7 +353,7 @@ def check_invertibility(m: Mesh, v, t: float):
     vals = np.asarray(vals, dtype=float)
     areas0 = signed_areas(m.vertices, m.triangles)
     areas = signed_areas(m.vertices + t * vals, m.triangles)
-    folded = np.flatnonzero(areas <= 0)
+    folded = np.flatnonzero(~(areas > 0))      # NaN areas count as folded
     bmax = float(np.abs(vals[m.boundary_vertices]).max()) if m.boundary_vertices.size else 0.0
     ok = folded.size == 0 and bmax <= 1e-12
     info = {

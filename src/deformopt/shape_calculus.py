@@ -141,18 +141,13 @@ def riesz_gradient(d: ShapeGradientFunctional, metric: VectorOperator) -> Vector
     return VectorField(d.mesh, g.reshape(-1, 2))
 
 
-def state_on_deformed(ops: model.OperatorSet, target, v, t: float):
-    """Operator set (cfg, eps1 and eps2 of `ops`), state u and target values
-    z on the mesh moved by t V (the same mesh at t = 0)."""
-    deformed = apply_deformation(ops.mesh, v, t) if t != 0.0 else ops.mesh
-    ops_t = model.OperatorSet(deformed, ops.cfg, ops.eps1, ops.eps2)
-    return ops_t, model.solve_state(ops_t), \
-        model.transfer_target(target, deformed)
-
-
 def objective_on_deformed(ops: model.OperatorSet, target, v, t: float):
-    """Re-solve the state on the deformed mesh and evaluate the objective."""
-    return model.objective(*state_on_deformed(ops, target, v, t))
+    """J on the mesh moved by t V (the same mesh at t = 0), with the state
+    re-solved there and z transferred to it."""
+    deformed = apply_deformation(ops.mesh, v, t) if t != 0.0 else ops.mesh
+    ops_t = model.OperatorSet(deformed, ops.cfg)
+    return model.objective(ops_t, model.solve_state(ops_t),
+                           model.transfer_target(target, deformed))
 
 
 def eulerian_fd(ops: model.OperatorSet, target, v, t: float) -> float:

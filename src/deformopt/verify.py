@@ -303,8 +303,8 @@ def pullback_check(h=0.1, seed=DEFAULT_SEED, tol=1e-6, fd_step=1e-5,
 
     g_fd = metric0.solve_constrained(fd_dual)
     g_an = metric0.solve_constrained(an_dual)
-    num = float(np.sqrt(max((g_fd - g_an) @ (metric0.matrix @ (g_fd - g_an)), 0)))
-    den = float(np.sqrt(max(g_an @ (metric0.matrix @ g_an), 1e-300)))
+    num = float(np.sqrt(max((g_fd - g_an) @ (metric0 @ (g_fd - g_an)), 0)))
+    den = float(np.sqrt(max(g_an @ (metric0 @ g_an), 1e-300)))
     rel = num / den
     return {
         "name": "pullback_check",

@@ -60,9 +60,19 @@ def write_vtk(path, mesh: Mesh, point_scalars=None, point_vectors=None,
 
 def read_vtk(path):
     """Read a file written by write_vtk; returns (mesh, scalars, vectors).
-    A file of another layout, or a truncated one, raises MeshError."""
+    A file of another layout, a truncated one, or one whose counts, numbers
+    or rows are malformed raises MeshError."""
     with open(path) as fh:
         tokens_lines = fh.read().splitlines()
+    try:
+        return _parse(tokens_lines)
+    except MeshError:
+        raise
+    except (ValueError, IndexError) as exc:    # a non-number, a ragged row
+        raise MeshError(f"malformed VTK file: {exc}") from exc
+
+
+def _parse(tokens_lines):
     idx = 0
 
     def line():

@@ -24,7 +24,7 @@ def saddle_matrix(system):
     b = system.blocks
     n = b.ops.mesh.num_vertices
     mass, stiffness, metric = (b.ops.mass.matrix, b.ops.state.matrix,
-                               b.ops.metric.matrix)
+                               metric_matrix(b.ops.metric))
     zero_uu = sp.csr_matrix((n, n))
     zero_un = sp.csr_matrix((n, 2 * n))
     if system.reduced:
@@ -36,6 +36,12 @@ def saddle_matrix(system):
                 [b.b_u_shape.T, b.shape_shape + metric, b.b_lam_shape.T],
                 [stiffness, b.b_lam_shape, zero_uu]]
     return sp.bmat(rows, format="csr")
+
+
+def metric_matrix(metric):
+    """The 2n metric kron(B, I2) in CSR, which `fem.VectorOperator` applies
+    to the (n, 2) view instead of storing."""
+    return sp.kron(metric.block.matrix, sp.identity(2), format="csr")
 
 
 def saddle_constrained_dofs(system):
@@ -101,12 +107,12 @@ def newton_step(system):
     dlam_p = -state.solve_constrained(system.rhs_u + mass @ du_p)
     g = (system.rhs_shape + b.b_u_shape.T @ du_p
          + b.b_lam_shape.T @ dlam_p)
-    fixed = metric.constrained
+    fixed, metric_2n = metric.constrained, metric_matrix(metric)
 
     def s_matvec(x):
         w = x.copy()
         w[fixed] = 0.0
-        y = apply(b, w) + metric.matrix @ w
+        y = apply(b, w) + metric_2n @ w
         y[fixed] = x[fixed]
         return y
 

@@ -49,11 +49,28 @@ class TestVtkRoundTrip:
         path = tmp_path / "m.vtk"
         vtkio.write_vtk(path, small_mesh)
         lines = path.read_text().splitlines()
+        points = lines.index(f"POINTS {small_mesh.num_vertices} double")
+        cells = next(i for i, ln in enumerate(lines) if ln.startswith("CELLS"))
+        bedges = next(i for i, ln in enumerate(lines)
+                      if ln.startswith("METADATA boundary_edges"))
+
+        def edited(at, text):
+            return "\n".join(lines[:at] + [text] + lines[at + 1:])
+
         for text, message in [
                 ("not a vtk file", "not a legacy VTK file"),
                 ("\n".join(lines[:20]), "truncated VTK file"),
                 ("\n".join(lines).replace("CELLS", "POLYGONS"),
-                 "expected a CELLS section")]:
+                 "expected a CELLS section"),
+                (edited(points + 1, "nan 0.5 0"), "non-positive area nan"),
+                (edited(bedges + 1, "99999 1 0"),
+                 r"boundary_edges index outside \[0, "),
+                (edited(cells + 1, "3 99999 1 2"),
+                 r"triangles index outside \[0, "),
+                (edited(cells + 1, "4 0 1 2 3"), "malformed VTK file"),
+                (edited(points + 1, "0.5 0.5"), "malformed VTK file"),
+                (edited(points, "POINTS x double"), "malformed VTK file"),
+                (edited(points + 1, "abc 0.5 0"), "malformed VTK file")]:
             path.write_text(text + "\n")
             with pytest.raises(MeshError, match=message):
                 vtkio.read_vtk(path)
@@ -80,7 +97,6 @@ alpha = 1e-5
 [schedule]
 max_iters = 7
 n_gradient_iters = 3
-line_search = backtracking
 [mesh]
 h = 0.1
 shape = ellipse 0.5 0.5 0.25 0.125
@@ -92,7 +108,6 @@ emit_vtk = false
 """)
         assert rc.problem.alpha == 1e-5
         assert rc.schedule.max_iters == 7
-        assert rc.schedule.line_search == "backtracking"
         assert rc.mesh_h == 0.1
         assert rc.parse_shape().perimeter() > 0
         assert rc.target_h == 0.08
@@ -110,7 +125,8 @@ emit_vtk = false
             parse_config("[problem]\nbogus = 1\n")
         with pytest.raises(ValueError, match="unknown config section"):
             parse_config("[solver]\n")
-        for key in ("project_warmup", "newton_fallback", "residual_norm"):
+        for key in ("project_warmup", "newton_fallback", "residual_norm",
+                    "line_search"):
             with pytest.raises(ValueError,
                                match=f"unknown schedule key '{key}'"):
                 parse_config(f"[schedule]\n{key} = 1\n")
@@ -189,26 +205,6 @@ class TestCommands:
         assert float(rows[-1][1]) < float(rows[0][1])
         mesh, scalars, _ = vtkio.read_vtk(tmp_path / "final_mesh.vtk")
         assert set(scalars) == {"u", "lambda", "z"}
-
-    def test_optimize_backtracking_gradient_steps(self, tmp_path, capsys):
-        """`schedule.line_search = backtracking` reaches the warm-up of
-        `optimize`: each gradient step is gradient_step / 2^m."""
-        rcode = cli.main([
-            "-s", f"output.output_dir={tmp_path}",
-            "-s", "mesh.h=0.1", "-s", "target.h=0.05",
-            "-s", "schedule.n_gradient_iters=2",
-            "-s", "schedule.max_iters=4",
-            "-s", "schedule.line_search=backtracking",
-            "optimize"])
-        assert rcode == 0
-        rows = [ln.split() for ln in
-                (tmp_path / "history.txt").read_text().splitlines()
-                if not ln.startswith("#")]
-        t0 = RunConfig().schedule.gradient_step
-        steps = [float(r[4]) for r in rows if r[5] == "gradient"]
-        assert len(steps) == 2
-        assert all(t in [t0 * 0.5 ** m for m in range(31)] for t in steps)
-        assert float(rows[-1][1]) < float(rows[0][1])
 
     def test_optimize_reuses_saved_target(self, tmp_path, capsys):
         out1 = tmp_path / "t"

@@ -3,10 +3,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from deformopt import driver, fem, kkt, model
-from deformopt.driver import (History, IterationRecord, LineSearchError,
-                              Schedule, line_search, run_two_phase,
-                              steepest_descent)
-from deformopt.fem import VectorField
+from deformopt.driver import (History, IterationRecord, Schedule,
+                              run_two_phase, steepest_descent)
 from deformopt.mesh import InclusionShape, generate_mesh
 from deformopt.model import ProblemConfig
 
@@ -25,8 +23,6 @@ class TestSchedule:
             Schedule(gradient_step=0.0)
         with pytest.raises(ValueError):
             Schedule(n_gradient_iters=10, max_iters=5)
-        with pytest.raises(ValueError):
-            Schedule(line_search="bisection")
         for name in ("max_iters", "n_gradient_iters"):
             with pytest.raises(ValueError, match=f"{name} must be finite "
                                                  "and nonnegative"):
@@ -65,47 +61,7 @@ class TestHistory:
         assert np.array_equal(h.column("objective"), [2.0, 1.0])
 
 
-class TestLineSearch:
-    def test_rejects_ascent_direction(self, coarse):
-        cfg, target, mesh = coarse
-        v = VectorField.zeros(mesh)
-        with pytest.raises(ValueError):
-            line_search(model.OperatorSet(mesh, cfg, 3e-2, 0.5), target, v,
-                        1.0, dj_v=+1.0)
-
-    def test_armijo_decreases_objective(self, coarse):
-        from deformopt import shape_calculus
-        cfg, target, mesh = coarse
-        ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
-        z = model.transfer_target(target, mesh)
-        z_grad = model.target_gradients(target, mesh)
-        u = model.solve_state(ops)
-        lam = model.solve_adjoint(ops, u, z)
-        j0 = model.objective(ops, u, z)
-        d = shape_calculus.assemble_shape_derivative(
-            shape_calculus.element_terms(ops, u, lam, z, z_grad))
-        g = shape_calculus.riesz_gradient(d, ops.metric)
-        v = VectorField(mesh, -g.values)
-        t, (ops_t, u_t, z_t) = line_search(ops, target, v, j0, d.pair(v),
-                                           t0=1.0)
-        assert t > 0
-        j_t = shape_calculus.objective_on_deformed(ops, target, v, t)
-        assert j_t < j0
-        # the returned trial is the iterate at t
-        assert np.array_equal(ops_t.mesh.vertices,
-                              mesh.vertices + t * v.values)
-        assert j_t == model.objective(ops_t, u_t, z_t)
-
-
 class TestSteepestDescent:
-    def test_monotone_decrease_with_backtracking(self, coarse):
-        cfg, target, mesh = coarse
-        sched = Schedule(n_gradient_iters=0, max_iters=5,
-                         line_search="backtracking", gradient_step=0.5)
-        _, hist = steepest_descent(mesh, cfg, target, sched)
-        j = hist.column("objective")
-        assert np.all(np.diff(j) < 0)
-
     def test_stationary_when_started_at_target_shape(self):
         """Starting on the true inclusion with no area penalty, the gradient
         is already tiny and the loop stops without moving much."""
@@ -114,8 +70,7 @@ class TestSteepestDescent:
         target = model.TargetField(target_mesh,
                                    model.solve_state(
                                        model.OperatorSet(target_mesh, cfg)))
-        sched = Schedule(n_gradient_iters=0, max_iters=3,
-                         line_search="backtracking")
+        sched = Schedule(n_gradient_iters=0, max_iters=3)
         final, hist = steepest_descent(target_mesh, cfg, target, sched)
         assert hist.column("objective")[0] < 1e-12
         assert hist.column("grad_norm")[0] < 1e-4
@@ -201,7 +156,7 @@ class TestReducedStepConsumers:
 
 def fold_first(monkeypatch, n_folds):
     """Make the first `n_folds` invertibility checks report a folded mesh
-    (all of them with n_folds=None); `line_search` sees the same checks."""
+    (all of them with n_folds=None)."""
     real = driver.check_invertibility
     calls = []
 
@@ -259,43 +214,6 @@ class TestTypedOutcomes:
                                   "invertibility"]
             assert hist.records[0].step == 0.125
             assert hist.records[0].invertibility_margin > 0
-
-    def test_line_search_failure_aborts(self, coarse, monkeypatch):
-        cfg, target, mesh = coarse
-        fold_first(monkeypatch, None)
-        sched = Schedule(n_gradient_iters=2, max_iters=4,
-                         line_search="backtracking")
-        for run in (run_two_phase, steepest_descent):
-            _, hist = run(mesh, cfg, target, sched)
-            assert hist.notes == ["aborted at iteration 0: no admissible "
-                                  f"step after {driver.MAX_HALVINGS} halvings"]
-            assert [r.step for r in hist.records] == [0.0]
-
-    def test_non_descent_direction_aborts(self, coarse, monkeypatch):
-        cfg, target, mesh = coarse
-
-        def not_descent(*args, **kwargs):
-            raise ValueError("not a descent direction: dJ[V] = 1.000e+00")
-
-        monkeypatch.setattr(driver, "line_search", not_descent)
-        sched = Schedule(n_gradient_iters=0, max_iters=3,
-                         line_search="backtracking")
-        _, hist = steepest_descent(mesh, cfg, target, sched)
-        assert hist.notes == ["aborted at iteration 0: not a descent "
-                              "direction: dJ[V] = 1.000e+00"]
-        assert len(hist.records) == 1
-
-    def test_backtracking_gradient_steps_in_two_phase(self, coarse):
-        """`line_search` applies to the warm-up of `run_two_phase`: from an
-        oversized initial step, Armijo halves to a decreasing objective."""
-        cfg, target, mesh = coarse
-        sched = Schedule(n_gradient_iters=3, max_iters=3, gradient_step=8.0,
-                         line_search="backtracking")
-        _, hist = run_two_phase(mesh, cfg, target, sched)
-        steps = hist.column("step")[:-1]
-        assert np.all(steps < 8.0)
-        assert all(np.log2(8.0 / t).is_integer() for t in steps)
-        assert np.all(np.diff(hist.column("objective")) < 0)
 
 
 class TestOneLoop:
@@ -365,15 +283,13 @@ class TestOneOperatorSetPerIterate:
         assert len(splu) <= 3 * rows
         assert len(locate) == rows
 
-    def test_accepted_armijo_trial_is_the_next_iterate(self, coarse,
-                                                       monkeypatch):
-        """The next iteration takes the accepted trial's state and target
-        values: one state solve and one transfer per row, not two."""
+    def test_one_state_solve_and_transfer_per_row(self, coarse,
+                                                  monkeypatch):
+        """Each projected iterate solves the state and transfers z once."""
         cfg, target, mesh = coarse
         solves = count_calls(monkeypatch, model, "solve_state")
         transfers = count_calls(monkeypatch, model, "transfer_target")
-        sched = Schedule(n_gradient_iters=5, max_iters=5,
-                         line_search="backtracking")
+        sched = Schedule(n_gradient_iters=5, max_iters=5)
         _, hist = steepest_descent(mesh, cfg, target, sched)
         assert len(hist.records) == 6 and not hist.notes
         assert hist.column("step")[:-1].tolist() == [0.4] * 5

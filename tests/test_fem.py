@@ -14,7 +14,8 @@ from deformopt.fem import (FemError, ScalarField, SingularSystemError,
                            integrate_p1_product, vector_dofs, with_constraints)
 from deformopt.mesh import (REGION_EXTERIOR, REGION_INCLUSION, InclusionShape,
                             apply_deformation, generate_mesh)
-from kkt_reference import saddle_constrained_dofs, saddle_matrix, scatter
+from kkt_reference import (metric_matrix, saddle_constrained_dofs,
+                           saddle_matrix, scatter)
 
 
 @pytest.fixture(scope="module")
@@ -209,12 +210,17 @@ class TestVectorMetric:
     """b = I2 (x) B against the 2n assembly and solve it replaced."""
 
     def test_matrix_equals_padded_assembly(self, mesh):
-        got = assemble_vector_h1_form(mesh, 3e-2, 0.5).matrix
-        want = padded_vector_form(mesh, 3e-2, 0.5)
-        want.eliminate_zeros()          # the padding's x-y zeros
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        np.testing.assert_array_max_ulp(got.data, want.data, maxulp=4)
+        """`metric @ x` on a 2n vector is kron(B, I2) @ x bit for bit, and
+        the padded 2n assembly's product up to its entries' rounding."""
+        metric = assemble_vector_h1_form(mesh, 3e-2, 0.5)
+        x = np.random.default_rng(4).standard_normal(2 * mesh.num_vertices)
+        got = metric @ x
+        assert got.shape == x.shape
+        assert np.array_equal(got, metric_matrix(metric) @ x)
+        padded = padded_vector_form(mesh, 3e-2, 0.5)
+        bound = 8 * np.finfo(float).eps * (abs(padded) @ np.abs(x))
+        assert np.all(np.abs(got - padded @ x) <= bound)
+        assert metric.energy(x) == float(x @ got)
 
     @pytest.mark.parametrize("h", [0.05, 0.02])
     def test_block_solve_equals_2n_solve(self, h):
@@ -314,7 +320,7 @@ class TestDirichletElimination:
 
     def test_deformation_metric(self, mesh):
         op = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
-        self.assert_same_csr(op.matrix, op.constrained)
+        self.assert_same_csr(metric_matrix(op), op.constrained)
 
     def test_no_constraints(self, mesh):
         op = assemble_mass(mesh)

@@ -171,6 +171,16 @@ class TestDeformation:
         assert info["folded_triangles"].size > 0
         with pytest.raises(NonInvertibleDeformation):
             apply_deformation(mesh, v, 1.0)
+        # a NaN at one interior vertex folds its triangles: NaN <= 0 is False
+        nan = np.zeros((mesh.num_vertices, 2))
+        inner = np.setdiff1d(np.arange(mesh.num_vertices),
+                             mesh.boundary_vertices)[0]
+        nan[inner] = (np.nan, 0.0)
+        ok, info = check_invertibility(mesh, nan, 1.0)
+        assert not ok
+        assert info["folded_triangles"].size > 0
+        with pytest.raises(NonInvertibleDeformation):
+            apply_deformation(mesh, nan, 1.0)
 
     def test_boundary_motion_rejected(self, mesh):
         vals = np.zeros((mesh.num_vertices, 2))

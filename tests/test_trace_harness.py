@@ -30,6 +30,9 @@ def test_warmup_trace_is_correct_with_one_operator_set_per_row():
     # the metric is factorized as its scalar block, not at 2n
     assert metrics["fem.factor_max_dofs"] == 495
     assert metrics["model.locate_calls"] == 21
+    # per row (84): the state, the adjoint, and the residual column's b
+    # solve and one two-column M solve; per step (60): two K and one b
+    assert metrics["fem.solve_constrained_calls"] == 144
     # the wrapped derivative layers still run once per row (the gradient)
     # or per step (the blocks), though they now share one set of element
     # terms, which no wrapper sees
