@@ -7,8 +7,9 @@ system is solved (V is the b-Riesz gradient) and the fixed step
 on the full system, which fall back to the gradient rule on the same
 system when that solve fails.  Steps are halved until the mesh stays
 invertible, and a failed step ends the run with an `aborted` note.
-Each iterate builds one `model.OperatorSet` and one set of element terms,
-which the gradient and the KKT system read.
+Each iterate builds one `model.OperatorSet`, on the run's one set of CSR
+patterns, and one set of element terms, which the gradient and the KKT
+system read.
 """
 
 from __future__ import annotations
@@ -114,17 +115,23 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
     n_gradient = sched.n_gradient_iters if _newton else sched.max_iters + 1
     mesh = mesh0
     history = History()
+    # every iterate keeps mesh0's triangles: one set of CSR patterns serves
+    # all of them, and dies with the run
+    patterns = fem.ScatterPatterns(mesh0)
     for k in range(sched.max_iters + 1):
-        ops = model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2)
+        ops = model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2, patterns)
         z = model.transfer_target(target, mesh)
         z_grad = model.target_gradients(target, mesh)
         mode = "newton" if k >= n_gradient else "gradient"
+        mass_w = None       # M (u - z), shared where the adjoint is solved
         # project through the switch iteration so Newton starts feasible
         if k <= n_gradient:
             u = model.solve_state(ops)
-            lam = model.solve_adjoint(ops, u, z)
+            mass_w = model.mass_misfit(ops, u, z)
+            lam = model.solve_adjoint(ops, u, z, mass_w)
         j0 = model.objective(ops, u, z)
-        terms = shape_calculus.element_terms(ops, u, lam, z, z_grad)
+        terms = shape_calculus.element_terms(ops, u, lam, z, z_grad,
+                                             mass_w=mass_w)
         gradient = kkt.lagrangian_gradient(terms)
         t = 0.0
         if k < sched.max_iters:

@@ -2,9 +2,9 @@
 
 Nodal fields, exact element quadrature, assembly of the scalar stiffness,
 mass and vector H1 forms, and sparse solves with symmetric Dirichlet
-elimination.  All integrands appearing in this project are elementwise
-polynomials of degree <= 2, which the three-midpoint rule integrates
-exactly; a degree-4 rule is kept for headroom.
+elimination.  Products of P1 fields are integrated by a degree-4 rule,
+exact up to products of four fields.  Assembly fills CSR patterns built
+once per triangle array (`ScatterPatterns`).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from .mesh import Mesh, signed_areas
 
@@ -130,12 +131,6 @@ def divergence(v: VectorField):
     """Per-element divergence of a P1 vector field, (ne,)."""
     jac = elem_jacobian(v)
     return jac[:, 0, 0] + jac[:, 1, 1]
-
-
-def integrate(mesh: Mesh, per_element):
-    """Integrate elementwise-constant data over the mesh."""
-    geo = geometry(mesh)
-    return float(np.dot(geo.areas, np.asarray(per_element, dtype=float)))
 
 
 # Quadrature on the reference triangle, exact for polynomials of degree 4.
@@ -271,76 +266,165 @@ def apply_dirichlet(matrix, constrained):
     """CSR copy of `matrix` with identity rows and columns at the
     constrained dofs (symmetric Dirichlet elimination).
 
-    Stored entries in a constrained row or column are zeroed through a mask
-    on the canonical CSR arrays and dropped by `eliminate_zeros`; then the
-    identity on the constrained diagonal is added.  This gives the same
-    `indptr`, `indices` and `data`, bit for bit, as zeroing those rows and
-    columns in a LIL copy: both remove exactly the entries of constrained
-    rows and columns, touch no other value, and end with the same `+ diag`,
-    whose CSR addition sorts indices and drops zero sums.
+    Of the canonical CSR entries it keeps, by numpy masks, those outside
+    every constrained row and column that are not exactly zero, and gives
+    each constrained row its diagonal alone.  This gives the same `indptr`,
+    `indices` and `data`, bit for bit, as zeroing those rows and columns in
+    a LIL copy and adding the identity on the constrained diagonal, whose
+    CSR addition sorts indices and drops zero sums.  Dropping the stored
+    zeros matters: they would change SuperLU's ordering.
     """
     if len(constrained) == 0:
         return matrix.tocsr()
-    mat = matrix.tocsr(copy=True)
-    mat.sum_duplicates()
-    is_c = np.zeros(matrix.shape[0], dtype=bool)
-    is_c[constrained] = True
-    rows = np.repeat(is_c, np.diff(mat.indptr))
-    mat.data[rows | is_c[mat.indices]] = 0.0
-    mat.eliminate_zeros()
-    diag = sp.coo_matrix(
-        (np.ones(len(constrained)), (constrained, constrained)),
-        shape=matrix.shape)
-    return (mat + diag.tocsr()).tocsr()
+    mat = matrix.tocsr()
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    n = mat.shape[0]
+    # the constrained diagonal: 1, or 2 for a dof listed twice, as the
+    # duplicate-summing identity of the LIL path gave
+    listed = np.bincount(constrained, minlength=n)
+    is_c = listed > 0
+    keep = mat.data != 0
+    keep &= ~is_c[mat.indices]
+    keep &= ~np.repeat(is_c, np.diff(mat.indptr))
+    kept = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+    indptr = np.zeros(n + 1, dtype=mat.indptr.dtype)
+    np.cumsum(np.diff(kept) + is_c, out=indptr[1:])
+    # a constrained row holds its diagonal only: the first slot of the row
+    diag = np.flatnonzero(is_c)
+    on_diag = np.zeros(indptr[-1], dtype=bool)
+    on_diag[indptr[diag]] = True
+    indices = np.empty(indptr[-1], dtype=mat.indices.dtype)
+    data = np.empty(indptr[-1])
+    indices[on_diag], data[on_diag] = diag, listed[diag]
+    indices[~on_diag], data[~on_diag] = mat.indices[keep], mat.data[keep]
+    return sp.csr_matrix((data, indices, indptr), shape=mat.shape)
 
 
-def _scatter(mesh, local, row_dofs=None, col_dofs=None):
+@dataclass(frozen=True)
+class _CsrPattern:
+    """Where each entry of an (ne, r, c) local array goes in one CSR matrix:
+    CSR entry `slot[q]` sums local entry `order[q]`, for q in order."""
+
+    order: np.ndarray
+    slot: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+
+def _build_pattern(row_dofs, col_dofs, shape) -> _CsrPattern:
+    """The CSR pattern of scattering onto `row_dofs` x `col_dofs`.
+
+    It runs scipy's own COO-to-CSR conversion, and its index sort unless
+    every row is sorted already, on the COO entry numbers: `order` is then
+    the order in which `tocsr` sums the entries of each CSR slot.
+    """
+    r, c = row_dofs.shape[1], col_dofs.shape[1]
+    rows = np.repeat(row_dofs.astype(np.int32), c, axis=1).reshape(-1)
+    cols = np.tile(col_dofs.astype(np.int32), (1, r)).reshape(-1)
+    nnz = rows.size
+    indptr = np.empty(shape[0] + 1, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    order = np.empty(nnz, dtype=np.int32)
+    _sparsetools.coo_tocsr(shape[0], shape[1], nnz, rows, cols,
+                           np.arange(nnz, dtype=np.int32), indptr, indices,
+                           order)
+    if not _sparsetools.csr_has_sorted_indices(shape[0], indptr, indices):
+        _sparsetools.csr_sort_indices(shape[0], indptr, indices, order)
+    # a slot starts at each row start and at each change of column
+    starts = np.ones(nnz, dtype=bool)
+    starts[1:] = indices[1:] != indices[:-1]
+    starts[indptr[:-1][indptr[:-1] < nnz]] = True
+    first = np.flatnonzero(starts)
+    parts = [order, np.cumsum(starts, dtype=np.int32) - 1, indices[first],
+             np.searchsorted(first, indptr).astype(np.int32)]
+    # one read-only buffer: a run keeps its patterns through every iterate,
+    # and four arrays per pattern left holes in the heap that raised the
+    # `newton` benchmark's peak RSS by 5 % (1 % with one buffer)
+    buf = np.concatenate(parts)
+    buf.setflags(write=False)
+    return _CsrPattern(*np.split(buf, np.cumsum([p.size for p in parts[:-1]])),
+                       shape)
+
+
+class ScatterPatterns:
+    """The CSR patterns of the scatters on one triangle array.
+
+    The connectivity of an iterate never changes (`Mesh.with_vertices`
+    keeps the triangle array), so each kind of scatter builds its pattern
+    once, on first use, and every later assembly on a mesh with these
+    triangles (the same array, not an equal one) only sums its local
+    entries into it.  The kinds are the dofs per vertex of the rows and of
+    the columns: (1, 1) for K, M and the metric block, (1, 2) for
+    L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega.  The patterns
+    hold no mesh, so that a run can own one object for all its iterates
+    and drop it when it returns.  Each matrix gets its own copy of the
+    index arrays, so it may be changed in place.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.triangles = mesh.triangles
+        self.num_vertices = mesh.num_vertices
+        self._patterns = {}
+
+    def scatter(self, mesh, local):
+        """Assemble (ne, r, c) local matrices into a global CSR matrix."""
+        if mesh.triangles is not self.triangles:
+            raise FemError("the mesh has other triangles than the patterns")
+        kind = (local.shape[1] // 3, local.shape[2] // 3)
+        pattern = self._patterns.get(kind)
+        if pattern is None:
+            dofs = {1: self.triangles, 2: vector_dofs(self.triangles)}
+            pattern = self._patterns[kind] = _build_pattern(
+                dofs[kind[0]], dofs[kind[1]],
+                (self.num_vertices * kind[0], self.num_vertices * kind[1]))
+        data = np.bincount(pattern.slot, minlength=pattern.indices.size,
+                           weights=local.reshape(-1)[pattern.order])
+        return sp.csr_matrix(
+            (data, pattern.indices.copy(), pattern.indptr.copy()),
+            shape=pattern.shape)
+
+
+def _scatter(mesh, local, patterns=None):
     """Assemble (ne, r, c) local matrices into a global CSR matrix.
 
-    `row_dofs` (ne, r) and `col_dofs` (ne, c) map each element's local
-    rows and columns to global dofs: `mesh.triangles` (the default, one dof
-    per vertex) or `vector_dofs(mesh.triangles)` (two).  `col_dofs`
-    defaults to `row_dofs`.
+    Each element's local rows and columns map to the dofs of its vertices:
+    r = 3 (one dof per vertex) or 6 (two, interleaved as `vector_dofs`),
+    and c likewise.  The pattern comes from `patterns`, or from a fresh
+    `ScatterPatterns` of the mesh.  The result equals `coo_matrix.tocsr()`
+    bit for bit: `np.bincount` sums each slot's entries in `tocsr`'s order,
+    one after the other, as `csr_sum_duplicates` does.  The one exception
+    is a slot whose every entry is -0.0, which sums to +0.0.
     """
-    row_dofs = mesh.triangles if row_dofs is None else row_dofs
-    col_dofs = row_dofs if col_dofs is None else col_dofs
-    r, c = row_dofs.shape[1], col_dofs.shape[1]
-    rows = np.repeat(row_dofs, c, axis=1).reshape(-1)
-    cols = np.tile(col_dofs, (1, r)).reshape(-1)
-    shape = (mesh.num_vertices * r // 3, mesh.num_vertices * c // 3)
-    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=shape)
-    return mat.tocsr()
+    patterns = ScatterPatterns(mesh) if patterns is None else patterns
+    return patterns.scatter(mesh, local)
 
 
-def assemble_scalar_laplace(mesh: Mesh, mu) -> SparseOperator:
+def assemble_scalar_laplace(mesh: Mesh, mu, patterns=None) -> SparseOperator:
     """Stiffness matrix of the form (w, v) -> int mu <grad w, grad v>.
 
-    `mu` maps region tag to a positive conductivity, or is an (ne,) array.
+    `mu` is a positive conductivity, one for all elements or (ne,) per
+    element.
     """
-    mu_e = _mu_per_element(mesh, mu)
+    mu_e = np.broadcast_to(np.asarray(mu, dtype=float), (mesh.num_triangles,))
     if np.any(mu_e <= 0):
         raise FemError("conductivity must be positive")
     geo = geometry(mesh)
     local = np.einsum("e,eia,eja->eij", mu_e * geo.areas, geo.grads, geo.grads)
-    return SparseOperator(_scatter(mesh, local), np.array([], dtype=np.int64))
-
-
-def _mu_per_element(mesh, mu):
-    if isinstance(mu, dict):
-        return np.array([mu[r] for r in mesh.region], dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim == 0:
-        return np.full(mesh.num_triangles, float(mu))
-    return mu
-
-
-def assemble_mass(mesh: Mesh) -> SparseOperator:
-    geo = geometry(mesh)
-    return SparseOperator(_scatter(mesh, geo.local_mass),
+    return SparseOperator(_scatter(mesh, local, patterns),
                           np.array([], dtype=np.int64))
 
 
-def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float) -> VectorOperator:
+def assemble_mass(mesh: Mesh, patterns=None) -> SparseOperator:
+    geo = geometry(mesh)
+    return SparseOperator(_scatter(mesh, geo.local_mass, patterns),
+                          np.array([], dtype=np.int64))
+
+
+def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float,
+                            patterns=None) -> VectorOperator:
     """Deformation metric b(W, V) = int eps1 (<W,V> + eps2 <DW,DV>_F).
 
     Serves both as the Riesz metric for the shape gradient and as the
@@ -354,7 +438,7 @@ def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float) -> VectorOpera
         raise FemError("eps2 must be nonnegative")
     geo = geometry(mesh)
     kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
-    block = _scatter(mesh, eps1 * (geo.local_mass + eps2 * kloc))
+    block = _scatter(mesh, eps1 * (geo.local_mass + eps2 * kloc), patterns)
     return VectorOperator(SparseOperator(block, np.array([], dtype=np.int64)))
 
 

@@ -37,7 +37,8 @@ class HessianBlocks:
 
     `b_u_shape` (L_uOmega) and `shape_shape` (L_OmegaOmega) are assembled
     on first access from the element terms: the reduced (warm-up) step
-    drops both, so it never pays for the five-index L_OmegaOmega einsums.
+    drops both, so it never pays for the 36 entries per element of
+    L_OmegaOmega.
     """
 
     terms: shape_calculus.ElementTerms
@@ -59,9 +60,8 @@ class HessianBlocks:
         b_u -= t.muA[:, None, None, None] * (
             np.einsum("eib,ej->eijb", t.G, t.Ggl)
             + np.einsum("eij,eb->eijb", t.gg, t.gl))
-        tris = self.ops.mesh.triangles
-        return fem._scatter(self.ops.mesh, b_u.reshape(-1, 3, 6), tris,
-                            fem.vector_dofs(tris))
+        return fem._scatter(self.ops.mesh, b_u.reshape(-1, 3, 6),
+                            self.ops.patterns)
 
     @cached_property
     def shape_shape(self):
@@ -70,27 +70,37 @@ class HessianBlocks:
         S holds the three self-symmetric terms (c_div G G, the trace term
         and Mloc gz gz); the other twelve terms form six transpose pairs, of
         which T holds one member each.  The block is symmetric by
-        construction.
+        construction.  Each term is a product over the axes (e, i, a, j, b)
+        with nothing summed, formed by broadcasting its factors left to
+        right: the rounding of the five-index einsums it replaced.
         """
         t = self.terms
-        G, Mw, gz, muA, gu, gl = t.G, t.Mw, t.gz, t.muA, t.gu, t.gl
-        Ggu, Ggl, gg = t.Ggu, t.Ggl, t.gg
-        cc = np.einsum("e,eia,ejb->eiajb", t.c_div, G, G)
-        cc -= self.tr_sign * np.einsum("e,eib,eja->eiajb", t.c_div, G, G)
-        cc += np.einsum("eij,eia,ejb->eiajb", t.Mloc, gz, gz)
+        c = t.c_div[:, None, None, None, None]
+        muA = t.muA[:, None, None, None, None]
+        G_ia, G_jb = t.G[:, :, :, None, None], t.G[:, None, None, :, :]
+        G_ib = t.G[:, :, None, None, :]
+        G_ja = t.G.transpose(0, 2, 1)[:, None, :, :, None]
+        gz_ia, gz_jb = t.gz[:, :, :, None, None], t.gz[:, None, None, :, :]
+        gu_a, gu_b = t.gu[:, None, :, None, None], t.gu[:, None, None, None, :]
+        gl_a, gl_b = t.gl[:, None, :, None, None], t.gl[:, None, None, None, :]
+        Ggu_j = t.Ggu[:, None, None, :, None]
+        Ggl_j = t.Ggl[:, None, None, :, None]
+        cc = c * G_ia * G_jb
+        cc -= self.tr_sign * (c * G_ib * G_ja)
+        cc += t.Mloc[:, :, None, :, None] * gz_ia * gz_jb
         # z material-derivative coupling
-        half = -np.einsum("eia,ej,ejb->eiajb", G, Mw, gz)
+        half = -(G_ia * t.Mw[:, None, None, :, None] * gz_jb)
         # remaining transport terms of mu grad u . grad lam
-        half += np.einsum("e,ea,eib,ej->eiajb", muA, gu, G, Ggl)
-        half += np.einsum("e,ea,eij,eb->eiajb", muA, gu, gg, gl)
-        half += np.einsum("e,ea,eib,ej->eiajb", muA, gl, G, Ggu)
+        half += muA * gu_a * G_ib * Ggl_j
+        half += muA * gu_a * t.gg[:, :, None, :, None] * gl_b
+        half += muA * gl_a * G_ib * Ggu_j
         # divergence-times-transport cross terms
-        half -= np.einsum("e,eia,eb,ej->eiajb", muA, G, gu, Ggl)
-        half -= np.einsum("e,eia,ej,eb->eiajb", muA, G, Ggu, gl)
+        half -= muA * G_ia * gu_b * Ggl_j
+        half -= muA * G_ia * Ggu_j * gl_b
         cc += half
         cc += half.transpose(0, 3, 4, 1, 2)
         return fem._scatter(self.ops.mesh, cc.reshape(-1, 6, 6),
-                            fem.vector_dofs(self.ops.mesh.triangles))
+                            self.ops.patterns)
 
     def eliminate(self, v, r_u, r_lam):
         """State and adjoint directions (du, dlambda) for deformation v,
@@ -150,9 +160,7 @@ def assemble_hessian_blocks(terms: shape_calculus.ElementTerms,
     b_lam -= t.muA[:, None, None, None] * (
         np.einsum("eij,eb->eijb", t.gg, t.gu)
         + np.einsum("eib,ej->eijb", t.G, t.Ggu))
-    tris = t.ops.mesh.triangles
-    b_lam = fem._scatter(t.ops.mesh, b_lam.reshape(-1, 3, 6), tris,
-                         fem.vector_dofs(tris))
+    b_lam = fem._scatter(t.ops.mesh, b_lam.reshape(-1, 3, 6), t.ops.patterns)
     return HessianBlocks(terms, b_lam, -1.0 if flip_tr_term else 1.0)
 
 

@@ -71,7 +71,14 @@ class _PointLocator:
 
     The buckets are CSR arrays: bucket ``i * nx + j`` (cell column i, row j)
     lists, in ascending order, every element whose bounding box meets it.
+    Each element also keeps that box widened by `BOX_MARGIN`: a point whose
+    barycentrics are all >= -1e-12 lies far inside it, so barycentrics are
+    solved only for the bucket candidates whose widened box holds the
+    point.  That changes neither the first hit nor its barycentrics; a point
+    in no candidate still has every candidate solved for its clamp.
     """
+
+    BOX_MARGIN = 1e-9
 
     def __init__(self, mesh: Mesh):
         pts = mesh.vertices[mesh.triangles]
@@ -89,6 +96,8 @@ class _PointLocator:
         self.bucket_elems = elems[np.argsort(keys, kind="stable")]
         self.bucket_ptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys, minlength=self.nx ** 2))])
+        self.box_lo = lo - self.BOX_MARGIN
+        self.box_hi = hi + self.BOX_MARGIN
         # element e maps (s, t) to origin[e] + affine[e] @ (s, t)
         self.origin = pts[:, 0]
         self.affine = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]],
@@ -115,13 +124,17 @@ class _PointLocator:
         owner, k = _expand(self.bucket_ptr[key + 1] - start)
         # every (point, bucket candidate) pair, by point, in bucket order
         cand = self.bucket_elems[start[owner] + k]
-        lam = self._bary(cand, points[owner])
-        lmin = lam.min(axis=1)
+        xy = points[owner]
+        boxed = np.flatnonzero(((self.box_lo[cand] <= xy)
+                                & (xy <= self.box_hi[cand])).all(axis=1))
+        lam = self._bary(cand[boxed], xy[boxed])
+        first = _first_per_owner(owner[boxed],
+                                 np.flatnonzero(lam.min(axis=1) >= -tol))
+        hit = boxed[first]
         elements = np.full(len(points), -1)
         bary = np.empty((len(points), 3))
-        hit = _first_per_owner(owner, np.flatnonzero(lmin >= -tol))
         elements[owner[hit]] = cand[hit]
-        bary[owner[hit]] = np.clip(lam[hit], 0.0, None)
+        bary[owner[hit]] = np.clip(lam[first], 0.0, None)
         miss = np.flatnonzero(elements < 0)
         if miss.size == 0:
             return Located(elements, bary)
@@ -133,8 +146,11 @@ class _PointLocator:
         e = np.asarray(near, dtype=np.int64)
         lam_m = self._bary(e, points[miss])
         pairs = np.flatnonzero(elements[owner] < 0)
-        pairs = pairs[np.lexsort((pairs, -lmin[pairs], owner[pairs]))]
-        best = _first_per_owner(owner, pairs)
+        owner, cand = owner[pairs], cand[pairs]
+        lam = self._bary(cand, xy[pairs])
+        lmin = lam.min(axis=1)
+        best = _first_per_owner(
+            owner, np.lexsort((np.arange(len(owner)), -lmin, owner)))
         at = np.searchsorted(miss, owner[best])
         better = lmin[best] > lam_m[at].min(axis=1)
         e[at[better]] = cand[best[better]]
@@ -234,20 +250,29 @@ class OperatorSet:
     on the state's Dirichlet nodes, b of (eps1, eps2) on the outer boundary
     (a FemError for a set built without eps1 and eps2).  Each is assembled
     on first use and holds the factorization of its first constrained
-    solve: build one set per iterate and drop it with the iterate."""
+    solve: build one set per iterate and drop it with the iterate.
 
-    def __init__(self, mesh: Mesh, cfg: ProblemConfig, eps1=None, eps2=None):
+    Every matrix of the iterate, the Hessian blocks included, fills the CSR
+    patterns of `patterns`.  A run hands the sets of all its iterates the
+    one `fem.ScatterPatterns` of its start mesh, so each pattern is built
+    once per run; a set built without one makes its own."""
+
+    def __init__(self, mesh: Mesh, cfg: ProblemConfig, eps1=None, eps2=None,
+                 patterns=None):
         self.mesh, self.cfg, self.eps1, self.eps2 = mesh, cfg, eps1, eps2
+        self.patterns = fem.ScatterPatterns(mesh) if patterns is None \
+            else patterns
         self.dirichlet_nodes, self.dirichlet_values = state_dirichlet(mesh)
 
     @cached_property
     def state(self) -> SparseOperator:
-        op = fem.assemble_scalar_laplace(self.mesh, self.cfg.mu(self.mesh))
+        op = fem.assemble_scalar_laplace(self.mesh, self.cfg.mu(self.mesh),
+                                         self.patterns)
         return fem.with_constraints(op, self.dirichlet_nodes)
 
     @cached_property
     def mass(self) -> SparseOperator:
-        return fem.with_constraints(fem.assemble_mass(self.mesh),
+        return fem.with_constraints(fem.assemble_mass(self.mesh, self.patterns),
                                     self.dirichlet_nodes)
 
     @cached_property
@@ -256,7 +281,8 @@ class OperatorSet:
             raise fem.FemError("this operator set has no metric b: it was "
                                "built without eps1 and eps2")
         from .shape_calculus import deformation_metric   # it imports model
-        return deformation_metric(self.mesh, self.eps1, self.eps2)
+        return deformation_metric(self.mesh, self.eps1, self.eps2,
+                                  self.patterns)
 
 
 def solve_state(ops: OperatorSet) -> ScalarField:
@@ -266,11 +292,20 @@ def solve_state(ops: OperatorSet) -> ScalarField:
     return ScalarField(ops.mesh, u)
 
 
-def solve_adjoint(ops: OperatorSet, u: ScalarField,
-                  z_on_m: ScalarField) -> ScalarField:
-    """Adjoint potential driven by the data misfit, zero on bottom and top."""
-    rhs = -(ops.mass.matrix @ (u.values - z_on_m.values))
-    return ScalarField(ops.mesh, ops.state.solve_constrained(rhs))
+def mass_misfit(ops: OperatorSet, u: ScalarField,
+                z_on_m: ScalarField) -> np.ndarray:
+    """M (u - z): the adjoint's load, and the misfit of the element terms."""
+    return ops.mass.matrix @ (u.values - z_on_m.values)
+
+
+def solve_adjoint(ops: OperatorSet, u: ScalarField, z_on_m: ScalarField,
+                  mass_w=None) -> ScalarField:
+    """Adjoint potential driven by the data misfit, zero on bottom and top.
+
+    `mass_w` is `mass_misfit(ops, u, z_on_m)`, when the caller has it."""
+    if mass_w is None:
+        mass_w = mass_misfit(ops, u, z_on_m)
+    return ScalarField(ops.mesh, ops.state.solve_constrained(-mass_w))
 
 
 def inclusion_area(mesh: Mesh):

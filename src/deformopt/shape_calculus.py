@@ -64,14 +64,15 @@ class ElementTerms:
 
 
 def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
-                  z_on_m: ScalarField, z_grad,
-                  alpha_whole_domain=False) -> ElementTerms:
+                  z_on_m: ScalarField, z_grad, alpha_whole_domain=False,
+                  mass_w=None) -> ElementTerms:
     """The element terms of the Lagrangian at (u, lam) on `ops`.
 
     `z_grad` holds the background gradient of z at each vertex; it feeds
     the material derivative of the fixed field z.  The regularization term
     differentiates over the inclusion only; `alpha_whole_domain` is a
-    negative-control switch spreading it over the whole domain.
+    negative-control switch spreading it over the whole domain.  `mass_w`
+    is `model.mass_misfit(ops, u, z_on_m)`, when the caller has it.
     """
     mesh, cfg = ops.mesh, ops.cfg
     for f in (u, lam, z_on_m):
@@ -92,8 +93,10 @@ def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
         else (mesh.region == REGION_INCLUSION).astype(float)
     c_div = half_w2 + geo.areas * (mu_e * np.einsum("ed,ed->e", gu, gl)
                                    + 0.5 * cfg.alpha * chi)
+    if mass_w is None:
+        mass_w = model.mass_misfit(ops, u, z_on_m)
     return ElementTerms(
-        ops, u, lam, z_grad, ops.mass.matrix @ w, z_grad[mesh.triangles],
+        ops, u, lam, z_grad, mass_w, z_grad[mesh.triangles],
         G, Mloc, np.einsum("eid,ejd->eij", G, G),
         np.einsum("eij,ej->ei", Mloc, wloc), gu, gl,
         np.einsum("eid,ed->ei", G, gu), np.einsum("eid,ed->ei", G, gl),
@@ -124,13 +127,15 @@ def assemble_shape_derivative(t: ElementTerms) -> ShapeGradientFunctional:
     return ShapeGradientFunctional(mesh, flat)
 
 
-def deformation_metric(mesh: Mesh, eps1: float, eps2: float) -> VectorOperator:
+def deformation_metric(mesh: Mesh, eps1: float, eps2: float,
+                       patterns=None) -> VectorOperator:
     """H1-type inner product on deformations, constrained on the boundary.
 
     b = I2 (x) B: only the n x n block B, constrained on the outer-boundary
     vertices, is factorized, and a solve takes both components together.
+    `patterns` are the `fem.ScatterPatterns` to fill, if not fresh ones.
     """
-    op = fem.assemble_vector_h1_form(mesh, eps1, eps2)
+    op = fem.assemble_vector_h1_form(mesh, eps1, eps2, patterns)
     return replace(op, block=fem.with_constraints(op.block,
                                                   mesh.boundary_vertices))
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -294,3 +297,70 @@ class TestOneOperatorSetPerIterate:
         assert len(hist.records) == 6 and not hist.notes
         assert hist.column("step")[:-1].tolist() == [0.4] * 5
         assert len(solves) == len(transfers) == 6
+
+    def test_mass_misfit_once_per_row(self, coarse, monkeypatch):
+        """M (u - z) is formed once per row: on a projected row the adjoint
+        and the element terms share it."""
+        cfg, target, mesh = coarse
+        products = count_calls(monkeypatch, model, "mass_misfit")
+        _, hist = run_two_phase(mesh, cfg, target,
+                                Schedule(n_gradient_iters=3, max_iters=5))
+        assert len(products) == len(hist.records) == 6
+
+
+class TestScatterPatternsPerRun:
+    """One `fem.ScatterPatterns` per run, handed to every iterate."""
+
+    @staticmethod
+    def record_builds(monkeypatch):
+        """The block kind (dofs per vertex of rows and columns) of every
+        pattern built, in the returned list."""
+        real, kinds = fem._build_pattern, []
+
+        def counted(row_dofs, col_dofs, shape):
+            kinds.append((row_dofs.shape[1] // 3, col_dofs.shape[1] // 3))
+            return real(row_dofs, col_dofs, shape)
+
+        monkeypatch.setattr(fem, "_build_pattern", counted)
+        return kinds
+
+    def test_each_kind_built_once_per_run(self, monkeypatch):
+        """The newton benchmark's sizes (h=0.02, target h=0.01, 3 gradient
+        and 2 Newton iterations): K, M, b; L_lambdaOmega, L_uOmega; and
+        L_OmegaOmega each fill one pattern built once, 3 builds in all.
+        A gradient-only run never builds the 6x6 one."""
+        cfg = ProblemConfig()
+        target = model.make_target(cfg, 0.01)
+        mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.02)
+        kinds = self.record_builds(monkeypatch)
+        _, hist = run_two_phase(mesh, cfg, target,
+                                Schedule(n_gradient_iters=3, max_iters=5))
+        assert [r.mode for r in hist.records] == ["gradient"] * 3 \
+            + ["newton"] * 3
+        assert sorted(kinds) == [(1, 1), (1, 2), (2, 2)]
+        kinds.clear()
+        steepest_descent(mesh, cfg, target, Schedule(n_gradient_iters=2,
+                                                     max_iters=2))
+        assert sorted(kinds) == [(1, 1), (1, 2)]
+
+    def test_patterns_die_with_the_run(self, coarse, monkeypatch):
+        """The run makes one pattern object, its iterates make none, and
+        reference counting frees it once `run_two_phase` returns: neither
+        the returned mesh nor the History keeps it."""
+        cfg, target, mesh = coarse
+        made = []
+
+        class Recorded(fem.ScatterPatterns):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(fem, "ScatterPatterns", Recorded)
+        gc.disable()
+        try:
+            _, hist = run_two_phase(
+                mesh, cfg, target, Schedule(n_gradient_iters=2, max_iters=4))
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+        assert [r.mode for r in hist.records][-1] == "newton"

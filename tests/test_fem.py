@@ -12,10 +12,10 @@ from deformopt.fem import (FemError, ScalarField, SingularSystemError,
                            assemble_scalar_laplace, assemble_vector_h1_form,
                            elem_grad, elem_jacobian, divergence,
                            integrate_p1_product, vector_dofs, with_constraints)
-from deformopt.mesh import (REGION_EXTERIOR, REGION_INCLUSION, InclusionShape,
+from deformopt.mesh import (REGION_INCLUSION, InclusionShape,
                             apply_deformation, generate_mesh)
-from kkt_reference import (metric_matrix, saddle_constrained_dofs,
-                           saddle_matrix, scatter)
+from kkt_reference import (metric_matrix, mixed_scatter,
+                           saddle_constrained_dofs, saddle_matrix, scatter)
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,13 @@ def padded_vector_form(mesh, eps1, eps2):
     local[:, 0::2, 0::2] = scalar
     local[:, 1::2, 1::2] = scalar
     return scatter(mesh, local, ndof_per_vertex=2)
+
+
+def assert_same_csr(got, want):
+    """Equal CSR arrays, down to the sign of a zero."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 def reference_dirichlet(matrix, constrained):
@@ -100,8 +107,8 @@ class TestElementCalculus:
         assert np.allclose(divergence(v), 6.0, atol=1e-12)
 
     def test_integrate_constant(self, mesh):
-        assert fem.integrate(mesh, np.ones(mesh.num_triangles)) \
-            == pytest.approx(1.0, abs=1e-12)
+        one = ScalarField.from_callable(mesh, lambda p: np.ones(len(p)))
+        assert integrate_p1_product([one]) == pytest.approx(1.0, abs=1e-12)
 
     def test_integrate_p1_product_quartic(self, mesh):
         # int_[0,1]^2 x^2 y^2 dx dy = 1/9, exact for the degree-4 rule
@@ -154,11 +161,14 @@ class TestAssembly:
         assert a.energy(f.values) == pytest.approx(1.0, rel=1e-12)
 
     def test_stiffness_region_weights(self, mesh):
-        mu = {REGION_INCLUSION: 7.0, REGION_EXTERIOR: 1.0}
-        a1 = assemble_scalar_laplace(mesh, mu)
-        a2 = assemble_scalar_laplace(
-            mesh, np.where(mesh.region == REGION_INCLUSION, 7.0, 1.0))
-        assert abs(a1.matrix - a2.matrix).max() < 1e-14
+        """Per-element conductivities weight each element's energy: for
+        f = x (|grad f| = 1) the energy is the mu-weighted area."""
+        inside = mesh.region == REGION_INCLUSION
+        a = assemble_scalar_laplace(mesh, np.where(inside, 7.0, 1.0))
+        f = ScalarField.from_callable(mesh, lambda x: x[:, 0])
+        area_in = fem.geometry(mesh).areas[inside].sum()
+        assert a.energy(f.values) == pytest.approx(
+            7.0 * area_in + (1.0 - area_in), rel=1e-12)
 
     def test_nonpositive_conductivity_rejected(self, mesh):
         with pytest.raises(FemError):
@@ -192,10 +202,33 @@ class TestAssembly:
                 (assemble_mass(mesh).matrix, geo.local_mass),
                 (assemble_vector_h1_form(mesh, 3e-2, 0.5).block.matrix,
                  3e-2 * (geo.local_mass + 0.5 * kloc))]:
-            want = scatter(mesh, local)
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.array_equal(got.data, want.data)
+            assert_same_csr(got, scatter(mesh, local))
+
+    @pytest.mark.parametrize("block, reference", [
+        ((3, 3), lambda m, local: scatter(m, local)),
+        ((3, 6), mixed_scatter),
+        ((6, 6), lambda m, local: scatter(m, local, ndof_per_vertex=2))],
+        ids=["3x3", "3x6", "6x6"])
+    def test_patterns_fill_deformed_mesh_like_coo(self, mesh, block,
+                                                  reference):
+        """Patterns built on the start mesh, filled on a deformed iterate:
+        the CSR arrays of the COO-to-CSR scatter, for each of the three
+        kinds and each of several fills."""
+        patterns = fem.ScatterPatterns(mesh)
+        rng = np.random.default_rng(sum(block))
+        moved = apply_deformation(
+            mesh, 1e-3 * rng.standard_normal((mesh.num_vertices, 2)), 1.0)
+        for _ in range(2):
+            local = rng.standard_normal((mesh.num_triangles, *block))
+            local[rng.random(local.shape) < 0.1] = 0.0
+            assert_same_csr(fem._scatter(moved, local, patterns),
+                            reference(moved, local))
+
+    def test_patterns_refuse_other_triangles(self, mesh):
+        other = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.15)
+        with pytest.raises(FemError, match="other triangles"):
+            fem._scatter(other, np.zeros((other.num_triangles, 3, 3)),
+                         fem.ScatterPatterns(mesh))
 
     def test_vector_dofs_interleaving(self):
         assert vector_dofs([0, 3]).tolist() == [0, 1, 6, 7]
@@ -297,9 +330,7 @@ class TestDirichletElimination:
     def assert_same_csr(matrix, constrained):
         got = fem.apply_dirichlet(matrix, constrained)
         want = reference_dirichlet(matrix, constrained)
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+        assert_same_csr(got, want)
 
     def test_kkt_matrix(self, mesh):
         cfg = model.ProblemConfig()
@@ -325,3 +356,23 @@ class TestDirichletElimination:
     def test_no_constraints(self, mesh):
         op = assemble_mass(mesh)
         self.assert_same_csr(op.matrix, op.constrained)
+
+    def test_any_csr_matrix(self):
+        """Unsorted and duplicate entries, stored zeros (also ones that only
+        sum to zero), an empty row and a repeated constrained dof."""
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, 40, 400)
+        rows[rows == 7] = 8                       # row 7 stays empty
+        cols = rng.integers(0, 40, 400)
+        data = rng.standard_normal(400)
+        data[:30] = 0.0
+        rows[30:32], cols[30:32], data[30:32] = 3, 5, [1.5, -1.5]
+        order = np.argsort(rows, kind="stable")   # unsorted within rows
+        matrix = sp.csr_matrix(
+            (data[order], cols[order],
+             np.searchsorted(rows[order], np.arange(41))), shape=(40, 40))
+        assert not matrix.has_canonical_format
+        for constrained in ([3, 7, 11], [11, 3, 3], list(range(40))):
+            fem.apply_dirichlet(matrix, np.array(constrained))
+            assert not matrix.has_canonical_format   # the input is untouched
+            self.assert_same_csr(matrix.copy(), np.array(constrained))

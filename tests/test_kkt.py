@@ -313,9 +313,10 @@ class TestKktSystem:
 
 
 def assert_same_csr(got, want):
+    """Equal CSR arrays, down to the sign of a zero."""
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -260,6 +260,33 @@ class TestTarget:
             assert np.array_equal(got.elements, [e for e, _ in want])
             assert np.array_equal(got.bary, np.array([lam for _, lam in want]))
 
+    @pytest.mark.parametrize("gap", [1e-14, 1e-10, 1e-8])
+    def test_box_filter_keeps_every_hit(self, target, gap):
+        """Points `gap` outside each element, beyond its vertices (away
+        from its centroid) and beyond its edges (along their outward
+        normals), inside the square or within 1e-6 of it: the located
+        element and barycentrics equal the per-point search that solves
+        every bucket candidate, so the widened-box filter drops no hit.
+        At 1e-14 a point is still a hit of the element it lies outside
+        (barycentrics >= -1e-12), yet outside that element's bare box."""
+        back = target.mesh
+        pts = back.vertices[back.triangles]                  # (ne, 3, 2)
+        away = pts - pts.mean(axis=1, keepdims=True)
+        beyond_vertex = pts + gap * away / np.linalg.norm(
+            away, axis=2, keepdims=True)
+        edge = np.roll(pts, -1, axis=1) - pts                 # ccw edges
+        normal = np.stack([edge[..., 1], -edge[..., 0]], axis=2)
+        t = np.random.default_rng(12).uniform(0.2, 0.8, (len(pts), 3, 1))
+        beyond_edge = pts + t * edge + gap * normal / np.linalg.norm(
+            normal, axis=2, keepdims=True)
+        points = np.concatenate([beyond_vertex, beyond_edge]).reshape(-1, 2)
+        ref = ReferenceLocator(back)
+        got = target.locate(points)
+        want = [ref.locate(p) for p in points]
+        assert np.array_equal(got.elements, [e for e, _ in want])
+        assert got.bary.tobytes() == np.array(
+            [lam for _, lam in want]).tobytes()
+
     def test_batched_transfer_matches_per_point_evaluation(self, target, mesh):
         ref = ReferenceLocator(target.mesh)
         z = target.z.values
