@@ -5,6 +5,11 @@ mass and vector H1 forms, and sparse solves with symmetric Dirichlet
 elimination.  Products of P1 fields are integrated by a degree-4 rule,
 exact up to products of four fields.  Assembly fills CSR patterns built
 once per triangle array (`ScatterPatterns`).
+
+Every per-element array has the element axis last and contiguous: basis
+gradients (3, 2, ne), local matrices (r, c, ne), element gradients (2, ne).
+A kernel's products and sums then each run over one loop of length ne,
+not over axes of length 2 or 3.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import _sparsetools
 
-from .mesh import Mesh, signed_areas
+from .mesh import Mesh, corners, signed_areas
 
 
 class FemError(ValueError):
@@ -26,6 +31,9 @@ class FemError(ValueError):
 
 class SingularSystemError(RuntimeError):
     pass
+
+
+_NONE = np.array([], dtype=np.int64)       # no constrained dofs
 
 
 class _NodalField:
@@ -81,28 +89,24 @@ def _same_mesh(a, b):
 
 
 class Geometry:
-    """Per-element geometry shared by all assemblies on one mesh."""
+    """Per-element geometry shared by all assemblies on one mesh, element
+    axis last: `areas` (ne,), basis gradients `grads` (3, 2, ne) and exact
+    local mass matrices `local_mass` (3, 3, ne)."""
 
     def __init__(self, mesh: Mesh):
-        tris = mesh.triangles
-        p = mesh.vertices[tris]
-        self.areas = signed_areas(mesh.vertices, tris)
-        # gradients of the three barycentric basis functions, (ne, 3, 2)
-        e0 = p[:, 2] - p[:, 1]
-        e1 = p[:, 0] - p[:, 2]
-        e2 = p[:, 1] - p[:, 0]
-        g = np.stack([
-            np.column_stack([-e0[:, 1], e0[:, 0]]),
-            np.column_stack([-e1[:, 1], e1[:, 0]]),
-            np.column_stack([-e2[:, 1], e2[:, 0]]),
-        ], axis=1)
-        self.grads = g / (2 * self.areas)[:, None, None]
+        x, y = corners(mesh.vertices, mesh.triangles)
+        self.areas = signed_areas(mesh.vertices, mesh.triangles, (x, y))
+        # grad phi_i is the edge opposite corner i, p_{i+2} - p_{i+1},
+        # turned by a quarter and divided by twice the area
+        ex = x[[2, 0, 1]] - x[[1, 2, 0]]
+        ey = y[[2, 0, 1]] - y[[1, 2, 0]]
+        self.grads = np.stack([-ey, ex], axis=1) / (2 * self.areas)
 
     @cached_property
     def local_mass(self):
-        """(ne, 3, 3) exact P1 element mass matrices."""
+        """(3, 3, ne) exact P1 element mass matrices."""
         base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        return self.areas[:, None, None] * base[None]
+        return base[:, :, None] * self.areas
 
 
 def geometry(mesh: Mesh) -> Geometry:
@@ -113,24 +117,45 @@ def geometry(mesh: Mesh) -> Geometry:
     return geo
 
 
+def element_values(mesh: Mesh, values):
+    """Nodal values at each element's corners, element axis last: (3, ne)
+    for (n,) values, (3, k, ne) for (n, k)."""
+    values = np.asarray(values)
+    if values.ndim == 1:
+        return values[mesh.triangles.T]
+    # one gather per column: a strided source gathers three times slower
+    return np.stack([col[mesh.triangles.T] for col in values.T], axis=1)
+
+
+def _dot3(a, b):
+    """sum_i a[i] b[i] over a leading axis of length 3, left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def elem_grad(f: ScalarField):
-    """Constant per-element gradient of a P1 scalar field, (ne, 2)."""
-    geo = geometry(f.mesh)
-    vals = f.values[f.mesh.triangles]
-    return np.einsum("ei,eid->ed", vals, geo.grads)
+    """Constant per-element gradient of a P1 scalar field, (2, ne)."""
+    return _dot3(element_values(f.mesh, f.values)[:, None],
+                geometry(f.mesh).grads)
 
 
 def elem_jacobian(v: VectorField):
-    """Constant per-element Jacobian DV of a P1 vector field, (ne, 2, 2)."""
-    geo = geometry(v.mesh)
-    vals = v.values[v.mesh.triangles]
-    return np.einsum("eia,eib->eab", vals, geo.grads)
+    """Constant per-element Jacobian DV of a P1 vector field, (2, 2, ne):
+    DV[a, b] = d V_a / d x_b."""
+    return _dot3(element_values(v.mesh, v.values)[:, :, None],
+                geometry(v.mesh).grads[:, None])
 
 
 def divergence(v: VectorField):
     """Per-element divergence of a P1 vector field, (ne,)."""
     jac = elem_jacobian(v)
-    return jac[:, 0, 0] + jac[:, 1, 1]
+    return jac[0, 0] + jac[1, 1]
+
+
+def _stiffness_local(weights, grads):
+    """(3, 3, ne) local matrices weights <grad phi_i, grad phi_j>."""
+    wg = weights * grads
+    return (wg[:, None, 0] * grads[None, :, 0]
+            + wg[:, None, 1] * grads[None, :, 1])
 
 
 # Quadrature on the reference triangle, exact for polynomials of degree 4.
@@ -182,10 +207,11 @@ class SparseOperator:
 
     matrix: sp.csr_matrix
     constrained: np.ndarray
+    patterns: "ScatterPatterns | None" = None   # that filled `matrix`
 
     @cached_property
     def constrained_matrix(self):
-        return apply_dirichlet(self.matrix, self.constrained)
+        return apply_dirichlet(self.matrix, self.constrained, self.patterns)
 
     @cached_property
     def _factor(self):
@@ -262,17 +288,24 @@ class VectorOperator:
         return x.reshape(rhs.shape)
 
 
-def apply_dirichlet(matrix, constrained):
+def apply_dirichlet(matrix, constrained, patterns=None):
     """CSR copy of `matrix` with identity rows and columns at the
     constrained dofs (symmetric Dirichlet elimination).
 
-    Of the canonical CSR entries it keeps, by numpy masks, those outside
-    every constrained row and column that are not exactly zero, and gives
-    each constrained row its diagonal alone.  This gives the same `indptr`,
-    `indices` and `data`, bit for bit, as zeroing those rows and columns in
-    a LIL copy and adding the identity on the constrained diagonal, whose
-    CSR addition sorts indices and drops zero sums.  Dropping the stored
-    zeros matters: they would change SuperLU's ordering.
+    Of the canonical CSR entries it keeps those outside every constrained
+    row and column that are not exactly zero, and gives each constrained
+    row its diagonal alone.  This gives the same `indptr`, `indices` and
+    `data`, bit for bit, as zeroing those rows and columns in a LIL copy
+    and adding the identity on the constrained diagonal, whose CSR addition
+    sorts indices and drops zero sums.  Dropping the stored zeros matters:
+    they would change SuperLU's ordering.
+
+    `patterns` are the `ScatterPatterns` the matrix may have been filled
+    from.  They keep, per constrained set, where the entries of their
+    structure go, so that a call on a matrix of that structure only checks
+    that no kept entry is exactly zero and copies; a matrix of another
+    structure, or one with such a zero, takes the positions from its own
+    arrays.
     """
     if len(constrained) == 0:
         return matrix.tocsr()
@@ -280,32 +313,62 @@ def apply_dirichlet(matrix, constrained):
     if not mat.has_canonical_format:
         mat = mat.copy()
         mat.sum_duplicates()
-    n = mat.shape[0]
+    elim = None if patterns is None else \
+        patterns.elimination(mat, constrained)
+    kept = None if elim is None else mat.data[elim.kept]
+    if kept is None or not np.all(kept):
+        elim = _elimination(mat.indptr, mat.indices, constrained,
+                            mat.data != 0)
+        kept = mat.data[elim.kept]
+    data = np.empty(elim.indices.size)
+    data[elim.on_diag], data[elim.off_diag] = elim.diag, kept
+    return sp.csr_matrix((data, elim.indices.copy(), elim.indptr.copy()),
+                         shape=mat.shape)
+
+
+@dataclass(frozen=True)
+class _Elimination:
+    """Where `apply_dirichlet` puts the entries of one CSR structure: entry
+    `off_diag[q]` of the result is entry `kept[q]` of the input, and entry
+    `on_diag[k]` is the k-th constrained diagonal, of value `diag[k]`."""
+
+    kept: np.ndarray
+    off_diag: np.ndarray
+    on_diag: np.ndarray
+    diag: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def _elimination(indptr, indices, constrained, keep) -> _Elimination:
+    """The elimination of `constrained` from a canonical CSR structure,
+    keeping of its entries those in `keep` (a mask, or True for all) that
+    lie outside every constrained row and column."""
+    n = indptr.size - 1
     # the constrained diagonal: 1, or 2 for a dof listed twice, as the
     # duplicate-summing identity of the LIL path gave
     listed = np.bincount(constrained, minlength=n)
     is_c = listed > 0
-    keep = mat.data != 0
-    keep &= ~is_c[mat.indices]
-    keep &= ~np.repeat(is_c, np.diff(mat.indptr))
-    kept = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
-    indptr = np.zeros(n + 1, dtype=mat.indptr.dtype)
-    np.cumsum(np.diff(kept) + is_c, out=indptr[1:])
+    keep = keep & ~is_c[indices]
+    keep &= ~np.repeat(is_c, np.diff(indptr))
+    kept = np.concatenate([[0], np.cumsum(keep)])[indptr]
+    out_ptr = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(np.diff(kept) + is_c, out=out_ptr[1:])
     # a constrained row holds its diagonal only: the first slot of the row
     diag = np.flatnonzero(is_c)
-    on_diag = np.zeros(indptr[-1], dtype=bool)
-    on_diag[indptr[diag]] = True
-    indices = np.empty(indptr[-1], dtype=mat.indices.dtype)
-    data = np.empty(indptr[-1])
-    indices[on_diag], data[on_diag] = diag, listed[diag]
-    indices[~on_diag], data[~on_diag] = mat.indices[keep], mat.data[keep]
-    return sp.csr_matrix((data, indices, indptr), shape=mat.shape)
+    on_diag = np.zeros(out_ptr[-1], dtype=bool)
+    on_diag[out_ptr[diag]] = True
+    out_idx = np.empty(out_ptr[-1], dtype=indices.dtype)
+    out_idx[on_diag], out_idx[~on_diag] = diag, indices[keep]
+    return _Elimination(np.flatnonzero(keep), np.flatnonzero(~on_diag),
+                        out_ptr[diag], listed[diag], out_idx, out_ptr)
 
 
 @dataclass(frozen=True)
 class _CsrPattern:
-    """Where each entry of an (ne, r, c) local array goes in one CSR matrix:
-    CSR entry `slot[q]` sums local entry `order[q]`, for q in order."""
+    """Where each entry of an (r, c, ne) local array goes in one CSR matrix:
+    CSR entry `slot[q]` sums local entry `order[q]` (an index into the flat
+    local array), for q in order."""
 
     order: np.ndarray
     slot: np.ndarray
@@ -314,23 +377,38 @@ class _CsrPattern:
     shape: tuple
 
 
+def _frozen_parts(parts):
+    """`parts` as views of one read-only buffer.  A run keeps its patterns
+    through every iterate, and four arrays per pattern left holes in the
+    heap that raised the `newton` benchmark's peak RSS by 5 % (1 % with one
+    buffer)."""
+    buf = np.concatenate(parts)
+    buf.setflags(write=False)
+    return np.split(buf, np.cumsum([p.size for p in parts[:-1]]))
+
+
 def _build_pattern(row_dofs, col_dofs, shape) -> _CsrPattern:
     """The CSR pattern of scattering onto `row_dofs` x `col_dofs`.
 
     It runs scipy's own COO-to-CSR conversion, and its index sort unless
-    every row is sorted already, on the COO entry numbers: `order` is then
-    the order in which `tocsr` sums the entries of each CSR slot.
+    every row is sorted already, on the COO entries in the (ne, r, c)
+    order, carrying each entry's index in the flat (r, c, ne) local array:
+    `order` is then the order in which `tocsr` sums the entries of each
+    CSR slot.  The conversion is a stable counting sort and the index sort
+    compares columns only, so what they carry does not change the order.
     """
-    r, c = row_dofs.shape[1], col_dofs.shape[1]
+    ne, r = row_dofs.shape
+    c = col_dofs.shape[1]
     rows = np.repeat(row_dofs.astype(np.int32), c, axis=1).reshape(-1)
     cols = np.tile(col_dofs.astype(np.int32), (1, r)).reshape(-1)
     nnz = rows.size
     indptr = np.empty(shape[0] + 1, dtype=np.int32)
     indices = np.empty(nnz, dtype=np.int32)
     order = np.empty(nnz, dtype=np.int32)
-    _sparsetools.coo_tocsr(shape[0], shape[1], nnz, rows, cols,
-                           np.arange(nnz, dtype=np.int32), indptr, indices,
-                           order)
+    _sparsetools.coo_tocsr(
+        shape[0], shape[1], nnz, rows, cols,
+        np.arange(nnz, dtype=np.int32).reshape(r * c, ne).T.reshape(-1),
+        indptr, indices, order)
     if not _sparsetools.csr_has_sorted_indices(shape[0], indptr, indices):
         _sparsetools.csr_sort_indices(shape[0], indptr, indices, order)
     # a slot starts at each row start and at each change of column
@@ -338,15 +416,30 @@ def _build_pattern(row_dofs, col_dofs, shape) -> _CsrPattern:
     starts[1:] = indices[1:] != indices[:-1]
     starts[indptr[:-1][indptr[:-1] < nnz]] = True
     first = np.flatnonzero(starts)
-    parts = [order, np.cumsum(starts, dtype=np.int32) - 1, indices[first],
-             np.searchsorted(first, indptr).astype(np.int32)]
-    # one read-only buffer: a run keeps its patterns through every iterate,
-    # and four arrays per pattern left holes in the heap that raised the
-    # `newton` benchmark's peak RSS by 5 % (1 % with one buffer)
-    buf = np.concatenate(parts)
-    buf.setflags(write=False)
-    return _CsrPattern(*np.split(buf, np.cumsum([p.size for p in parts[:-1]])),
-                       shape)
+    return _CsrPattern(*_frozen_parts([
+        order, np.cumsum(starts, dtype=np.int32) - 1,
+        indices[first], np.searchsorted(first, indptr).astype(np.int32)]),
+        shape)
+
+
+@dataclass(frozen=True)
+class _LoadPattern:
+    """Where each entry of an (r, ne) local array goes in one vector: dof
+    `slot[q]` sums local entry `order[q]`, for q in order."""
+
+    order: np.ndarray
+    slot: np.ndarray
+    size: int
+
+
+def _build_load(dofs, size) -> _LoadPattern:
+    """The pattern of summing onto `dofs` in element order, as `np.add.at`
+    on the (ne, r) layout sums."""
+    ne, r = dofs.shape
+    by_dof = np.argsort(dofs.reshape(-1), kind="stable")
+    return _LoadPattern(*_frozen_parts([
+        ((by_dof % r) * ne + by_dof // r).astype(np.int32),
+        dofs.reshape(-1)[by_dof].astype(np.int32)]), size)
 
 
 class ScatterPatterns:
@@ -358,27 +451,48 @@ class ScatterPatterns:
     triangles (the same array, not an equal one) only sums its local
     entries into it.  The kinds are the dofs per vertex of the rows and of
     the columns: (1, 1) for K, M and the metric block, (1, 2) for
-    L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega.  The patterns
-    hold no mesh, so that a run can own one object for all its iterates
-    and drop it when it returns.  Each matrix gets its own copy of the
-    index arrays, so it may be changed in place.
+    L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega; a load vector
+    (the shape derivative) has one kind per dofs per vertex.  The
+    Dirichlet eliminations of each constrained set on a square pattern are
+    kept too (`elimination`).  The patterns hold no mesh, so that a run can
+    own one object for all its iterates and drop it when it returns.  Each
+    matrix gets its own copy of the index arrays, so it may be changed in
+    place.
+
+    Local arrays have the element axis last, (r, c, ne) for matrices and
+    (r, ne) for vectors, with r and c 3 (one dof per corner) or 6 (two,
+    interleaved as `vector_dofs`).
     """
 
     def __init__(self, mesh: Mesh):
         self.triangles = mesh.triangles
         self.num_vertices = mesh.num_vertices
         self._patterns = {}
+        self._loads = {}
+        self._eliminations = {}
 
-    def scatter(self, mesh, local):
-        """Assemble (ne, r, c) local matrices into a global CSR matrix."""
+    def _dofs(self, per_vertex):
+        return self.triangles if per_vertex == 1 \
+            else vector_dofs(self.triangles)
+
+    def _check(self, mesh, local, ndim):
         if mesh.triangles is not self.triangles:
             raise FemError("the mesh has other triangles than the patterns")
-        kind = (local.shape[1] // 3, local.shape[2] // 3)
+        ne = self.triangles.shape[0]
+        shape = np.shape(local)
+        if len(shape) != ndim or shape[-1] != ne or \
+                any(k not in (3, 6) for k in shape[:-1]):
+            raise FemError(f"local array of shape {shape}: it needs "
+                           f"{ndim - 1} axes of length 3 or 6, then {ne}")
+        return tuple(k // 3 for k in shape[:-1])
+
+    def scatter(self, mesh, local):
+        """Assemble (r, c, ne) local matrices into a global CSR matrix."""
+        kind = self._check(mesh, local, 3)
         pattern = self._patterns.get(kind)
         if pattern is None:
-            dofs = {1: self.triangles, 2: vector_dofs(self.triangles)}
             pattern = self._patterns[kind] = _build_pattern(
-                dofs[kind[0]], dofs[kind[1]],
+                self._dofs(kind[0]), self._dofs(kind[1]),
                 (self.num_vertices * kind[0], self.num_vertices * kind[1]))
         data = np.bincount(pattern.slot, minlength=pattern.indices.size,
                            weights=local.reshape(-1)[pattern.order])
@@ -386,17 +500,46 @@ class ScatterPatterns:
             (data, pattern.indices.copy(), pattern.indptr.copy()),
             shape=pattern.shape)
 
+    def load(self, mesh, local):
+        """Sum (r, ne) local vectors into a global vector, each dof's
+        entries in element order."""
+        (kind,) = self._check(mesh, local, 2)
+        pattern = self._loads.get(kind)
+        if pattern is None:
+            pattern = self._loads[kind] = _build_load(
+                self._dofs(kind), self.num_vertices * kind)
+        return np.bincount(pattern.slot, minlength=pattern.size,
+                           weights=local.reshape(-1)[pattern.order])
+
+    def elimination(self, matrix, constrained):
+        """The `_Elimination` of `constrained` from a canonical CSR matrix
+        with the structure of one of the square patterns, or None."""
+        for kind, pattern in self._patterns.items():
+            if (pattern.shape == matrix.shape
+                    and np.array_equal(pattern.indptr, matrix.indptr)
+                    and np.array_equal(pattern.indices, matrix.indices)):
+                key = (kind, np.asarray(constrained).tobytes())
+                elim = self._eliminations.get(key)
+                if elim is None:
+                    elim = self._eliminations[key] = _Elimination(
+                        *_frozen_parts([a.astype(np.int32) for a in vars(
+                            _elimination(pattern.indptr, pattern.indices,
+                                         constrained, True)).values()]))
+                return elim
+        return None
+
 
 def _scatter(mesh, local, patterns=None):
-    """Assemble (ne, r, c) local matrices into a global CSR matrix.
+    """Assemble (r, c, ne) local matrices into a global CSR matrix.
 
     Each element's local rows and columns map to the dofs of its vertices:
     r = 3 (one dof per vertex) or 6 (two, interleaved as `vector_dofs`),
     and c likewise.  The pattern comes from `patterns`, or from a fresh
     `ScatterPatterns` of the mesh.  The result equals `coo_matrix.tocsr()`
-    bit for bit: `np.bincount` sums each slot's entries in `tocsr`'s order,
-    one after the other, as `csr_sum_duplicates` does.  The one exception
-    is a slot whose every entry is -0.0, which sums to +0.0.
+    of the (ne, r, c) layout bit for bit: `np.bincount` sums each slot's
+    entries in `tocsr`'s order, one after the other, as
+    `csr_sum_duplicates` does.  The one exception is a slot whose every
+    entry is -0.0, which sums to +0.0.
     """
     patterns = ScatterPatterns(mesh) if patterns is None else patterns
     return patterns.scatter(mesh, local)
@@ -412,15 +555,15 @@ def assemble_scalar_laplace(mesh: Mesh, mu, patterns=None) -> SparseOperator:
     if np.any(mu_e <= 0):
         raise FemError("conductivity must be positive")
     geo = geometry(mesh)
-    local = np.einsum("e,eia,eja->eij", mu_e * geo.areas, geo.grads, geo.grads)
-    return SparseOperator(_scatter(mesh, local, patterns),
-                          np.array([], dtype=np.int64))
+    patterns = ScatterPatterns(mesh) if patterns is None else patterns
+    local = _stiffness_local(mu_e * geo.areas, geo.grads)
+    return SparseOperator(patterns.scatter(mesh, local), _NONE, patterns)
 
 
 def assemble_mass(mesh: Mesh, patterns=None) -> SparseOperator:
-    geo = geometry(mesh)
-    return SparseOperator(_scatter(mesh, geo.local_mass, patterns),
-                          np.array([], dtype=np.int64))
+    patterns = ScatterPatterns(mesh) if patterns is None else patterns
+    return SparseOperator(patterns.scatter(mesh, geometry(mesh).local_mass),
+                          _NONE, patterns)
 
 
 def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float,
@@ -437,9 +580,10 @@ def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float,
     if eps2 < 0:
         raise FemError("eps2 must be nonnegative")
     geo = geometry(mesh)
-    kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
-    block = _scatter(mesh, eps1 * (geo.local_mass + eps2 * kloc), patterns)
-    return VectorOperator(SparseOperator(block, np.array([], dtype=np.int64)))
+    patterns = ScatterPatterns(mesh) if patterns is None else patterns
+    kloc = _stiffness_local(geo.areas, geo.grads)
+    block = patterns.scatter(mesh, eps1 * (geo.local_mass + eps2 * kloc))
+    return VectorOperator(SparseOperator(block, _NONE, patterns))
 
 
 def vector_dofs(vertex_indices):
@@ -450,4 +594,5 @@ def vector_dofs(vertex_indices):
 
 
 def with_constraints(op: SparseOperator, constrained) -> SparseOperator:
-    return SparseOperator(op.matrix, np.asarray(constrained, dtype=np.int64))
+    return SparseOperator(op.matrix, np.asarray(constrained, dtype=np.int64),
+                          op.patterns)

@@ -9,7 +9,10 @@ system symmetric without any commutation assumption on the direction
 fields.  The step is solved in the deformation alone, with the reduced
 shape Hessian as a symmetric operator; the 3x3 block matrix is never
 formed.  The blocks and the KKT gradient read the iterate's
-`shape_calculus.ElementTerms`, the terms the first derivative reads.
+`shape_calculus.ElementTerms`, the terms the first derivative reads.  The
+local blocks are formed element axis last, (3, 3, 2, ne) for L_uOmega and
+L_lambdaOmega and (3, 2, 3, 2, ne) for L_OmegaOmega, and scattered as
+(3, 6, ne) and (6, 6, ne) local matrices.
 """
 
 from __future__ import annotations
@@ -54,14 +57,13 @@ class HessianBlocks:
     def b_u_shape(self):
         """L_uOmega, (n, 2n): test u-hat_i, ansatz V_j,b."""
         t = self.terms
-        c_state = t.Mw + t.muA[:, None] * t.Ggl            # (ne, 3)
-        b_u = np.einsum("ei,ejb->eijb", c_state, t.G)
-        b_u -= np.einsum("eij,ejb->eijb", t.Mloc, t.gz)
-        b_u -= t.muA[:, None, None, None] * (
-            np.einsum("eib,ej->eijb", t.G, t.Ggl)
-            + np.einsum("eij,eb->eijb", t.gg, t.gl))
-        return fem._scatter(self.ops.mesh, b_u.reshape(-1, 3, 6),
-                            self.ops.patterns)
+        c_state = t.Mw + t.muA * t.Ggl                     # (3, ne)
+        b_u = c_state[:, None, None] * t.G                 # (3, 3, 2, ne)
+        b_u -= t.Mloc[:, :, None] * t.gz
+        b_u -= t.muA * (t.G[:, None] * t.Ggl[:, None]
+                        + t.gg[:, :, None] * t.gl)
+        return self.ops.patterns.scatter(self.ops.mesh,
+                                         b_u.reshape(3, 6, -1))
 
     @cached_property
     def shape_shape(self):
@@ -70,37 +72,39 @@ class HessianBlocks:
         S holds the three self-symmetric terms (c_div G G, the trace term
         and Mloc gz gz); the other twelve terms form six transpose pairs, of
         which T holds one member each.  The block is symmetric by
-        construction.  Each term is a product over the axes (e, i, a, j, b)
-        with nothing summed, formed by broadcasting its factors left to
-        right: the rounding of the five-index einsums it replaced.
+        construction.  Each term is a product over the axes (i, a, j, b, e)
+        with nothing summed, its factors multiplied left to right: the
+        rounding of the five-index einsums it replaced.  A term's sign goes
+        into its first factor, which is exact, as is adding a negated term
+        instead of subtracting it.
         """
         t = self.terms
-        c = t.c_div[:, None, None, None, None]
-        muA = t.muA[:, None, None, None, None]
-        G_ia, G_jb = t.G[:, :, :, None, None], t.G[:, None, None, :, :]
-        G_ib = t.G[:, :, None, None, :]
-        G_ja = t.G.transpose(0, 2, 1)[:, None, :, :, None]
-        gz_ia, gz_jb = t.gz[:, :, :, None, None], t.gz[:, None, None, :, :]
-        gu_a, gu_b = t.gu[:, None, :, None, None], t.gu[:, None, None, None, :]
-        gl_a, gl_b = t.gl[:, None, :, None, None], t.gl[:, None, None, None, :]
-        Ggu_j = t.Ggu[:, None, None, :, None]
-        Ggl_j = t.Ggl[:, None, None, :, None]
-        cc = c * G_ia * G_jb
-        cc -= self.tr_sign * (c * G_ib * G_ja)
-        cc += t.Mloc[:, :, None, :, None] * gz_ia * gz_jb
-        # z material-derivative coupling
-        half = -(G_ia * t.Mw[:, None, None, :, None] * gz_jb)
-        # remaining transport terms of mu grad u . grad lam
-        half += muA * gu_a * G_ib * Ggl_j
-        half += muA * gu_a * t.gg[:, :, None, :, None] * gl_b
-        half += muA * gl_a * G_ib * Ggu_j
-        # divergence-times-transport cross terms
-        half -= muA * G_ia * gu_b * Ggl_j
-        half -= muA * G_ia * Ggu_j * gl_b
+        c, muA = t.c_div, t.muA
+        G_ia, G_jb = t.G[:, :, None, None], t.G[None, None]
+        G_ib = t.G[:, None, None]
+        G_ja = t.G.transpose(1, 0, 2)[None, :, :, None]
+        gz_ia, gz_jb = t.gz[:, :, None, None], t.gz[None, None]
+        gu_a, gu_b = t.gu[:, None, None], t.gu
+        gl_a, gl_b = t.gl[:, None, None], t.gl
+        Ggu_j = t.Ggu[:, None]
+        Ggl_j = t.Ggl[:, None]
+        cc = _sum_of_products([
+            (c * G_ia, G_jb),
+            (-self.tr_sign * c * G_ib, G_ja),
+            (t.Mloc[:, None, :, None] * gz_ia, gz_jb)])
+        half = _sum_of_products([
+            # z material-derivative coupling
+            (-G_ia * t.Mw[:, None], gz_jb),
+            # remaining transport terms of mu grad u . grad lam
+            (muA * gu_a * G_ib, Ggl_j),
+            (muA * gu_a * t.gg[:, None, :, None], gl_b),
+            (muA * gl_a * G_ib, Ggu_j),
+            # divergence-times-transport cross terms
+            (-(muA * G_ia * gu_b), Ggl_j),
+            (-(muA * G_ia * Ggu_j), gl_b)])
         cc += half
-        cc += half.transpose(0, 3, 4, 1, 2)
-        return fem._scatter(self.ops.mesh, cc.reshape(-1, 6, 6),
-                            self.ops.patterns)
+        cc += half.transpose(2, 3, 0, 1, 4)
+        return self.ops.patterns.scatter(self.ops.mesh, cc.reshape(6, 6, -1))
 
     def eliminate(self, v, r_u, r_lam):
         """State and adjoint directions (du, dlambda) for deformation v,
@@ -130,22 +134,49 @@ class HessianBlocks:
         return (self.shape_shape @ v + self.b_u_shape.T @ udot
                 + self.b_lam_shape.T @ ldot)
 
-    def full_value(self, triple1, triple2) -> float:
-        """L''[(udot, V, ldot), (udot~, W, ldot~)] on explicit directions."""
+    def full_terms(self, triple1, triple2):
+        """The eight terms of L''[(udot, V, ldot), (udot~, W, ldot~)]:
+        L_uu, then L_ulambda twice, L_uOmega twice, L_lambdaOmega twice
+        and L_OmegaOmega."""
         u1, v1, l1 = triple1
         u2, v2, l2 = triple2
         mass, stiff = self.ops.mass.matrix, self.ops.state.matrix
-        val = u1 @ (mass @ u2) + u1 @ (stiff @ l2) + l1 @ (stiff @ u2)
-        val += u1 @ (self.b_u_shape @ v2) + u2 @ (self.b_u_shape @ v1)
-        val += l1 @ (self.b_lam_shape @ v2) + l2 @ (self.b_lam_shape @ v1)
-        val += v1 @ (self.shape_shape @ v2)
-        return float(val)
+        return [u1 @ (mass @ u2), u1 @ (stiff @ l2), l1 @ (stiff @ u2),
+                u1 @ (self.b_u_shape @ v2), u2 @ (self.b_u_shape @ v1),
+                l1 @ (self.b_lam_shape @ v2), l2 @ (self.b_lam_shape @ v1),
+                v1 @ (self.shape_shape @ v2)]
+
+    def full_value(self, triple1, triple2) -> float:
+        """L''[(udot, V, ldot), (udot~, W, ldot~)] on explicit directions."""
+        return sum_terms(self.full_terms(triple1, triple2))
+
+    def reduced_terms(self, v, w_dir):
+        """The eight terms of `reduced_value`, as `full_terms`."""
+        uv, lv = self.sensitivities(v)
+        uw, lw = self.sensitivities(w_dir)
+        return self.full_terms((uv, v, lv), (uw, w_dir, lw))
 
     def reduced_value(self, v, w_dir) -> float:
         """Linear second shape derivative of the reduced objective."""
-        uv, lv = self.sensitivities(v)
-        uw, lw = self.sensitivities(w_dir)
-        return self.full_value((uv, v, lv), (uw, w_dir, lw))
+        return sum_terms(self.reduced_terms(v, w_dir))
+
+
+def sum_terms(terms) -> float:
+    """The value of `full_terms` or `reduced_terms`: their sum, each
+    block's pair added first."""
+    t = terms
+    return float(t[0] + t[1] + t[2] + (t[3] + t[4]) + (t[5] + t[6]) + t[7])
+
+
+def _sum_of_products(pairs):
+    """The sum of a * b over the (a, b) in `pairs`, added left to right;
+    the products share one buffer."""
+    (a, b), *rest = pairs
+    total = a * b
+    product = np.empty_like(total)
+    for a, b in rest:
+        total += np.multiply(a, b, out=product)
+    return total
 
 
 def assemble_hessian_blocks(terms: shape_calculus.ElementTerms,
@@ -156,11 +187,9 @@ def assemble_hessian_blocks(terms: shape_calculus.ElementTerms,
     as a negative control for the mixed-difference consistency check.
     """
     t = terms
-    b_lam = np.einsum("ei,ejb->eijb", t.muA[:, None] * t.Ggu, t.G)
-    b_lam -= t.muA[:, None, None, None] * (
-        np.einsum("eij,eb->eijb", t.gg, t.gu)
-        + np.einsum("eib,ej->eijb", t.G, t.Ggu))
-    b_lam = fem._scatter(t.ops.mesh, b_lam.reshape(-1, 3, 6), t.ops.patterns)
+    b_lam = (t.muA * t.Ggu)[:, None, None] * t.G          # (3, 3, 2, ne)
+    b_lam -= t.muA * (t.gg[:, :, None] * t.gu + t.G[:, None] * t.Ggu[:, None])
+    b_lam = t.ops.patterns.scatter(t.ops.mesh, b_lam.reshape(3, 6, -1))
     return HessianBlocks(terms, b_lam, -1.0 if flip_tr_term else 1.0)
 
 

@@ -172,11 +172,19 @@ class Mesh:
         return self.vertices[self.interface_vertices]
 
 
-def signed_areas(vertices, triangles):
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+def corners(vertices, triangles):
+    """The x and the y coordinates of each triangle's corners, (3, ne)
+    each: the element axis last, so a kernel on them loops over all
+    elements at once."""
+    t = triangles.T
+    return vertices[:, 0][t], vertices[:, 1][t]
+
+
+def signed_areas(vertices, triangles, xy=None):
+    """Signed area of each triangle, (ne,); positive when counterclockwise.
+    `xy` is `corners(vertices, triangles)`, when the caller has it."""
+    x, y = corners(vertices, triangles) if xy is None else xy
+    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
 
 def _hex_grid(h):

@@ -193,7 +193,8 @@ class TargetField:
 
     @cached_property
     def _grads(self):
-        return fem.elem_grad(self.z)
+        """(ne, 2) background gradients: `gradient_at` takes rows."""
+        return np.ascontiguousarray(fem.elem_grad(self.z).T)
 
     def locate(self, points) -> Located:
         """Background element containing each point, with its barycentrics.
@@ -347,7 +348,7 @@ def energy_fraction(mesh: Mesh, cfg: ProblemConfig, u: ScalarField) -> float:
     """
     geo = fem.geometry(mesh)
     g = fem.elem_grad(u)
-    dens = geo.areas * cfg.mu(mesh) * np.einsum("ed,ed->e", g, g)
+    dens = geo.areas * cfg.mu(mesh) * (g[0] * g[0] + g[1] * g[1])
     total = float(dens.sum())
     if total == 0.0:
         return 0.0

@@ -7,7 +7,10 @@ positions moved along the field, which is what the central-difference
 oracle `eulerian_fd` measures.
 
 `element_terms` computes the per-element factors of the Lagrangian at one
-iterate; this derivative and the Hessian blocks of `kkt` read them.
+iterate; this derivative and the Hessian blocks of `kkt` read them.  The
+factors have the element axis last, as every per-element array of `fem`,
+and the derivative sums its (3, 2, ne) element vectors into the dual with
+`fem.ScatterPatterns.load`.
 """
 
 from __future__ import annotations
@@ -43,22 +46,23 @@ def deformation_constraints(mesh: Mesh):
 class ElementTerms:
     """Per-element factors of the Lagrangian at one iterate (u, lambda, z on
     the set `ops`): the first shape derivative and every Hessian block read
-    them.  They hold `ops`, so drop them with their iterate."""
+    them.  They hold `ops`, so drop them with their iterate.  The element
+    axis is last: i and j are an element's corners, d its two coordinates."""
 
     ops: model.OperatorSet
     u: ScalarField
     lam: ScalarField
     z_grad: np.ndarray     # (n, 2) background gradient of z at each vertex
     mass_w: np.ndarray     # (n,) M (u - z)
-    gz: np.ndarray         # (ne, 3, 2) z_grad at each element's vertices
-    G: np.ndarray          # (ne, 3, 2) basis gradients
-    Mloc: np.ndarray       # (ne, 3, 3) local mass
-    gg: np.ndarray         # (ne, 3, 3) grad phi_i . grad phi_j
-    Mw: np.ndarray         # (ne, 3) int_e (u - z) phi_i
-    gu: np.ndarray         # (ne, 2)
-    gl: np.ndarray         # (ne, 2)
-    Ggu: np.ndarray        # (ne, 3) grad phi_i . grad u
-    Ggl: np.ndarray        # (ne, 3) grad phi_i . grad lambda
+    gz: np.ndarray         # (3, 2, ne) z_grad at each element's corners
+    G: np.ndarray          # (3, 2, ne) basis gradients
+    Mloc: np.ndarray       # (3, 3, ne) local mass
+    gg: np.ndarray         # (3, 3, ne) grad phi_i . grad phi_j
+    Mw: np.ndarray         # (3, ne) int_e (u - z) phi_i
+    gu: np.ndarray         # (2, ne)
+    gl: np.ndarray         # (2, ne)
+    Ggu: np.ndarray        # (3, ne) grad phi_i . grad u
+    Ggl: np.ndarray        # (3, ne) grad phi_i . grad lambda
     muA: np.ndarray        # (ne,) mu |e|
     c_div: np.ndarray      # (ne,) div V coefficient
 
@@ -73,6 +77,10 @@ def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
     differentiates over the inclusion only; `alpha_whole_domain` is a
     negative-control switch spreading it over the whole domain.  `mass_w`
     is `model.mass_misfit(ops, u, z_on_m)`, when the caller has it.
+
+    Each sum over corners or coordinates adds its terms in the order of
+    the einsum on the (ne, ...) layout that it replaced, so that every
+    term rounds as before: left to right, except for `Mw`.
     """
     mesh, cfg = ops.mesh, ops.cfg
     for f in (u, lam, z_on_m):
@@ -84,22 +92,25 @@ def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
     mu_e = cfg.mu(mesh)
     gu = fem.elem_grad(u)
     gl = fem.elem_grad(lam)
-    w = u.values - z_on_m.values
-    wloc = w[mesh.triangles]
+    wloc = fem.element_values(mesh, u.values - z_on_m.values)
 
     # div V coefficient: int_e 1/2 w^2 + |e| (mu grad u . grad lam) + alpha/2 chi
-    half_w2 = 0.5 * np.einsum("ei,eij,ej->e", wloc, Mloc, wloc)
+    # the nine w_i M_ij w_j summed in row-major order
+    half_w2 = 0.5 * (wloc[:, None] * Mloc * wloc).reshape(9, -1).sum(axis=0)
     chi = np.ones(mesh.num_triangles) if alpha_whole_domain \
         else (mesh.region == REGION_INCLUSION).astype(float)
-    c_div = half_w2 + geo.areas * (mu_e * np.einsum("ed,ed->e", gu, gl)
+    c_div = half_w2 + geo.areas * (mu_e * (gu[0] * gl[0] + gu[1] * gl[1])
                                    + 0.5 * cfg.alpha * chi)
     if mass_w is None:
         mass_w = model.mass_misfit(ops, u, z_on_m)
     return ElementTerms(
-        ops, u, lam, z_grad, mass_w, z_grad[mesh.triangles],
-        G, Mloc, np.einsum("eid,ejd->eij", G, G),
-        np.einsum("eij,ej->ei", Mloc, wloc), gu, gl,
-        np.einsum("eid,ed->ei", G, gu), np.einsum("eid,ed->ei", G, gl),
+        ops, u, lam, z_grad, mass_w, fem.element_values(mesh, z_grad),
+        G, Mloc, G[:, None, 0] * G[None, :, 0] + G[:, None, 1] * G[None, :, 1],
+        # numpy's contiguous einsum kernel summed its three terms as
+        # (j=0 + j=2) + j=1
+        Mloc[:, 0] * wloc[0] + Mloc[:, 2] * wloc[2] + Mloc[:, 1] * wloc[1],
+        gu, gl,
+        G[:, 0] * gu[0] + G[:, 1] * gu[1], G[:, 0] * gl[0] + G[:, 1] * gl[1],
         mu_e * geo.areas, c_div)
 
 
@@ -110,14 +121,12 @@ def assemble_shape_derivative(t: ElementTerms) -> ShapeGradientFunctional:
     derivative of the reduced objective.
     """
     mesh = t.ops.mesh
-    d_elem = t.c_div[:, None, None] * t.G              # (ne, 3, 2)
+    d_elem = t.c_div * t.G                                 # (3, 2, ne)
 
     # -mu grad u^T (DV + DV^T) grad lam
-    d_elem -= t.muA[:, None, None] * (t.Ggl[:, :, None] * t.gu[:, None, :]
-                                      + t.Ggu[:, :, None] * t.gl[:, None, :])
+    d_elem -= t.muA * (t.Ggl[:, None] * t.gu + t.Ggu[:, None] * t.gl)
 
-    dual = np.zeros((mesh.num_vertices, 2))
-    np.add.at(dual, mesh.triangles.reshape(-1), d_elem.reshape(-1, 2))
+    dual = t.ops.patterns.load(mesh, d_elem.reshape(6, -1)).reshape(-1, 2)
 
     # -(u - z) dz[V] with nodal dz[V]_i = grad z(x_i) . V_i
     dual -= t.mass_w[:, None] * t.z_grad

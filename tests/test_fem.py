@@ -14,6 +14,7 @@ from deformopt.fem import (FemError, ScalarField, SingularSystemError,
                            integrate_p1_product, vector_dofs, with_constraints)
 from deformopt.mesh import (REGION_INCLUSION, InclusionShape,
                             apply_deformation, generate_mesh)
+import element_terms_reference as ref
 from kkt_reference import (metric_matrix, mixed_scatter,
                            saddle_constrained_dofs, saddle_matrix, scatter)
 
@@ -27,9 +28,9 @@ def padded_vector_form(mesh, eps1, eps2):
     """The 2n metric as `assemble_vector_h1_form` built it before it kept
     only the scalar block: a zero-padded 6x6 local matrix per element
     scattered on interleaved dofs; test reference."""
-    geo = fem.geometry(mesh)
-    kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
-    scalar = eps1 * (geo.local_mass + eps2 * kloc)
+    geo = ref.geometry(mesh)
+    scalar = eps1 * (geo.local_mass
+                     + eps2 * ref.stiffness_local(geo.areas, geo.grads))
     local = np.zeros((mesh.num_triangles, 6, 6))
     local[:, 0::2, 0::2] = scalar
     local[:, 1::2, 1::2] = scalar
@@ -41,6 +42,17 @@ def assert_same_csr(got, want):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def assert_operators_equal_reference(m):
+    """K, M and b_s of `m` against the (ne, ...) kernels, bit for bit."""
+    mu = model.ProblemConfig().mu(m)
+    patterns = fem.ScatterPatterns(m)
+    got = [assemble_scalar_laplace(m, mu, patterns).matrix,
+           assemble_mass(m, patterns).matrix,
+           assemble_vector_h1_form(m, 3e-2, 0.5, patterns).block.matrix]
+    for g, want in zip(got, ref.operator_matrices(m, mu, 3e-2, 0.5)):
+        assert_same_csr(g, want)
 
 
 def reference_dirichlet(matrix, constrained):
@@ -96,14 +108,17 @@ class TestElementCalculus:
     def test_gradient_of_linear_is_exact(self, mesh):
         f = ScalarField.from_callable(mesh, lambda x: 3 * x[:, 0] - 2 * x[:, 1])
         g = elem_grad(f)
-        assert np.allclose(g, [3.0, -2.0], atol=1e-12)
+        assert g.shape == (2, mesh.num_triangles)
+        assert np.allclose(g.T, [3.0, -2.0], atol=1e-12)
 
     def test_jacobian_and_divergence_of_linear_field(self, mesh):
         v = VectorField.from_callable(
             mesh, lambda x: np.column_stack([2 * x[:, 0] + x[:, 1],
                                              4 * x[:, 1]]))
         jac = elem_jacobian(v)
-        assert np.allclose(jac, [[2.0, 1.0], [0.0, 4.0]], atol=1e-12)
+        assert jac.shape == (2, 2, mesh.num_triangles)
+        assert np.allclose(jac.transpose(2, 0, 1), [[2.0, 1.0], [0.0, 4.0]],
+                           atol=1e-12)
         assert np.allclose(divergence(v), 6.0, atol=1e-12)
 
     def test_integrate_constant(self, mesh):
@@ -189,20 +204,50 @@ class TestAssembly:
         with pytest.raises(FemError):
             assemble_vector_h1_form(mesh, 1.0, -1.0)
 
+    @pytest.mark.parametrize("h, deformed", [(0.05, False), (0.02, False),
+                                             (0.05, True)])
+    def test_geometry_and_element_calculus_equal_reference(self, h,
+                                                           deformed):
+        """Areas, basis gradients, local mass, elem_grad and elem_jacobian
+        in the element-last layout against the (ne, ...) kernels.  Areas,
+        gradients and mass agree bit for bit; the sums agree in value (an
+        einsum starts from +0.0, so an exact zero may differ in sign, which
+        no scatter or load sees: each sums from +0.0 too)."""
+        m = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
+        rng = np.random.default_rng(9)
+        if deformed:
+            m = apply_deformation(
+                m, 1e-3 * rng.standard_normal((m.num_vertices, 2)), 1.0)
+        geo, want = fem.geometry(m), ref.geometry(m)
+        assert geo.areas.tobytes() == want.areas.tobytes()
+        assert np.array_equal(geo.areas, fem.signed_areas(m.vertices,
+                                                          m.triangles))
+        for got, old in [(geo.grads, want.grads),
+                         (geo.local_mass, want.local_mass)]:
+            assert got.shape == old.shape[1:] + old.shape[:1]
+            assert np.moveaxis(got, -1, 0).tobytes() == old.tobytes()
+        f = ScalarField(m, rng.standard_normal(m.num_vertices))
+        v = VectorField(m, rng.standard_normal((m.num_vertices, 2)))
+        assert np.array_equal(np.moveaxis(elem_grad(f), -1, 0),
+                              ref.elem_grad(f))
+        assert np.array_equal(np.moveaxis(elem_jacobian(v), -1, 0),
+                              ref.elem_jacobian(v))
+
     def test_scatter_csr_bit_identical(self, mesh):
-        """K, M and the metric block b_s through the row/column dof-map
-        scatter: the same CSR arrays as the square scatter it replaced."""
-        geo = fem.geometry(mesh)
-        kloc = np.einsum("e,eia,eja->eij", geo.areas, geo.grads, geo.grads)
-        mu = model.ProblemConfig().mu(mesh)
-        for got, local in [
-                (assemble_scalar_laplace(mesh, mu).matrix,
-                 np.einsum("e,eia,eja->eij", mu * geo.areas, geo.grads,
-                           geo.grads)),
-                (assemble_mass(mesh).matrix, geo.local_mass),
-                (assemble_vector_h1_form(mesh, 3e-2, 0.5).block.matrix,
-                 3e-2 * (geo.local_mass + 0.5 * kloc))]:
-            assert_same_csr(got, scatter(mesh, local))
+        """K, M and the metric block b_s from element-last local matrices:
+        the CSR arrays of the (ne, ...) kernels through the COO scatter."""
+        assert_operators_equal_reference(mesh)
+
+    @pytest.mark.parametrize("h, deformed", [(0.05, False), (0.02, False),
+                                             (0.05, True)])
+    def test_operators_bit_identical_at_size(self, h, deformed):
+        """As above, at h=0.05 and h=0.02 and on a deformed iterate."""
+        m = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
+        if deformed:
+            rng = np.random.default_rng(10)
+            m = apply_deformation(
+                m, 1e-3 * rng.standard_normal((m.num_vertices, 2)), 1.0)
+        assert_operators_equal_reference(m)
 
     @pytest.mark.parametrize("block, reference", [
         ((3, 3), lambda m, local: scatter(m, local)),
@@ -211,24 +256,56 @@ class TestAssembly:
         ids=["3x3", "3x6", "6x6"])
     def test_patterns_fill_deformed_mesh_like_coo(self, mesh, block,
                                                   reference):
-        """Patterns built on the start mesh, filled on a deformed iterate:
-        the CSR arrays of the COO-to-CSR scatter, for each of the three
-        kinds and each of several fills."""
+        """Patterns built on the start mesh, filled on a deformed iterate
+        from (r, c, ne) local arrays: the CSR arrays of the COO-to-CSR
+        scatter of the same entries in the (ne, r, c) layout, for each of
+        the three kinds and each of several fills."""
         patterns = fem.ScatterPatterns(mesh)
         rng = np.random.default_rng(sum(block))
         moved = apply_deformation(
             mesh, 1e-3 * rng.standard_normal((mesh.num_vertices, 2)), 1.0)
         for _ in range(2):
-            local = rng.standard_normal((mesh.num_triangles, *block))
+            local = rng.standard_normal((*block, mesh.num_triangles))
             local[rng.random(local.shape) < 0.1] = 0.0
             assert_same_csr(fem._scatter(moved, local, patterns),
-                            reference(moved, local))
+                            reference(moved, local.transpose(2, 0, 1)))
+
+    def test_load_sums_like_add_at(self, mesh):
+        """A (6, ne) local vector summed onto the 2n dofs equals
+        `np.add.at` on the (ne, 3, 2) layout bit for bit, zero signs too."""
+        rng = np.random.default_rng(7)
+        local = rng.standard_normal((3, 2, mesh.num_triangles))
+        local[rng.random(local.shape) < 0.1] = -0.0
+        want = np.zeros((mesh.num_vertices, 2))
+        np.add.at(want, mesh.triangles.reshape(-1),
+                  local.transpose(2, 0, 1).reshape(-1, 2))
+        got = fem.ScatterPatterns(mesh).load(mesh, local.reshape(6, -1))
+        assert got.tobytes() == want.reshape(-1).tobytes()
 
     def test_patterns_refuse_other_triangles(self, mesh):
         other = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.15)
         with pytest.raises(FemError, match="other triangles"):
-            fem._scatter(other, np.zeros((other.num_triangles, 3, 3)),
+            fem._scatter(other, np.zeros((3, 3, other.num_triangles)),
                          fem.ScatterPatterns(mesh))
+
+    @pytest.mark.parametrize("shape", [
+        lambda ne: (4, 4, ne),          # no kind has 4 rows
+        lambda ne: (3, 7, ne),          # no kind has 7 columns
+        lambda ne: (3, 3, ne + 5),      # more elements than the mesh
+        lambda ne: (ne, 3, 3),          # the element-first layout
+        lambda ne: (3, ne)],            # a vector, not matrices
+        ids=["4x4", "3x7", "ne+5", "element-first", "vector"])
+    def test_scatter_refuses_other_shapes(self, mesh, shape):
+        with pytest.raises(FemError, match="local array of shape"):
+            fem._scatter(mesh, np.zeros(shape(mesh.num_triangles)),
+                         fem.ScatterPatterns(mesh))
+
+    def test_load_refuses_other_shapes(self, mesh):
+        patterns = fem.ScatterPatterns(mesh)
+        for shape in [(4, mesh.num_triangles), (6, mesh.num_triangles + 1),
+                      (3, 2, mesh.num_triangles)]:
+            with pytest.raises(FemError, match="local array of shape"):
+                patterns.load(mesh, np.zeros(shape))
 
     def test_vector_dofs_interleaving(self):
         assert vector_dofs([0, 3]).tolist() == [0, 1, 6, 7]
@@ -352,6 +429,50 @@ class TestDirichletElimination:
     def test_deformation_metric(self, mesh):
         op = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
         self.assert_same_csr(metric_matrix(op), op.constrained)
+
+    def test_positions_kept_per_constrained_set(self, mesh, monkeypatch):
+        """K, M and b_s constrained through the patterns that filled them,
+        on the start mesh and on a moved iterate: each constrained set's
+        positions are found once, and every CSR array equals the LIL
+        path's."""
+        built = []
+        real = fem._elimination
+
+        def counted(*args):
+            built.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(fem, "_elimination", counted)
+        patterns = fem.ScatterPatterns(mesh)
+        rng = np.random.default_rng(12)
+        moved = apply_deformation(
+            mesh, 1e-3 * rng.standard_normal((mesh.num_vertices, 2)), 1.0)
+        for m in (mesh, moved):
+            ops = model.OperatorSet(m, model.ProblemConfig(), 3e-2, 0.5,
+                                    patterns)
+            for op in (ops.state, ops.mass, ops.metric.block):
+                assert op.patterns is patterns
+                assert_same_csr(op.constrained_matrix,
+                                reference_dirichlet(op.matrix,
+                                                    op.constrained))
+        assert len(built) == 2
+
+    def test_kept_zero_or_other_structure_falls_back(self, mesh):
+        """A stored exact zero among the kept entries, or a matrix of
+        another structure, takes the positions from its own arrays."""
+        ops = model.OperatorSet(mesh, model.ProblemConfig())
+        op = ops.state
+        zeroed = op.matrix.copy()
+        rows = np.repeat(np.arange(mesh.num_vertices),
+                         np.diff(zeroed.indptr))
+        free = np.ones(mesh.num_vertices, dtype=bool)
+        free[op.constrained] = False
+        zeroed.data[np.flatnonzero(free[rows] & free[zeroed.indices])[0]] = 0.0
+        other = (op.matrix + sp.eye(mesh.num_vertices, k=5)).tocsr()
+        for matrix in (op.matrix, zeroed, other):
+            got = fem.apply_dirichlet(matrix, op.constrained, op.patterns)
+            assert_same_csr(got, reference_dirichlet(matrix, op.constrained))
+            assert_same_csr(got, fem.apply_dirichlet(matrix, op.constrained))
 
     def test_no_constraints(self, mesh):
         op = assemble_mass(mesh)

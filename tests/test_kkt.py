@@ -319,19 +319,28 @@ def assert_same_csr(got, want):
     assert got.data.tobytes() == want.data.tobytes()
 
 
-@pytest.fixture(scope="module")
-def non_stationary():
-    """h=0.05 start iterate with lambda a random field, zero on the
+def random_adjoint(h, target_h):
+    """Start iterate at mesh size h with lambda a random field, zero on the
     Dirichlet nodes: no term of the Lagrangian vanishes."""
     cfg = ProblemConfig()
-    target = model.make_target(cfg, 0.025)
-    mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.05)
+    target = model.make_target(cfg, target_h)
+    mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
     ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
     u = model.solve_state(ops)
     lam = np.random.default_rng(3).standard_normal(mesh.num_vertices)
     lam[ops.state.constrained] = 0.0
     return (ops, model.transfer_target(target, mesh),
             model.target_gradients(target, mesh), u, ScalarField(mesh, lam))
+
+
+@pytest.fixture(scope="module")
+def non_stationary():
+    return random_adjoint(0.05, 0.025)
+
+
+@pytest.fixture(scope="module")
+def fine_non_stationary():
+    return random_adjoint(0.02, 0.025)
 
 
 @pytest.mark.parametrize("alpha_whole_domain", [False, True])
@@ -373,6 +382,50 @@ class TestElementTermsEquivalence:
             ops, u, lam, z, alpha_whole_domain)
         assert np.all(np.abs(terms.c_div - c_g)
                       <= 4 * (np.spacing(np.abs(c_g)) + np.spacing(half_w2)))
+
+
+@pytest.mark.parametrize("iterate", ["non_stationary", "fine_non_stationary",
+                                     "newton_phase_medium"])
+class TestElementLastEquivalence:
+    """The element-last kernels against the (ne, ...) references, bit for
+    bit: K, M and b_s; the shape derivative; L_lambdaOmega, L_uOmega and
+    L_OmegaOmega.  At the h=0.05 and h=0.02 start iterates with a random
+    lambda, and at the deformed h=0.05 iterate after 20 warm-up steps."""
+
+    @pytest.fixture
+    def state(self, request, iterate):
+        state = request.getfixturevalue(iterate)
+        if iterate == "newton_phase_medium":
+            ops, _, _, z, z_grad, u, lam = state
+            return ops, z, z_grad, u, lam
+        return state
+
+    def test_operators(self, state):
+        ops = state[0]
+        want = element_terms_reference.operator_matrices(
+            ops.mesh, ops.cfg.mu(ops.mesh), ops.eps1, ops.eps2)
+        for got, ref in zip([ops.state.matrix, ops.mass.matrix,
+                             ops.metric.block.matrix], want):
+            assert_same_csr(got, ref)
+
+    @pytest.mark.parametrize("alpha_whole_domain, flip_tr_term",
+                             [(False, False), (True, False), (False, True)])
+    def test_derivative_and_blocks(self, state, alpha_whole_domain,
+                                   flip_tr_term):
+        ops, z, z_grad, u, lam = state
+        terms = shape_calculus.element_terms(
+            ops, u, lam, z, z_grad, alpha_whole_domain=alpha_whole_domain)
+        d = shape_calculus.assemble_shape_derivative(terms)
+        want = element_terms_reference.shape_derivative_dual(
+            ops, u, lam, z, z_grad, alpha_whole_domain)
+        assert d.dual.tobytes() == want.tobytes()
+        blocks = assemble_hessian_blocks(terms, flip_tr_term=flip_tr_term)
+        for got, ref in zip(
+                [blocks.b_lam_shape, blocks.b_u_shape, blocks.shape_shape],
+                element_terms_reference.hessian_blocks(
+                    ops, u, lam, z, z_grad, terms.c_div,
+                    -1.0 if flip_tr_term else 1.0)):
+            assert_same_csr(got, ref)
 
 
 class TestLagrangianGradient:
