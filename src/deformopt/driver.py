@@ -91,13 +91,16 @@ class History:
 
 def _dual_norms(ops, r_u, r_shape, r_lam):
     """Dual norms of the KKT right-hand side: (shape part in b^-1, the
-    whole with M^-1 on r_u and r_lambda)."""
-    # the norms are diagnostics: tolerate lower solver accuracy on badly
-    # deformed meshes rather than aborting the whole run; r_u and r_lambda
-    # are one two-column right-hand side on M's factorization
-    xu, xl = ops.mass.solve_constrained(np.column_stack([r_u, r_lam]),
-                                        rtol=1e-6).T
+    whole with M^-1 on r_u and r_lambda).
+
+    r_u and r_lambda are one two-column right-hand side of the constrained
+    mass, solved by `fem.solve_mass` (Chebyshev on the Jacobi-scaled M,
+    relative error of r . M^-1 r below 1e-14), so M is never factorized.
+    A solve that fails its residual check raises SingularSystemError."""
+    xu, xl = fem.solve_mass(ops.mass, np.column_stack([r_u, r_lam])).T
     su, sl = float(r_u @ xu), float(r_lam @ xl)
+    # the norms are diagnostics: tolerate lower solver accuracy on badly
+    # deformed meshes rather than aborting the whole run
     ss = float(r_shape @ ops.metric.solve_constrained(r_shape, rtol=1e-6))
     return float(np.sqrt(max(ss, 0.0))), float(np.sqrt(max(su + ss + sl, 0.0)))
 
@@ -145,9 +148,11 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
             except (fem.SingularSystemError, LineSearchError) as exc:
                 history.notes.append(f"aborted at iteration {k}: {exc}")
         del terms       # it holds `ops`: the set dies with its iterate
-        # after the step: M's factorization (only used here) then never
-        # coexists with the step's, which keeps peak memory down
-        gn, res = _dual_norms(ops, *gradient)
+        try:
+            gn, res = _dual_norms(ops, *gradient)
+        except fem.SingularSystemError as exc:
+            history.notes.append(f"aborted at iteration {k} (norms): {exc}")
+            break
         if t == 0.0:
             history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
             break

@@ -2,7 +2,7 @@
 
 Nodal fields, exact element quadrature, assembly of the scalar stiffness,
 mass and vector H1 forms, and sparse solves with symmetric Dirichlet
-elimination.  Products of P1 fields are integrated by a degree-4 rule,
+elimination: SuperLU factorizations, and Chebyshev iteration for the mass.  Products of P1 fields are integrated by a degree-4 rule,
 exact up to products of four fields.  Assembly fills CSR patterns built
 once per triangle array (`ScatterPatterns`).
 
@@ -197,12 +197,16 @@ class SparseOperator:
     eliminated symmetrically (identity row/column) when solving.
 
     The constrained matrix is factorized by SuperLU in symmetric mode:
-    minimum-degree ordering on A + A^T and diagonal pivots only.  That
+    diagonal pivots only, on a minimum-degree ordering of A + A^T.  That
     assumes it is symmetric positive definite, as every operator built here
     is after the elimination (stiffness, mass and the metric block); nothing
     nonsymmetric or indefinite may go through `_factor`.  A singular matrix
     (the pure-Neumann stiffness) is caught by the residual check of
-    `solve_constrained`.
+    `solve_constrained`.  With diagonal pivots the ordering depends on the
+    structure alone, so the `ScatterPatterns` that filled `matrix` keep it
+    per constrained set (`ScatterPatterns.ordering`): a structure's first
+    factorization in a run computes it, every later one factorizes the
+    permuted matrix in its natural order.
     """
 
     matrix: sp.csr_matrix
@@ -215,13 +219,10 @@ class SparseOperator:
 
     @cached_property
     def _factor(self):
-        mat = self.constrained_matrix.tocsc()
-        try:
-            return spla.splu(mat, permc_spec="MMD_AT_PLUS_A",
-                             diag_pivot_thresh=0.0,
-                             options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
+        mat = self.constrained_matrix
+        ordering = _Ordering() if self.patterns is None else \
+            self.patterns.ordering(mat, self.constrained)
+        return ordering.factor(mat)
 
     def energy(self, x, y=None):
         y = x if y is None else y
@@ -254,6 +255,129 @@ class SparseOperator:
         if bc_values is not None:
             x = x + lift
         return x
+
+
+def _splu(csc, permc_spec):
+    """SuperLU in symmetric mode: diagonal pivots only."""
+    try:
+        return spla.splu(csc, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+
+
+class _Ordering:
+    """SuperLU's column order of one constrained CSR structure.
+
+    The first `factor` computes it by minimum degree on A + A^T and keeps
+    SuperLU's `perm_c`, which puts entry (i, j) of A at (perm_c[i],
+    perm_c[j]) of the matrix it factorizes, A[q][:, q] with q =
+    argsort(perm_c).  The second builds the gather of that matrix: entry k
+    of its CSC arrays is entry `take[k]` of the CSR data.  It and every
+    later `factor` then only gather and factorize in the natural order.
+    The factors have the same L + U fill; the solutions agree to rounding,
+    not bit for bit.  As the gather waits for the second use, a structure
+    factorized once (`model.make_target`'s) only copies `perm_c`.
+    """
+
+    def __init__(self, indptr=None, indices=None):
+        self.indptr, self.indices = indptr, indices
+        self.perm = None
+        self._gather = None     # (take, CSC indices, CSC indptr, q)
+
+    def factor(self, matrix):
+        if self.perm is None:
+            lu = _splu(matrix.tocsc(), "MMD_AT_PLUS_A")
+            self.perm = lu.perm_c.copy()   # a view would keep `lu` alive
+            return lu
+        if self._gather is None:
+            self._gather = _permuted_csc(self.indptr, self.indices, self.perm)
+        take, indices, indptr, q = self._gather
+        lu = _splu(sp.csc_matrix((matrix.data[take], indices, indptr),
+                                 shape=matrix.shape), "NATURAL")
+        return _PermutedFactor(lu, q, self.perm)
+
+
+def _permuted_csc(indptr, indices, perm):
+    """(take, indices, indptr, q) of A[q][:, q], q = argsort(perm), for
+    the CSR structure of A, as `_Ordering` keeps them."""
+    n = indptr.size - 1
+    rows = perm[np.repeat(np.arange(n), np.diff(indptr))]
+    cols = perm[indices]
+    take = np.lexsort((rows, cols))
+    return _frozen_parts([
+        take.astype(np.int32), rows[take].astype(np.int32),
+        np.searchsorted(cols[take], np.arange(n + 1)).astype(np.int32),
+        np.argsort(perm).astype(np.int32)])
+
+
+@dataclass(frozen=True)
+class _PermutedFactor:
+    """The factorization `lu` of A[q][:, q], solving with A: A x = b is
+    A[q][:, q] y = b[q] with x[q] = y, so x = y[perm]."""
+
+    lu: spla.SuperLU
+    q: np.ndarray
+    perm: np.ndarray
+
+    def solve(self, rhs):
+        # `np.take` gathers the rows of a two-column array several times
+        # faster than indexing does
+        return np.take(self.lu.solve(np.take(rhs, self.q, axis=0)),
+                       self.perm, axis=0)
+
+
+# Chebyshev steps of `solve_mass`: its error factor 2 * 3**-k is 1e-14 at 30
+MASS_STEPS = 30
+
+
+def solve_mass(op: SparseOperator, rhs):
+    """Solve a constrained P1 mass system with homogeneous values at the
+    constrained dofs, by Chebyshev iteration on the Jacobi-scaled matrix
+    S = D^-1/2 M D^-1/2.
+
+    Each element mass is |T|/12 (J + I), so scaled by its diagonal
+    |T|/6 I its eigenvalues are 2 (the constant) and 1/2 (twice).  For
+    areas |T| > 0 the assembled quotient x^T M x / x^T D x, a ratio of sums
+    of element terms, then lies in [1/2, 2]; the free block's spectrum
+    interlaces inside it, and each identity row of a constrained dof adds
+    the eigenvalue 1.  On [1/2, 2] (condition 4) k Chebyshev steps reduce
+    the M-norm error by 1/T_k(5/3) <= 2 * 3**-k, and so the relative error
+    of r . M^-1 r: `MASS_STEPS` fixed steps need no inner product and no
+    stopping test.  `rhs` is (n,) or (n, k).  The final residual is checked
+    as in `SparseOperator.solve_constrained`, at the 1e-6 relative that the
+    residual column's solves allow; an operator whose scaled spectrum
+    leaves [1/2, 2], such as a stiffness, fails it and raises
+    SingularSystemError.
+    """
+    mat = op.constrained_matrix
+    rhs = np.asarray(rhs, dtype=float).copy()
+    rhs[op.constrained] = 0.0
+    s = 1.0 / np.sqrt(mat.diagonal())
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    scaled = sp.csr_matrix((mat.data * s[rows] * s[mat.indices],
+                            mat.indices, mat.indptr), shape=mat.shape)
+    s = s[:, None] if rhs.ndim == 2 else s
+    theta, delta = 1.25, 0.75            # centre and half-width of [1/2, 2]
+    sigma = theta / delta
+    rho = 1.0 / sigma
+    r = s * rhs                          # S y = D^-1/2 rhs, x = D^-1/2 y
+    y = np.zeros_like(r)
+    d = r / theta
+    for _ in range(MASS_STEPS - 1):
+        y += d
+        r -= scaled @ d
+        rho_next = 1.0 / (2.0 * sigma - rho)
+        d *= rho_next * rho
+        d += (2.0 * rho_next / delta) * r
+        rho = rho_next
+    x = s * (y + d)
+    scale = max(np.linalg.norm(rhs), 1.0)
+    res = np.linalg.norm(mat @ x - rhs)
+    if not np.isfinite(res) or res > 1e-6 * scale:
+        raise SingularSystemError(
+            f"mass solve residual {res:.3e} exceeds tolerance")
+    return x
 
 
 @dataclass
@@ -422,6 +546,49 @@ def _build_pattern(row_dofs, col_dofs, shape) -> _CsrPattern:
         shape)
 
 
+def _split_rows(pattern: _CsrPattern, ne) -> _CsrPattern:
+    """The 6x6 pattern, derived from the 3x6 `pattern` without a sort.
+
+    Row 2v + a of the 6x6 scatter has the columns of row v of the 3x6 one,
+    and its COO entries (e, 2i + a, c) come in the order of row v's
+    entries (e, i, c): ascending e, then c.  `tocsr` sees the same column
+    sequence in both rows, and its index sort compares columns only, so it
+    orders both alike, and each 6x6 slot sums its entries in the order of
+    the 3x6 slot it copies.  The arrays equal `_build_pattern`'s bit for
+    bit.  (The 3x3 pattern is no such source: a 3x6 row holds each column
+    of its 3x3 row twice, so the sort, which is not stable, orders equal
+    columns differently.)
+    """
+    order, slot, indices, indptr = (pattern.order, pattern.slot,
+                                    pattern.indices, pattern.indptr)
+    nv = indptr.size - 1
+    by_entry = np.searchsorted(slot, indptr).astype(np.int32)
+
+    def doubled(ptr):
+        """(new row pointers, source of each new item, the new row's
+        component a) for rows v -> 2v, 2v + 1 of the items ptr[v]:ptr[v+1]."""
+        lengths = np.repeat(np.diff(ptr), 2)
+        new_ptr = np.zeros(2 * nv + 1, dtype=np.int32)
+        np.cumsum(lengths, out=new_ptr[1:])
+        shift = np.repeat(ptr[:-1], 2) - new_ptr[:-1]
+        source = np.arange(new_ptr[-1], dtype=np.int32) + np.repeat(
+            shift, lengths)
+        return new_ptr, source, np.repeat(np.tile(np.int32([0, 1]), nv),
+                                          lengths)
+
+    entry_ptr, source, comp = doubled(by_entry)
+    slot_ptr, slot_source, _ = doubled(indptr)
+    # the local entry (i, c, e) of the (3, 6, ne) array becomes (2i + a, c,
+    # e) of the (6, 6, ne) one
+    local = order[source]
+    block = 6 * ne
+    return _CsrPattern(*_frozen_parts([
+        local + (local // block + comp) * block,
+        slot[source] + np.repeat(slot_ptr[:-1] - np.repeat(indptr[:-1], 2),
+                                 np.diff(entry_ptr)),
+        indices[slot_source], slot_ptr]), (2 * nv, 2 * nv))
+
+
 @dataclass(frozen=True)
 class _LoadPattern:
     """Where each entry of an (r, ne) local array goes in one vector: dof
@@ -451,10 +618,12 @@ class ScatterPatterns:
     triangles (the same array, not an equal one) only sums its local
     entries into it.  The kinds are the dofs per vertex of the rows and of
     the columns: (1, 1) for K, M and the metric block, (1, 2) for
-    L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega; a load vector
-    (the shape derivative) has one kind per dofs per vertex.  The
-    Dirichlet eliminations of each constrained set on a square pattern are
-    kept too (`elimination`).  The patterns hold no mesh, so that a run can
+    L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega, derived from
+    the (1, 2) pattern (`_split_rows`); a load vector (the shape
+    derivative) has one kind per dofs per vertex.  The Dirichlet
+    eliminations of each constrained set on a square pattern are kept too
+    (`elimination`), and with each the SuperLU ordering of its constrained
+    structure (`ordering`).  The patterns hold no mesh, so that a run can
     own one object for all its iterates and drop it when it returns.  Each
     matrix gets its own copy of the index arrays, so it may be changed in
     place.
@@ -470,6 +639,7 @@ class ScatterPatterns:
         self._patterns = {}
         self._loads = {}
         self._eliminations = {}
+        self._orderings = {}
 
     def _dofs(self, per_vertex):
         return self.triangles if per_vertex == 1 \
@@ -486,14 +656,23 @@ class ScatterPatterns:
                            f"{ndim - 1} axes of length 3 or 6, then {ne}")
         return tuple(k // 3 for k in shape[:-1])
 
-    def scatter(self, mesh, local):
-        """Assemble (r, c, ne) local matrices into a global CSR matrix."""
-        kind = self._check(mesh, local, 3)
+    def _pattern(self, kind):
         pattern = self._patterns.get(kind)
         if pattern is None:
-            pattern = self._patterns[kind] = _build_pattern(
-                self._dofs(kind[0]), self._dofs(kind[1]),
-                (self.num_vertices * kind[0], self.num_vertices * kind[1]))
+            if kind == (2, 2):
+                pattern = _split_rows(self._pattern((1, 2)),
+                                      self.triangles.shape[0])
+            else:
+                pattern = _build_pattern(
+                    self._dofs(kind[0]), self._dofs(kind[1]),
+                    (self.num_vertices * kind[0],
+                     self.num_vertices * kind[1]))
+            self._patterns[kind] = pattern
+        return pattern
+
+    def scatter(self, mesh, local):
+        """Assemble (r, c, ne) local matrices into a global CSR matrix."""
+        pattern = self._pattern(self._check(mesh, local, 3))
         data = np.bincount(pattern.slot, minlength=pattern.indices.size,
                            weights=local.reshape(-1)[pattern.order])
         return sp.csr_matrix(
@@ -527,6 +706,22 @@ class ScatterPatterns:
                                          constrained, True)).values()]))
                 return elim
         return None
+
+    def ordering(self, matrix, constrained) -> _Ordering:
+        """The `_Ordering` of a constrained matrix of a structure that
+        `elimination` gave, kept with it; a fresh one for another
+        structure (a stored zero dropped, say), whose factorization then
+        computes the order for itself."""
+        tag = np.asarray(constrained).tobytes()
+        for key, elim in self._eliminations.items():
+            if (key[1] == tag
+                    and np.array_equal(elim.indptr, matrix.indptr)
+                    and np.array_equal(elim.indices, matrix.indices)):
+                if key not in self._orderings:
+                    self._orderings[key] = _Ordering(elim.indptr,
+                                                     elim.indices)
+                return self._orderings[key]
+        return _Ordering()
 
 
 def _scatter(mesh, local, patterns=None):

@@ -114,10 +114,12 @@ class _PointLocator:
                              (points - self.origin[elems])[:, :, None])[:, :, 0]
         return np.column_stack([1 - st[:, 0] - st[:, 1], st[:, 0], st[:, 1]])
 
-    def locate(self, points, tol=1e-12):
+    def locate(self, points, tol=1e-12, hint=None):
         points = np.asarray(points, dtype=float)
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
+        if hint is not None:
+            return self._locate_hinted(points, tol, hint)
         cells = self._cells(points)
         key = cells[:, 0] * self.nx + cells[:, 1]
         start = self.bucket_ptr[key]
@@ -164,6 +166,26 @@ class _PointLocator:
         bary[miss] = lam_m / lam_m.sum(axis=1, keepdims=True)
         return Located(elements, bary)
 
+    def _locate_hinted(self, points, tol, hint):
+        """`locate`, keeping each point's hinted element where its
+        barycentrics there are all >= `HINT_TOL`; see `TargetField.locate`."""
+        hint = np.asarray(hint)
+        if hint.shape != (len(points),) or hint.dtype.kind not in "iu" or \
+                (hint.size and not 0 <= hint.min() <= hint.max()
+                 < len(self.origin)):
+            raise ValueError("hint must hold one element index per point")
+        lam = self._bary(hint, points)
+        rest = np.flatnonzero(lam.min(axis=1) < HINT_TOL)
+        elements, bary = hint.astype(np.int64), lam
+        if rest.size:
+            cold = self.locate(points[rest], tol)
+            elements[rest], bary[rest] = cold.elements, cold.bary
+        return Located(elements, bary)
+
+
+# barycentrics a point needs in its hinted element to keep it
+HINT_TOL = 1e-8
+
 
 def _expand(counts):
     """(owner, k) for k = 0..counts[owner]-1, for every owner in turn."""
@@ -196,7 +218,7 @@ class TargetField:
         """(ne, 2) background gradients: `gradient_at` takes rows."""
         return np.ascontiguousarray(fem.elem_grad(self.z).T)
 
-    def locate(self, points) -> Located:
+    def locate(self, points, hint=None) -> Located:
         """Background element containing each point, with its barycentrics.
 
         Each point takes the first candidate of its grid bucket, in
@@ -208,15 +230,29 @@ class TargetField:
         every element raises ValueError.  `gradient_at` and
         `verify.mask_fields` rely on this deterministic tie-break on element
         boundaries.
+
+        `hint` is an optional element per point, such as the last lookup's
+        for the moved vertices.  A point whose barycentrics in its hinted
+        element are all >= `HINT_TOL` = 1e-8 keeps that element, and every
+        other point is searched as above.  The result is the same: such a
+        point lies inside the element by at least 1e-8 of each height, so
+        on a shape-regular background mesh every other element sees it at
+        a barycentric of about -1e-9 or less, far below the -1e-12 of a
+        hit, and the hinted element is its only hit.  Its barycentrics are
+        the ones the search solves, bit for bit.
         """
-        return self._locator.locate(points)
+        return self._locator.locate(points, hint=hint)
 
     def _located(self, points) -> Located:
         """`locate`, reusing the last result for an equal points array (a
-        copy is compared, so a different or mutated array is located)."""
+        copy is compared, so a different or mutated array is located) and
+        hinted by it for points of the same count."""
         points = np.asarray(points, dtype=float)
-        if self._last is None or not np.array_equal(self._last[0], points):
-            self._last = (points.copy(), self.locate(points))
+        last = self._last
+        if last is None or not np.array_equal(last[0], points):
+            hint = None if last is None or len(last[0]) != len(points) \
+                else last[1].elements
+            self._last = (points.copy(), self.locate(points, hint=hint))
         return self._last[1]
 
     def interpolate(self, points):
@@ -250,8 +286,9 @@ class OperatorSet:
     """One iterate's operators, passed to every consumer: K and M constrained
     on the state's Dirichlet nodes, b of (eps1, eps2) on the outer boundary
     (a FemError for a set built without eps1 and eps2).  Each is assembled
-    on first use and holds the factorization of its first constrained
-    solve: build one set per iterate and drop it with the iterate.
+    on first use; K and b hold the factorization of their first
+    constrained solve (M is solved by `fem.solve_mass`, never factorized):
+    build one set per iterate and drop it with the iterate.
 
     Every matrix of the iterate, the Hessian blocks included, fills the CSR
     patterns of `patterns`.  A run hands the sets of all its iterates the

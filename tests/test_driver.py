@@ -206,6 +206,27 @@ class TestTypedOutcomes:
         assert len(hist.records) == 1
         assert hist.records[0].step == 0.0
 
+    def test_failed_norms_end_the_run_with_a_note(self, coarse,
+                                                  monkeypatch):
+        """A residual-column solve that fails at the third iterate ends the
+        run with a note and keeps the two earlier rows as they were."""
+        cfg, target, mesh = coarse
+        sched = Schedule(n_gradient_iters=2, max_iters=4)
+        _, clean = run_two_phase(mesh, cfg, target, sched)
+        assert len(clean.records) == 5 and not clean.notes
+        real, calls = fem.solve_mass, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise fem.SingularSystemError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_mass", failing)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert hist.notes == ["aborted at iteration 2 (norms): injected"]
+        assert repr(hist.records) == repr(clean.records[:2])
+
     def test_step_halved_twice(self, coarse, monkeypatch):
         cfg, target, mesh = coarse
         calls = fold_first(monkeypatch, 2)
@@ -272,8 +293,8 @@ def count_calls(monkeypatch, owner, name):
 
 class TestOneOperatorSetPerIterate:
     def test_factorizations_and_locates_per_row(self, coarse, monkeypatch):
-        """K, M and b are factorized at most once each per History row,
-        and the vertices are located once per row."""
+        """K and b are factorized at most once each per History row (M
+        never), and the vertices are located once per row."""
         cfg, _, mesh = coarse
         target = model.make_target(cfg, 0.05)
         splu = count_calls(monkeypatch, spla, "splu")
@@ -283,7 +304,7 @@ class TestOneOperatorSetPerIterate:
         rows = len(hist.records)
         assert [r.mode for r in hist.records] == ["gradient"] * 3 \
             + ["newton"] * 4
-        assert len(splu) <= 3 * rows
+        assert len(splu) <= 2 * rows
         assert len(locate) == rows
 
     def test_one_state_solve_and_transfer_per_row(self, coarse,
@@ -314,14 +335,20 @@ class TestScatterPatternsPerRun:
     @staticmethod
     def record_builds(monkeypatch):
         """The block kind (dofs per vertex of rows and columns) of every
-        pattern built, in the returned list."""
-        real, kinds = fem._build_pattern, []
+        pattern built, the 6x6 one derived from the 3x6 one included, in
+        the returned list."""
+        real, real_split, kinds = fem._build_pattern, fem._split_rows, []
 
         def counted(row_dofs, col_dofs, shape):
             kinds.append((row_dofs.shape[1] // 3, col_dofs.shape[1] // 3))
             return real(row_dofs, col_dofs, shape)
 
+        def split(pattern, ne):
+            kinds.append((2, 2))
+            return real_split(pattern, ne)
+
         monkeypatch.setattr(fem, "_build_pattern", counted)
+        monkeypatch.setattr(fem, "_split_rows", split)
         return kinds
 
     def test_each_kind_built_once_per_run(self, monkeypatch):

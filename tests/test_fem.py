@@ -270,6 +270,21 @@ class TestAssembly:
             assert_same_csr(fem._scatter(moved, local, patterns),
                             reference(moved, local.transpose(2, 0, 1)))
 
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
+    def test_split_rows_equal_the_built_pattern(self, h):
+        """The 6x6 pattern derived from the 3x6 one: every array equals
+        the one scipy's COO-to-CSR conversion and index sort give, bit for
+        bit, so each slot sums its entries in `tocsr`'s order."""
+        m = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
+        dofs = vector_dofs(m.triangles)
+        nv = m.num_vertices
+        got = fem.ScatterPatterns(m)._pattern((2, 2))
+        want = fem._build_pattern(dofs, dofs, (2 * nv, 2 * nv))
+        assert got.shape == want.shape
+        for name in ("order", "slot", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_load_sums_like_add_at(self, mesh):
         """A (6, ne) local vector summed onto the 2n dofs equals
         `np.add.at` on the (ne, 3, 2) layout bit for bit, zero signs too."""
@@ -497,3 +512,134 @@ class TestDirichletElimination:
             fem.apply_dirichlet(matrix, np.array(constrained))
             assert not matrix.has_canonical_format   # the input is untouched
             self.assert_same_csr(matrix.copy(), np.array(constrained))
+
+
+def mmd_factor(matrix):
+    """The per-call factorization the per-run ordering replaced."""
+    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+def iterate(h, deformed):
+    """(start mesh, the mesh of a later iterate): the same mesh, or the
+    start mesh with its vertices moved."""
+    m = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
+    if not deformed:
+        return m, m
+    rng = np.random.default_rng(14)
+    return m, apply_deformation(
+        m, 1e-3 * rng.standard_normal((m.num_vertices, 2)), 1.0)
+
+
+SIZES = pytest.mark.parametrize("h, deformed", [(0.05, False), (0.02, False),
+                                                (0.05, True)],
+                                ids=["h0.05", "h0.02", "deformed"])
+
+
+class TestPerRunOrdering:
+    """K and b_s factorized on the ordering their run's first factorization
+    computed, against minimum degree per call."""
+
+    @SIZES
+    def test_same_fill_and_solutions(self, h, deformed, monkeypatch):
+        start, moved = iterate(h, deformed)
+        orders = []
+        real = spla.splu
+
+        def counted(matrix, permc_spec, **kwargs):
+            orders.append(permc_spec)
+            return real(matrix, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        patterns = fem.ScatterPatterns(start)
+        rng = np.random.default_rng(15)
+        for m in (start, moved, moved):
+            ops = model.OperatorSet(m, model.ProblemConfig(), 3e-2, 0.5,
+                                    patterns)
+            for op in (ops.state, ops.metric.block):
+                want = real(op.constrained_matrix.tocsc(),
+                            permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+                got = op._factor
+                lu = getattr(got, "lu", got)
+                assert lu.L.nnz + lu.U.nnz == want.L.nnz + want.U.nnz
+                rhs = rng.standard_normal((m.num_vertices, 2))
+                x, ref_x = got.solve(rhs), want.solve(rhs)
+                assert np.abs(x - ref_x).max() <= \
+                    1e-14 * np.abs(ref_x).max()
+        # one minimum-degree ordering per constrained set, K's and b_s's
+        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 4
+        # each keeps a copy of `perm_c`: a view would keep its whole first
+        # factorization alive for the run
+        for ordering in patterns._orderings.values():
+            assert ordering.perm.base is None
+
+    def test_dropped_stored_zero_takes_minimum_degree(self, mesh):
+        """A stored kept zero is dropped, so the constrained structure is
+        not the run's: its factorization computes its own ordering and
+        equals the per-call one bit for bit."""
+        patterns = fem.ScatterPatterns(mesh)
+        for kept in (False, True):  # the set's ordering is kept, in use
+            ops = model.OperatorSet(mesh, model.ProblemConfig(),
+                                    patterns=patterns)
+            assert isinstance(ops.state._factor, fem._PermutedFactor) == kept
+        zeroed = ops.state.matrix.copy()
+        rows = np.repeat(np.arange(mesh.num_vertices),
+                         np.diff(zeroed.indptr))
+        free = np.ones(mesh.num_vertices, dtype=bool)
+        free[ops.state.constrained] = False
+        zeroed.data[np.flatnonzero(free[rows] & free[zeroed.indices])[0]] = 0.0
+        op = fem.SparseOperator(zeroed, ops.state.constrained, patterns)
+        assert op.constrained_matrix.nnz < ops.state.constrained_matrix.nnz
+        got = op._factor
+        assert isinstance(got, spla.SuperLU)
+        rhs = np.random.default_rng(16).standard_normal(mesh.num_vertices)
+        want = mmd_factor(op.constrained_matrix)
+        assert np.array_equal(got.perm_c, want.perm_c)
+        assert got.solve(rhs).tobytes() == want.solve(rhs).tobytes()
+
+
+class TestMassSolve:
+    """`fem.solve_mass` (Chebyshev on the Jacobi-scaled mass) against the
+    sparse direct solve it replaced."""
+
+    @SIZES
+    def test_equals_direct_solve(self, h, deformed):
+        _, m = iterate(h, deformed)
+        mass = model.OperatorSet(m, model.ProblemConfig()).mass
+        rhs = np.random.default_rng(17).standard_normal((m.num_vertices, 2))
+        got = fem.solve_mass(mass, rhs)
+        free = rhs.copy()
+        free[mass.constrained] = 0.0
+        want = mmd_factor(mass.constrained_matrix).solve(free)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        dual, want_dual = (rhs * got).sum(axis=0), (rhs * want).sum(axis=0)
+        assert np.all(np.abs(dual - want_dual) <= 1e-14 * np.abs(want_dual))
+        one = fem.solve_mass(mass, rhs[:, 0])
+        assert np.abs(one - want[:, 0]).max() <= 1e-13 * np.abs(want).max()
+
+    def test_scaled_spectrum_within_the_bound(self, mesh):
+        """The Jacobi-scaled constrained mass has its spectrum in
+        [1/2, 2], on the start mesh and on a strongly moved one."""
+        rng = np.random.default_rng(18)
+        moved = apply_deformation(
+            mesh, 2e-2 * rng.standard_normal((mesh.num_vertices, 2))
+            * (np.isin(np.arange(mesh.num_vertices),
+                       mesh.boundary_vertices, invert=True))[:, None], 1.0)
+        assert fem.signed_areas(moved.vertices, moved.triangles).min() > 0
+        for m in (mesh, moved):
+            mat = model.OperatorSet(m, model.ProblemConfig()) \
+                .mass.constrained_matrix
+            s = 1.0 / np.sqrt(mat.diagonal())
+            ev = np.linalg.eigvalsh(s[:, None] * mat.toarray() * s)
+            assert 0.5 - 1e-12 <= ev.min() and ev.max() <= 2.0 + 1e-12
+
+    def test_stiffness_fails_the_residual_check(self, mesh):
+        """Negative control: the constrained stiffness, whose scaled
+        spectrum lies far outside [1/2, 2], raises instead of returning."""
+        ops = model.OperatorSet(mesh, model.ProblemConfig())
+        rhs = 10 * np.random.default_rng(19).standard_normal(
+            mesh.num_vertices)
+        with pytest.raises(SingularSystemError, match="mass solve residual"):
+            fem.solve_mass(ops.state, rhs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from deformopt import fem, model
+from deformopt import driver, fem, model
 from deformopt.fem import ScalarField
 from deformopt.mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape,
                             generate_mesh)
@@ -78,6 +78,12 @@ class ReferenceLocator:
 @pytest.fixture(scope="module")
 def cfg():
     return ProblemConfig()
+
+
+@pytest.fixture(scope="module")
+def backgrounds(cfg):
+    """The targets of the benchmark's workloads, by background size."""
+    return {h: make_target(cfg, h) for h in (0.025, 0.01)}
 
 
 @pytest.fixture(scope="module")
@@ -305,9 +311,9 @@ class TestTarget:
         calls = []
         real = TargetField.locate
 
-        def counted(self, points):
+        def counted(self, points, hint=None):
             calls.append(1)
-            return real(self, points)
+            return real(self, points, hint=hint)
 
         monkeypatch.setattr(TargetField, "locate", counted)
         field = TargetField(target.mesh, target.z)
@@ -325,6 +331,82 @@ class TestTarget:
         assert np.array_equal(values, fresh.interpolate(points))
         assert np.array_equal(grads, fresh.gradient_at(points))
         assert np.array_equal(other_values, fresh.interpolate(other))
+
+    def test_wrong_or_right_hint_gives_the_search_result(self, target,
+                                                         mesh):
+        """A random hint, the search's own elements, and elements one off
+        give the unhinted result, bytewise."""
+        cold = target.locate(mesh.vertices)
+        rng = np.random.default_rng(13)
+        ne = target.mesh.num_triangles
+        for hint in (rng.integers(0, ne, mesh.num_vertices), cold.elements,
+                     (cold.elements + 1) % ne):
+            got = target.locate(mesh.vertices, hint=hint)
+            assert got.elements.tobytes() == cold.elements.tobytes()
+            assert got.bary.tobytes() == cold.bary.tobytes()
+
+    def test_outer_boundary_vertices_take_the_search(self, target, mesh,
+                                                     monkeypatch):
+        """Vertices on the outer boundary lie on background edges, below
+        the hint's 1e-8, so they are searched even with the right hint;
+        some interior vertices keep it (others of the start mesh lie on
+        background edges too)."""
+        cold = target.locate(mesh.vertices)
+        searched = []
+        real = model._PointLocator.locate
+
+        def spy(self, points, tol=1e-12, hint=None):
+            if hint is None:
+                searched.append(points.copy())
+            return real(self, points, tol, hint)
+
+        monkeypatch.setattr(model._PointLocator, "locate", spy)
+        got = target.locate(mesh.vertices, hint=cold.elements)
+        assert got.bary.tobytes() == cold.bary.tobytes()
+        (points,) = searched
+        boundary = {tuple(p) for p in mesh.vertices[mesh.boundary_vertices]}
+        assert boundary <= {tuple(p) for p in points}
+        assert len(points) < mesh.num_vertices
+
+    def test_hint_of_another_count_or_range_rejected(self, target, mesh):
+        n, ne = mesh.num_vertices, target.mesh.num_triangles
+        for hint in (np.zeros(n - 1, dtype=int), np.full(n, ne),
+                     np.full(n, -1), np.zeros(n)):
+            with pytest.raises(ValueError, match="hint"):
+                target.locate(mesh.vertices, hint=hint)
+
+    @pytest.mark.parametrize("seed", [2024, 7, 3])
+    @pytest.mark.parametrize("mesh_h, target_h, n_gradient, max_iters", [
+        (0.05, 0.025, 20, 20), (0.02, 0.01, 3, 5)],
+        ids=["warmup", "newton"])
+    def test_hinted_lookups_of_a_run_equal_the_search(
+            self, cfg, backgrounds, monkeypatch, seed, mesh_h, target_h,
+            n_gradient, max_iters):
+        """On every iterate of the benchmark's runs (start circle drawn
+        from the seed), each lookup hinted by the last one gives the
+        elements and barycentrics of the unhinted search, bytewise."""
+        rng = np.random.default_rng(seed)
+        dx, dy, dr = rng.uniform(-0.01, 0.01, 3)
+        start = generate_mesh(InclusionShape.circle(
+            (0.5 + dx, 0.5 + dy), 0.2 + dr), mesh_h)
+        background = backgrounds[target_h]
+        target = TargetField(background.mesh, background.z)
+        hinted = []
+        real = TargetField.locate
+
+        def compared(self, points, hint=None):
+            got = real(self, points, hint=hint)
+            cold = real(self, points)
+            assert got.elements.tobytes() == cold.elements.tobytes()
+            assert got.bary.tobytes() == cold.bary.tobytes()
+            hinted.append(hint is not None)
+            return got
+
+        monkeypatch.setattr(TargetField, "locate", compared)
+        _, hist = driver.run_two_phase(
+            start, cfg, target, driver.Schedule(n_gradient_iters=n_gradient,
+                                                max_iters=max_iters))
+        assert hinted == [False] + [True] * (len(hist.records) - 1)
 
     def test_target_field_requires_matching_mesh(self, target, mesh):
         with pytest.raises(ValueError):

@@ -30,15 +30,16 @@ def traced_metrics(workload):
 def test_warmup_trace_is_correct_with_one_operator_set_per_row():
     metrics = traced_metrics("warmup")
     assert metrics["driver.iterations"] == 21
-    # K, M and b factorized once each per row; the vertices located once
-    assert metrics["fem.factor_calls"] == 63
+    # K and b factorized once each per row (M is solved by Chebyshev and
+    # never factorized); the vertices located once
+    assert metrics["fem.factor_calls"] == 42
     # the largest factorization is n x n (the start mesh's 495 vertices):
     # the metric is factorized as its scalar block, not at 2n
     assert metrics["fem.factor_max_dofs"] == 495
     assert metrics["model.locate_calls"] == 21
-    # per row (84): the state, the adjoint, and the residual column's b
-    # solve and one two-column M solve; per step (60): two K and one b
-    assert metrics["fem.solve_constrained_calls"] == 144
+    # per row (63): the state, the adjoint, and the residual column's b
+    # solve; per step (60): two K and one b
+    assert metrics["fem.solve_constrained_calls"] == 123
     # the wrapped derivative layers still run once per row (the gradient)
     # or per step (the blocks), though they now share one set of element
     # terms, which no wrapper sees
@@ -50,19 +51,19 @@ def test_warmup_trace_is_correct_with_one_operator_set_per_row():
     assert metrics["fem.assemble_calls"] == 63
     assert metrics["fem.dirichlet_calls"] == 63
     assert metrics["model.locate_points"] == 21 * 495
-    assert metrics["fem.factor_fill_nnz"] == 719460
+    assert metrics["fem.factor_fill_nnz"] == 470022
 
 
 def test_newton_trace_does_the_same_work():
-    """3 gradient and 2 Newton steps at h=0.02, 6 rows: K, M and b are
+    """3 gradient and 2 Newton steps at h=0.02, 6 rows: K and b are
     factorized once per row, except K on the last row, which neither
     re-solves the state (it follows a Newton step) nor takes a step; the
     largest factorization is n x n; and the 2932 vertices are located once
     per row."""
     metrics = traced_metrics("newton")
     assert metrics["driver.iterations"] == 6
-    assert metrics["fem.factor_calls"] == 17
-    assert metrics["fem.factor_fill_nnz"] == 2106932
+    assert metrics["fem.factor_calls"] == 11
+    assert metrics["fem.factor_fill_nnz"] == 1348028
     assert metrics["fem.factor_max_dofs"] == 2932
     assert metrics["kkt.solve_calls"] == 5
     assert metrics["model.locate_points"] == 6 * 2932
