@@ -129,9 +129,14 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
         mass_w = None       # M (u - z), shared where the adjoint is solved
         # project through the switch iteration so Newton starts feasible
         if k <= n_gradient:
-            u = model.solve_state(ops)
-            mass_w = model.mass_misfit(ops, u, z)
-            lam = model.solve_adjoint(ops, u, z, mass_w)
+            try:
+                u = model.solve_state(ops)
+                mass_w = model.mass_misfit(ops, u, z)
+                lam = model.solve_adjoint(ops, u, z, mass_w)
+            except fem.SingularSystemError as exc:
+                history.notes.append(f"aborted at iteration {k} (state): "
+                                     f"{exc}")
+                break
         j0 = model.objective(ops, u, z)
         terms = shape_calculus.element_terms(ops, u, lam, z, z_grad,
                                              mass_w=mass_w)

@@ -1,10 +1,11 @@
 """P1 finite-element kernel on triangle meshes.
 
 Nodal fields, exact element quadrature, assembly of the scalar stiffness,
-mass and vector H1 forms, and sparse solves with symmetric Dirichlet
-elimination: SuperLU factorizations, and Chebyshev iteration for the mass.  Products of P1 fields are integrated by a degree-4 rule,
-exact up to products of four fields.  Assembly fills CSR patterns built
-once per triangle array (`ScatterPatterns`).
+mass and vector H1 forms, and sparse solves on the free x free block of a
+Dirichlet-constrained operator: SuperLU factorizations, and Chebyshev
+iteration for the mass.  Products of P1 fields are integrated by a
+degree-4 rule, exact up to products of four fields.  Assembly fills CSR
+patterns built once per triangle array (`ScatterPatterns`).
 
 Every per-element array has the element axis last and contiguous: basis
 gradients (3, 2, ne), local matrices (r, c, ne), element gradients (2, ne).
@@ -193,20 +194,19 @@ def integrate_p1_product(fields, weights=None):
 class SparseOperator:
     """Assembled symmetric bilinear form with Dirichlet handling.
 
-    `matrix` is the unconstrained operator.  `constrained` lists dof indices
-    eliminated symmetrically (identity row/column) when solving.
+    `matrix` is the unconstrained operator.  `constrained` lists the dofs
+    held at given values (zero by default): a solve runs on the free x free
+    block of `matrix` (`free_block`).
 
-    The constrained matrix is factorized by SuperLU in symmetric mode:
-    diagonal pivots only, on a minimum-degree ordering of A + A^T.  That
-    assumes it is symmetric positive definite, as every operator built here
-    is after the elimination (stiffness, mass and the metric block); nothing
-    nonsymmetric or indefinite may go through `_factor`.  A singular matrix
-    (the pure-Neumann stiffness) is caught by the residual check of
-    `solve_constrained`.  With diagonal pivots the ordering depends on the
-    structure alone, so the `ScatterPatterns` that filled `matrix` keep it
-    per constrained set (`ScatterPatterns.ordering`): a structure's first
-    factorization in a run computes it, every later one factorizes the
-    permuted matrix in its natural order.
+    The block is factorized by SuperLU in symmetric mode: diagonal pivots
+    only, on a minimum-degree ordering of A + A^T.  That assumes it is
+    symmetric positive definite, as every block built here is (stiffness,
+    mass and the metric block); nothing nonsymmetric or indefinite may go
+    through `_factor`.  A singular block (the pure-Neumann stiffness) is
+    caught by the residual check of `solve_constrained`.  With diagonal
+    pivots the ordering depends on the structure alone, so it is kept in
+    the block's `_Restriction`, one per constrained set in the
+    `ScatterPatterns` that filled `matrix`.
     """
 
     matrix: sp.csr_matrix
@@ -214,15 +214,16 @@ class SparseOperator:
     patterns: "ScatterPatterns | None" = None   # that filled `matrix`
 
     @cached_property
-    def constrained_matrix(self):
+    def restriction(self) -> "_Restriction":
+        return _restriction(self.matrix, self.constrained, self.patterns)[1]
+
+    @cached_property
+    def free_block(self):
         return apply_dirichlet(self.matrix, self.constrained, self.patterns)
 
     @cached_property
     def _factor(self):
-        mat = self.constrained_matrix
-        ordering = _Ordering() if self.patterns is None else \
-            self.patterns.ordering(mat, self.constrained)
-        return ordering.factor(mat)
+        return self.restriction.factor(self.free_block)
 
     def energy(self, x, y=None):
         y = x if y is None else y
@@ -234,27 +235,25 @@ class SparseOperator:
         `rhs` is one right-hand side (n,) or several as columns (n, k),
         solved on the one factorization; the residual check and the
         iterative refinement then take all columns together."""
-        rhs = np.asarray(rhs, dtype=float).copy()
-        lift = np.zeros_like(rhs)
-        if bc_values is not None and self.constrained.size:
+        rhs = np.asarray(rhs, dtype=float)
+        if bc_values is not None:
+            lift = np.zeros_like(rhs)
             lift[self.constrained] = bc_values
             rhs = rhs - self.matrix @ lift
-        if self.constrained.size:
-            rhs[self.constrained] = 0.0
+        block, rhs = self.free_block, self.restriction.restrict(rhs)
         x = self._factor.solve(rhs)
         scale = max(np.linalg.norm(rhs), 1.0)
-        res = np.linalg.norm(self.constrained_matrix @ x - rhs)
+        res = np.linalg.norm(block @ x - rhs)
         for _ in range(6):                     # iterative refinement
             if res <= 1e-12 * scale:
                 break
-            x = x + self._factor.solve(rhs - self.constrained_matrix @ x)
-            res = np.linalg.norm(self.constrained_matrix @ x - rhs)
+            x = x + self._factor.solve(rhs - block @ x)
+            res = np.linalg.norm(block @ x - rhs)
         if not np.isfinite(res) or res > rtol * scale:
             raise SingularSystemError(
                 f"linear solve residual {res:.3e} exceeds tolerance")
-        if bc_values is not None:
-            x = x + lift
-        return x
+        x = self.restriction.extend(x)
+        return x if bc_values is None else x + lift
 
 
 def _splu(csc, permc_spec):
@@ -266,41 +265,71 @@ def _splu(csc, permc_spec):
         raise SingularSystemError(str(exc)) from exc
 
 
-class _Ordering:
-    """SuperLU's column order of one constrained CSR structure.
+class _Restriction:
+    """The free x free block of one canonical CSR structure for one set of
+    constrained dofs, and SuperLU's column order of that block.
 
-    The first `factor` computes it by minimum degree on A + A^T and keeps
-    SuperLU's `perm_c`, which puts entry (i, j) of A at (perm_c[i],
-    perm_c[j]) of the matrix it factorizes, A[q][:, q] with q =
-    argsort(perm_c).  The second builds the gather of that matrix: entry k
-    of its CSC arrays is entry `take[k]` of the CSR data.  It and every
-    later `factor` then only gather and factorize in the natural order.
+    Entry k of the block is entry `take[k]` of the structure's data: every
+    entry in a free row and a free column, stored zeros too, so that every
+    matrix of the structure gives a block of one structure and one order.
+    `free` lists the free dofs in ascending order; `slot` gives each dof
+    its row in the block, or the row past its end for a constrained dof.
+
+    The first `factor` computes the order by minimum degree on A + A^T, A
+    the block, and keeps SuperLU's `perm_c`, which puts entry (i, j) of A
+    at (perm_c[i], perm_c[j]) of the matrix it factorizes, A[q][:, q] with
+    q = argsort(perm_c).  The second builds the gather of that matrix from
+    the block's CSR data to its CSC arrays.  It and every later `factor`
+    then only gather and factorize in the natural order.
     The factors have the same L + U fill; the solutions agree to rounding,
     not bit for bit.  As the gather waits for the second use, a structure
     factorized once (`model.make_target`'s) only copies `perm_c`.
     """
 
-    def __init__(self, indptr=None, indices=None):
-        self.indptr, self.indices = indptr, indices
+    def __init__(self, indptr, indices, constrained):
+        n = indptr.size - 1
+        is_free = np.ones(n, dtype=bool)
+        is_free[constrained] = False
+        free = np.flatnonzero(is_free)
+        slot = np.full(n, free.size)
+        slot[free] = np.arange(free.size)
+        keep = is_free[indices] & np.repeat(is_free, np.diff(indptr))
+        take = np.flatnonzero(keep)
+        counts = np.concatenate([[0], np.cumsum(keep)])
+        self.free, self.slot, self.take, self.indices, self.indptr = \
+            _frozen_parts([a.astype(np.int32) for a in (
+                free, slot, take, slot[indices[take]],
+                counts[indptr[np.append(free, n)]])])
         self.perm = None
         self._gather = None     # (take, CSC indices, CSC indptr, q)
 
-    def factor(self, matrix):
+    # `np.take` gathers the rows of a two-column array several times faster
+    # than indexing does, and puts them back faster than an assignment
+    def restrict(self, x):
+        """The free rows of (n,) or (n, k) `x`."""
+        return np.take(x, self.free, axis=0)
+
+    def extend(self, x):
+        """The (n,) or (n, k) array of free rows `x`, zero elsewhere."""
+        return np.take(np.concatenate([x, np.zeros((1, *x.shape[1:]))]),
+                       self.slot, axis=0)
+
+    def factor(self, block):
         if self.perm is None:
-            lu = _splu(matrix.tocsc(), "MMD_AT_PLUS_A")
+            lu = _splu(block.tocsc(), "MMD_AT_PLUS_A")
             self.perm = lu.perm_c.copy()   # a view would keep `lu` alive
             return lu
         if self._gather is None:
             self._gather = _permuted_csc(self.indptr, self.indices, self.perm)
         take, indices, indptr, q = self._gather
-        lu = _splu(sp.csc_matrix((matrix.data[take], indices, indptr),
-                                 shape=matrix.shape), "NATURAL")
+        lu = _splu(sp.csc_matrix((block.data[take], indices, indptr),
+                                 shape=block.shape), "NATURAL")
         return _PermutedFactor(lu, q, self.perm)
 
 
 def _permuted_csc(indptr, indices, perm):
     """(take, indices, indptr, q) of A[q][:, q], q = argsort(perm), for
-    the CSR structure of A, as `_Ordering` keeps them."""
+    the CSR structure of A, as `_Restriction` keeps them."""
     n = indptr.size - 1
     rows = perm[np.repeat(np.arange(n), np.diff(indptr))]
     cols = perm[indices]
@@ -321,8 +350,6 @@ class _PermutedFactor:
     perm: np.ndarray
 
     def solve(self, rhs):
-        # `np.take` gathers the rows of a two-column array several times
-        # faster than indexing does
         return np.take(self.lu.solve(np.take(rhs, self.q, axis=0)),
                        self.perm, axis=0)
 
@@ -333,26 +360,24 @@ MASS_STEPS = 30
 
 def solve_mass(op: SparseOperator, rhs):
     """Solve a constrained P1 mass system with homogeneous values at the
-    constrained dofs, by Chebyshev iteration on the Jacobi-scaled matrix
-    S = D^-1/2 M D^-1/2.
+    constrained dofs, by Chebyshev iteration on the Jacobi-scaled free
+    block S = D^-1/2 M D^-1/2.
 
     Each element mass is |T|/12 (J + I), so scaled by its diagonal
     |T|/6 I its eigenvalues are 2 (the constant) and 1/2 (twice).  For
     areas |T| > 0 the assembled quotient x^T M x / x^T D x, a ratio of sums
-    of element terms, then lies in [1/2, 2]; the free block's spectrum
-    interlaces inside it, and each identity row of a constrained dof adds
-    the eigenvalue 1.  On [1/2, 2] (condition 4) k Chebyshev steps reduce
-    the M-norm error by 1/T_k(5/3) <= 2 * 3**-k, and so the relative error
-    of r . M^-1 r: `MASS_STEPS` fixed steps need no inner product and no
-    stopping test.  `rhs` is (n,) or (n, k).  The final residual is checked
-    as in `SparseOperator.solve_constrained`, at the 1e-6 relative that the
-    residual column's solves allow; an operator whose scaled spectrum
-    leaves [1/2, 2], such as a stiffness, fails it and raises
+    of element terms, then lies in [1/2, 2], and the free block's spectrum
+    interlaces inside it.  On [1/2, 2] (condition 4) k Chebyshev steps
+    reduce the M-norm error by 1/T_k(5/3) <= 2 * 3**-k, and so the relative
+    error of r . M^-1 r: `MASS_STEPS` fixed steps need no inner product and
+    no stopping test.  `rhs` is (n,) or (n, k).  The final residual is
+    checked as in `SparseOperator.solve_constrained`, at the 1e-6 relative
+    that the residual column's solves allow; an operator whose scaled
+    spectrum leaves [1/2, 2], such as a stiffness, fails it and raises
     SingularSystemError.
     """
-    mat = op.constrained_matrix
-    rhs = np.asarray(rhs, dtype=float).copy()
-    rhs[op.constrained] = 0.0
+    mat = op.free_block
+    rhs = op.restriction.restrict(np.asarray(rhs, dtype=float))
     s = 1.0 / np.sqrt(mat.diagonal())
     rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
     scaled = sp.csr_matrix((mat.data * s[rows] * s[mat.indices],
@@ -377,7 +402,7 @@ def solve_mass(op: SparseOperator, rhs):
     if not np.isfinite(res) or res > 1e-6 * scale:
         raise SingularSystemError(
             f"mass solve residual {res:.3e} exceeds tolerance")
-    return x
+    return op.restriction.extend(x)
 
 
 @dataclass
@@ -413,79 +438,31 @@ class VectorOperator:
 
 
 def apply_dirichlet(matrix, constrained, patterns=None):
-    """CSR copy of `matrix` with identity rows and columns at the
-    constrained dofs (symmetric Dirichlet elimination).
-
-    Of the canonical CSR entries it keeps those outside every constrained
-    row and column that are not exactly zero, and gives each constrained
-    row its diagonal alone.  This gives the same `indptr`, `indices` and
-    `data`, bit for bit, as zeroing those rows and columns in a LIL copy
-    and adding the identity on the constrained diagonal, whose CSR addition
-    sorts indices and drops zero sums.  Dropping the stored zeros matters:
-    they would change SuperLU's ordering.
+    """The free x free block of `matrix` in CSR: the canonical CSR form
+    without the rows and columns of the constrained dofs, stored zeros
+    kept, taken by one gather of its data.
 
     `patterns` are the `ScatterPatterns` the matrix may have been filled
-    from.  They keep, per constrained set, where the entries of their
-    structure go, so that a call on a matrix of that structure only checks
-    that no kept entry is exactly zero and copies; a matrix of another
-    structure, or one with such a zero, takes the positions from its own
-    arrays.
+    from.  They keep the `_Restriction` of each constrained set on each of
+    their structures; a matrix of another structure gets a fresh one from
+    its own arrays.
     """
-    if len(constrained) == 0:
-        return matrix.tocsr()
+    mat, r = _restriction(matrix, constrained, patterns)
+    return sp.csr_matrix((mat.data[r.take], r.indices.copy(),
+                          r.indptr.copy()), shape=(r.free.size,) * 2)
+
+
+def _restriction(matrix, constrained, patterns):
+    """(`matrix` in canonical CSR, the `_Restriction` of `constrained` on
+    its structure: the one `patterns` keep, or a fresh one).  The input is
+    not changed."""
     mat = matrix.tocsr()
     if not mat.has_canonical_format:
         mat = mat.copy()
         mat.sum_duplicates()
-    elim = None if patterns is None else \
-        patterns.elimination(mat, constrained)
-    kept = None if elim is None else mat.data[elim.kept]
-    if kept is None or not np.all(kept):
-        elim = _elimination(mat.indptr, mat.indices, constrained,
-                            mat.data != 0)
-        kept = mat.data[elim.kept]
-    data = np.empty(elim.indices.size)
-    data[elim.on_diag], data[elim.off_diag] = elim.diag, kept
-    return sp.csr_matrix((data, elim.indices.copy(), elim.indptr.copy()),
-                         shape=mat.shape)
-
-
-@dataclass(frozen=True)
-class _Elimination:
-    """Where `apply_dirichlet` puts the entries of one CSR structure: entry
-    `off_diag[q]` of the result is entry `kept[q]` of the input, and entry
-    `on_diag[k]` is the k-th constrained diagonal, of value `diag[k]`."""
-
-    kept: np.ndarray
-    off_diag: np.ndarray
-    on_diag: np.ndarray
-    diag: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def _elimination(indptr, indices, constrained, keep) -> _Elimination:
-    """The elimination of `constrained` from a canonical CSR structure,
-    keeping of its entries those in `keep` (a mask, or True for all) that
-    lie outside every constrained row and column."""
-    n = indptr.size - 1
-    # the constrained diagonal: 1, or 2 for a dof listed twice, as the
-    # duplicate-summing identity of the LIL path gave
-    listed = np.bincount(constrained, minlength=n)
-    is_c = listed > 0
-    keep = keep & ~is_c[indices]
-    keep &= ~np.repeat(is_c, np.diff(indptr))
-    kept = np.concatenate([[0], np.cumsum(keep)])[indptr]
-    out_ptr = np.zeros(n + 1, dtype=indptr.dtype)
-    np.cumsum(np.diff(kept) + is_c, out=out_ptr[1:])
-    # a constrained row holds its diagonal only: the first slot of the row
-    diag = np.flatnonzero(is_c)
-    on_diag = np.zeros(out_ptr[-1], dtype=bool)
-    on_diag[out_ptr[diag]] = True
-    out_idx = np.empty(out_ptr[-1], dtype=indices.dtype)
-    out_idx[on_diag], out_idx[~on_diag] = diag, indices[keep]
-    return _Elimination(np.flatnonzero(keep), np.flatnonzero(~on_diag),
-                        out_ptr[diag], listed[diag], out_idx, out_ptr)
+    if patterns is None:
+        return mat, _Restriction(mat.indptr, mat.indices, constrained)
+    return mat, patterns.restriction(mat, constrained)
 
 
 @dataclass(frozen=True)
@@ -620,13 +597,12 @@ class ScatterPatterns:
     the columns: (1, 1) for K, M and the metric block, (1, 2) for
     L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega, derived from
     the (1, 2) pattern (`_split_rows`); a load vector (the shape
-    derivative) has one kind per dofs per vertex.  The Dirichlet
-    eliminations of each constrained set on a square pattern are kept too
-    (`elimination`), and with each the SuperLU ordering of its constrained
-    structure (`ordering`).  The patterns hold no mesh, so that a run can
-    own one object for all its iterates and drop it when it returns.  Each
-    matrix gets its own copy of the index arrays, so it may be changed in
-    place.
+    derivative) has one kind per dofs per vertex.  The free x free block
+    of each constrained set on a square pattern is kept too, with its
+    SuperLU ordering (`restriction`).  The patterns hold no mesh, so that
+    a run can own one object for all its iterates and drop it when it
+    returns.  Each matrix gets its own copy of the index arrays, so it may
+    be changed in place.
 
     Local arrays have the element axis last, (r, c, ne) for matrices and
     (r, ne) for vectors, with r and c 3 (one dof per corner) or 6 (two,
@@ -638,8 +614,7 @@ class ScatterPatterns:
         self.num_vertices = mesh.num_vertices
         self._patterns = {}
         self._loads = {}
-        self._eliminations = {}
-        self._orderings = {}
+        self._restrictions = {}
 
     def _dofs(self, per_vertex):
         return self.triangles if per_vertex == 1 \
@@ -690,38 +665,20 @@ class ScatterPatterns:
         return np.bincount(pattern.slot, minlength=pattern.size,
                            weights=local.reshape(-1)[pattern.order])
 
-    def elimination(self, matrix, constrained):
-        """The `_Elimination` of `constrained` from a canonical CSR matrix
-        with the structure of one of the square patterns, or None."""
+    def restriction(self, matrix, constrained) -> _Restriction:
+        """The `_Restriction` of `constrained` on a canonical CSR matrix:
+        the one kept for the square pattern of its structure, built on
+        first use, or a fresh one for a matrix of another structure."""
         for kind, pattern in self._patterns.items():
             if (pattern.shape == matrix.shape
                     and np.array_equal(pattern.indptr, matrix.indptr)
                     and np.array_equal(pattern.indices, matrix.indices)):
                 key = (kind, np.asarray(constrained).tobytes())
-                elim = self._eliminations.get(key)
-                if elim is None:
-                    elim = self._eliminations[key] = _Elimination(
-                        *_frozen_parts([a.astype(np.int32) for a in vars(
-                            _elimination(pattern.indptr, pattern.indices,
-                                         constrained, True)).values()]))
-                return elim
-        return None
-
-    def ordering(self, matrix, constrained) -> _Ordering:
-        """The `_Ordering` of a constrained matrix of a structure that
-        `elimination` gave, kept with it; a fresh one for another
-        structure (a stored zero dropped, say), whose factorization then
-        computes the order for itself."""
-        tag = np.asarray(constrained).tobytes()
-        for key, elim in self._eliminations.items():
-            if (key[1] == tag
-                    and np.array_equal(elim.indptr, matrix.indptr)
-                    and np.array_equal(elim.indices, matrix.indices)):
-                if key not in self._orderings:
-                    self._orderings[key] = _Ordering(elim.indptr,
-                                                     elim.indices)
-                return self._orderings[key]
-        return _Ordering()
+                if key not in self._restrictions:
+                    self._restrictions[key] = _Restriction(
+                        pattern.indptr, pattern.indices, constrained)
+                return self._restrictions[key]
+        return _Restriction(matrix.indptr, matrix.indices, constrained)
 
 
 def _scatter(mesh, local, patterns=None):

@@ -9,6 +9,8 @@
 - The square and the scalar-by-vector scatters as they were before one
   `fem._scatter` took row and column dof maps; the tests require
   bit-equal CSR arrays.
+- The LIL Dirichlet elimination with identity rows, which the monolithic
+  references solve with, where `fem` solves on the free x free block.
 """
 
 import numpy as np
@@ -52,8 +54,25 @@ def saddle_constrained_dofs(system):
 
 
 def saddle_constrained_matrix(system):
-    return fem.apply_dirichlet(saddle_matrix(system),
+    return reference_dirichlet(saddle_matrix(system),
                                saddle_constrained_dofs(system))
+
+
+def reference_dirichlet(matrix, constrained):
+    """`matrix` in CSR with identity rows and columns at the constrained
+    dofs: the rows and columns zeroed in a LIL copy, then the identity
+    added on the constrained diagonal (a CSR sum, which sorts indices and
+    drops zero sums)."""
+    if len(constrained) == 0:
+        return matrix.tocsr()
+    mat = matrix.tolil(copy=True)
+    mat[constrained, :] = 0.0
+    mat[:, constrained] = 0.0
+    mat = mat.tocsr()
+    diag = sp.coo_matrix(
+        (np.ones(len(constrained)), (constrained, constrained)),
+        shape=matrix.shape)
+    return (mat + diag.tocsr()).tocsr()
 
 
 def saddle_rhs(system):

@@ -227,6 +227,28 @@ class TestTypedOutcomes:
         assert hist.notes == ["aborted at iteration 2 (norms): injected"]
         assert repr(hist.records) == repr(clean.records[:2])
 
+    @pytest.mark.parametrize("name", ["solve_state", "solve_adjoint"])
+    def test_failed_state_solve_ends_the_run_with_a_note(self, coarse,
+                                                         monkeypatch, name):
+        """A state or adjoint solve that fails at the third iterate ends
+        the run with a note and keeps the two earlier rows as they were."""
+        cfg, target, mesh = coarse
+        sched = Schedule(n_gradient_iters=3, max_iters=5)
+        _, clean = run_two_phase(mesh, cfg, target, sched)
+        assert len(clean.records) == 6 and not clean.notes
+        real, calls = getattr(model, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise fem.SingularSystemError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, failing)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert hist.notes == ["aborted at iteration 2 (state): injected"]
+        assert repr(hist.records) == repr(clean.records[:2])
+
     def test_step_halved_twice(self, coarse, monkeypatch):
         cfg, target, mesh = coarse
         calls = fold_first(monkeypatch, 2)

@@ -15,7 +15,7 @@ from deformopt.fem import (FemError, ScalarField, SingularSystemError,
 from deformopt.mesh import (REGION_INCLUSION, InclusionShape,
                             apply_deformation, generate_mesh)
 import element_terms_reference as ref
-from kkt_reference import (metric_matrix, mixed_scatter,
+from kkt_reference import (metric_matrix, mixed_scatter, reference_dirichlet,
                            saddle_constrained_dofs, saddle_matrix, scatter)
 
 
@@ -55,18 +55,13 @@ def assert_operators_equal_reference(m):
         assert_same_csr(g, want)
 
 
-def reference_dirichlet(matrix, constrained):
-    """The LIL elimination `fem.apply_dirichlet` replaced; test reference."""
-    if len(constrained) == 0:
-        return matrix.tocsr()
-    mat = matrix.tolil(copy=True)
-    mat[constrained, :] = 0.0
-    mat[:, constrained] = 0.0
-    mat = mat.tocsr()
-    diag = sp.coo_matrix(
-        (np.ones(len(constrained)), (constrained, constrained)),
-        shape=matrix.shape)
-    return (mat + diag.tocsr()).tocsr()
+def free_block(matrix, constrained):
+    """The free x free block of the canonical CSR form of `matrix`, by
+    scipy's row and column indexing; test reference."""
+    mat = matrix.tocsr(copy=True)
+    mat.sum_duplicates()
+    free = np.setdiff1d(np.arange(mat.shape[0]), constrained)
+    return mat[free][:, free]
 
 
 class TestFields:
@@ -358,7 +353,7 @@ class TestVectorMetric:
         assert np.array_equal(metric.constrained, fixed)
         rhs = np.random.default_rng(5).standard_normal(2 * m.num_vertices)
         rhs[fixed] = 0.0
-        old = fem.apply_dirichlet(padded_vector_form(m, 3e-2, 0.5), fixed)
+        old = reference_dirichlet(padded_vector_form(m, 3e-2, 0.5), fixed)
         want = spla.splu(old.tocsc()).solve(rhs)
         got = metric.solve_constrained(rhs)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -405,24 +400,16 @@ class TestConstrainedSolve:
         with pytest.raises(SingularSystemError):
             a.solve_constrained(rhs)
 
-    def test_constraint_rows_are_identities(self, mesh):
-        a = with_constraints(assemble_scalar_laplace(mesh, 1.0),
-                             mesh.boundary_vertices)
-        mat = a.constrained_matrix
-        row = mat[mesh.boundary_vertices[0]].toarray().ravel()
-        expected = np.zeros(mesh.num_vertices)
-        expected[mesh.boundary_vertices[0]] = 1.0
-        assert np.array_equal(row, expected)
-
 
 class TestDirichletElimination:
-    """`apply_dirichlet` against the LIL path it replaced, bit for bit."""
+    """`apply_dirichlet` eliminates the constrained dofs: it gives the free
+    x free block of the canonical CSR input, bit for bit, stored zeros
+    kept."""
 
     @staticmethod
-    def assert_same_csr(matrix, constrained):
-        got = fem.apply_dirichlet(matrix, constrained)
-        want = reference_dirichlet(matrix, constrained)
-        assert_same_csr(got, want)
+    def assert_free_block(matrix, constrained, patterns=None):
+        assert_same_csr(fem.apply_dirichlet(matrix, constrained, patterns),
+                        free_block(matrix, constrained))
 
     def test_kkt_matrix(self, mesh):
         cfg = model.ProblemConfig()
@@ -434,30 +421,32 @@ class TestDirichletElimination:
         lam = model.solve_adjoint(ops, u, z)
         system = kkt.assemble_kkt(
             shape_calculus.element_terms(ops, u, lam, z, z_grad))
-        self.assert_same_csr(saddle_matrix(system),
-                             saddle_constrained_dofs(system))
+        self.assert_free_block(saddle_matrix(system),
+                               saddle_constrained_dofs(system))
 
     def test_state_operator(self, mesh):
         op = model.OperatorSet(mesh, model.ProblemConfig()).state
-        self.assert_same_csr(op.matrix, op.constrained)
+        self.assert_free_block(op.matrix, op.constrained, op.patterns)
 
     def test_deformation_metric(self, mesh):
         op = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
-        self.assert_same_csr(metric_matrix(op), op.constrained)
+        self.assert_free_block(op.block.matrix, op.block.constrained,
+                               op.block.patterns)
+        self.assert_free_block(metric_matrix(op), op.constrained)
 
     def test_positions_kept_per_constrained_set(self, mesh, monkeypatch):
-        """K, M and b_s constrained through the patterns that filled them,
+        """K, M and b_s restricted through the patterns that filled them,
         on the start mesh and on a moved iterate: each constrained set's
-        positions are found once, and every CSR array equals the LIL
-        path's."""
+        `_Restriction` is built once (K and M share one), and every block
+        equals the free x free block of its matrix."""
         built = []
-        real = fem._elimination
 
-        def counted(*args):
-            built.append(1)
-            return real(*args)
+        class Counted(fem._Restriction):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
 
-        monkeypatch.setattr(fem, "_elimination", counted)
+        monkeypatch.setattr(fem, "_Restriction", Counted)
         patterns = fem.ScatterPatterns(mesh)
         rng = np.random.default_rng(12)
         moved = apply_deformation(
@@ -467,35 +456,28 @@ class TestDirichletElimination:
                                     patterns)
             for op in (ops.state, ops.mass, ops.metric.block):
                 assert op.patterns is patterns
-                assert_same_csr(op.constrained_matrix,
-                                reference_dirichlet(op.matrix,
-                                                    op.constrained))
+                assert_same_csr(op.free_block,
+                                free_block(op.matrix, op.constrained))
+            assert ops.state.restriction is ops.mass.restriction
         assert len(built) == 2
 
-    def test_kept_zero_or_other_structure_falls_back(self, mesh):
-        """A stored exact zero among the kept entries, or a matrix of
-        another structure, takes the positions from its own arrays."""
-        ops = model.OperatorSet(mesh, model.ProblemConfig())
-        op = ops.state
-        zeroed = op.matrix.copy()
-        rows = np.repeat(np.arange(mesh.num_vertices),
-                         np.diff(zeroed.indptr))
-        free = np.ones(mesh.num_vertices, dtype=bool)
-        free[op.constrained] = False
-        zeroed.data[np.flatnonzero(free[rows] & free[zeroed.indices])[0]] = 0.0
+    def test_other_structure_gets_its_own(self, mesh):
+        """A matrix of another structure than the patterns' is restricted
+        on its own arrays."""
+        op = model.OperatorSet(mesh, model.ProblemConfig()).state
         other = (op.matrix + sp.eye(mesh.num_vertices, k=5)).tocsr()
-        for matrix in (op.matrix, zeroed, other):
-            got = fem.apply_dirichlet(matrix, op.constrained, op.patterns)
-            assert_same_csr(got, reference_dirichlet(matrix, op.constrained))
-            assert_same_csr(got, fem.apply_dirichlet(matrix, op.constrained))
+        assert op.patterns.restriction(other, op.constrained) \
+            is not op.restriction
+        self.assert_free_block(other, op.constrained, op.patterns)
 
     def test_no_constraints(self, mesh):
         op = assemble_mass(mesh)
-        self.assert_same_csr(op.matrix, op.constrained)
+        self.assert_free_block(op.matrix, op.constrained, op.patterns)
 
     def test_any_csr_matrix(self):
         """Unsorted and duplicate entries, stored zeros (also ones that only
-        sum to zero), an empty row and a repeated constrained dof."""
+        sum to zero), an empty row, a repeated constrained dof and every
+        dof constrained."""
         rng = np.random.default_rng(8)
         rows = rng.integers(0, 40, 400)
         rows[rows == 7] = 8                       # row 7 stays empty
@@ -509,9 +491,13 @@ class TestDirichletElimination:
              np.searchsorted(rows[order], np.arange(41))), shape=(40, 40))
         assert not matrix.has_canonical_format
         for constrained in ([3, 7, 11], [11, 3, 3], list(range(40))):
-            fem.apply_dirichlet(matrix, np.array(constrained))
+            block = fem.apply_dirichlet(matrix, np.array(constrained))
             assert not matrix.has_canonical_format   # the input is untouched
-            self.assert_same_csr(matrix.copy(), np.array(constrained))
+            assert_same_csr(block, free_block(matrix, constrained))
+        assert block.shape == (0, 0)
+        # the stored zeros of the free block are kept, (3, 5) among them
+        assert np.count_nonzero(
+            fem.apply_dirichlet(matrix, np.array([7])).data == 0) > 1
 
 
 def mmd_factor(matrix):
@@ -538,7 +524,7 @@ SIZES = pytest.mark.parametrize("h, deformed", [(0.05, False), (0.02, False),
 
 class TestPerRunOrdering:
     """K and b_s factorized on the ordering their run's first factorization
-    computed, against minimum degree per call."""
+    computed, against minimum degree per call on the identity-row matrix."""
 
     @SIZES
     def test_same_fill_and_solutions(self, h, deformed, monkeypatch):
@@ -557,47 +543,88 @@ class TestPerRunOrdering:
             ops = model.OperatorSet(m, model.ProblemConfig(), 3e-2, 0.5,
                                     patterns)
             for op in (ops.state, ops.metric.block):
-                want = real(op.constrained_matrix.tocsc(),
-                            permc_spec="MMD_AT_PLUS_A",
+                want = real(reference_dirichlet(op.matrix, op.constrained)
+                            .tocsc(), permc_spec="MMD_AT_PLUS_A",
                             diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
                 got = op._factor
                 lu = getattr(got, "lu", got)
-                assert lu.L.nnz + lu.U.nnz == want.L.nnz + want.U.nnz
+                # an identity row is one entry of L and one of U
+                nc = m.num_vertices - op.restriction.free.size
+                assert lu.L.nnz + lu.U.nnz == \
+                    want.L.nnz + want.U.nnz - 2 * nc
                 rhs = rng.standard_normal((m.num_vertices, 2))
-                x, ref_x = got.solve(rhs), want.solve(rhs)
+                rhs[op.constrained] = 0.0
+                x = op.restriction.extend(
+                    got.solve(op.restriction.restrict(rhs)))
+                ref_x = want.solve(rhs)
                 assert np.abs(x - ref_x).max() <= \
                     1e-14 * np.abs(ref_x).max()
         # one minimum-degree ordering per constrained set, K's and b_s's
         assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 4
         # each keeps a copy of `perm_c`: a view would keep its whole first
         # factorization alive for the run
-        for ordering in patterns._orderings.values():
-            assert ordering.perm.base is None
+        assert len(patterns._restrictions) == 2
+        for restriction in patterns._restrictions.values():
+            assert restriction.perm.base is None
 
-    def test_dropped_stored_zero_takes_minimum_degree(self, mesh):
-        """A stored kept zero is dropped, so the constrained structure is
-        not the run's: its factorization computes its own ordering and
-        equals the per-call one bit for bit."""
+    @SIZES
+    def test_block_solves_equal_identity_row_solves(self, h, deformed):
+        """The free x free block's minimum-degree factorization solves K
+        and b_s bit for bit as that of the identity-row matrix it
+        replaced: the identity rows are isolated nodes of A + A^T, and
+        minimum degree orders the free dofs alike."""
+        _, m = iterate(h, deformed)
+        ops = model.OperatorSet(m, model.ProblemConfig(), 3e-2, 0.5)
+        rhs = np.random.default_rng(20).standard_normal((m.num_vertices, 2))
+        for op in (ops.state, ops.metric.block):
+            free = rhs.copy()
+            free[op.constrained] = 0.0
+            want = mmd_factor(reference_dirichlet(
+                op.matrix, op.constrained)).solve(free)
+            assert op.solve_constrained(rhs).tobytes() == want.tobytes()
+
+    def test_stored_zero_keeps_the_run_ordering(self, mesh, monkeypatch):
+        """A stored zero in the free block is kept, so the block keeps the
+        run's structure and its ordering: minimum degree runs once for the
+        constrained set.  The solution agrees with a per-call
+        minimum-degree factorization of the block with the zero dropped."""
+        orders = []
+        real = spla.splu
+
+        def counted(matrix, permc_spec, **kwargs):
+            orders.append(permc_spec)
+            return real(matrix, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
         patterns = fem.ScatterPatterns(mesh)
-        for kept in (False, True):  # the set's ordering is kept, in use
-            ops = model.OperatorSet(mesh, model.ProblemConfig(),
-                                    patterns=patterns)
-            assert isinstance(ops.state._factor, fem._PermutedFactor) == kept
-        zeroed = ops.state.matrix.copy()
+        state = model.OperatorSet(mesh, model.ProblemConfig(),
+                                  patterns=patterns).state
+        state.solve_constrained(np.zeros(mesh.num_vertices))
+        # zero a symmetric pair of free off-diagonal entries
+        zeroed = state.matrix.copy()
         rows = np.repeat(np.arange(mesh.num_vertices),
                          np.diff(zeroed.indptr))
         free = np.ones(mesh.num_vertices, dtype=bool)
-        free[ops.state.constrained] = False
-        zeroed.data[np.flatnonzero(free[rows] & free[zeroed.indices])[0]] = 0.0
-        op = fem.SparseOperator(zeroed, ops.state.constrained, patterns)
-        assert op.constrained_matrix.nnz < ops.state.constrained_matrix.nnz
-        got = op._factor
-        assert isinstance(got, spla.SuperLU)
+        free[state.constrained] = False
+        k = np.flatnonzero(free[rows] & free[zeroed.indices]
+                           & (rows < zeroed.indices))[0]
+        i, j = rows[k], zeroed.indices[k]
+        zeroed[i, j] = zeroed[j, i] = 0.0
+        assert zeroed.nnz == state.matrix.nnz
+        op = fem.SparseOperator(zeroed, state.constrained, patterns)
+        assert op.restriction is state.restriction
+        assert op.free_block.nnz == state.free_block.nnz
         rhs = np.random.default_rng(16).standard_normal(mesh.num_vertices)
-        want = mmd_factor(op.constrained_matrix)
-        assert np.array_equal(got.perm_c, want.perm_c)
-        assert got.solve(rhs).tobytes() == want.solve(rhs).tobytes()
+        got = op.solve_constrained(rhs)
+        assert orders == ["MMD_AT_PLUS_A", "NATURAL"]
+        dropped = op.free_block.copy()
+        dropped.eliminate_zeros()
+        assert dropped.nnz == op.free_block.nnz - 2
+        want = mmd_factor(dropped).solve(op.restriction.restrict(rhs))
+        assert np.abs(op.restriction.restrict(got) - want).max() <= \
+            1e-14 * np.abs(want).max()
+        assert np.all(got[state.constrained] == 0.0)
 
 
 class TestMassSolve:
@@ -612,7 +639,8 @@ class TestMassSolve:
         got = fem.solve_mass(mass, rhs)
         free = rhs.copy()
         free[mass.constrained] = 0.0
-        want = mmd_factor(mass.constrained_matrix).solve(free)
+        want = mmd_factor(reference_dirichlet(
+            mass.matrix, mass.constrained)).solve(free)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         dual, want_dual = (rhs * got).sum(axis=0), (rhs * want).sum(axis=0)
         assert np.all(np.abs(dual - want_dual) <= 1e-14 * np.abs(want_dual))
@@ -629,8 +657,7 @@ class TestMassSolve:
                        mesh.boundary_vertices, invert=True))[:, None], 1.0)
         assert fem.signed_areas(moved.vertices, moved.triangles).min() > 0
         for m in (mesh, moved):
-            mat = model.OperatorSet(m, model.ProblemConfig()) \
-                .mass.constrained_matrix
+            mat = model.OperatorSet(m, model.ProblemConfig()).mass.free_block
             s = 1.0 / np.sqrt(mat.diagonal())
             ev = np.linalg.eigvalsh(s[:, None] * mat.toarray() * s)
             assert 0.5 - 1e-12 <= ev.min() and ev.max() <= 2.0 + 1e-12
