@@ -208,9 +208,10 @@ def cmd_optimize(rc: RunConfig) -> int:
                         title="final iterate")
         produced.append(mesh_path)
     _write_metadata(out, rc, produced)
-    last = history.records[-1]
-    print(f"finished after {last.k} iterations: J={last.objective:.6e} "
-          f"residual={last.residual:.3e}")
+    if history.records:
+        last = history.records[-1]
+        print(f"finished after {last.k} iterations: J={last.objective:.6e} "
+              f"residual={last.residual:.3e}")
     for note in history.notes:
         print(f"note: {note}")
     return 0

@@ -6,7 +6,9 @@ system is solved (V is the b-Riesz gradient) and the fixed step
 `gradient_step` is taken.  The later iterations are one-shot Newton steps
 on the full system, which fall back to the gradient rule on the same
 system when that solve fails.  Steps are halved until the mesh stays
-invertible, and a failed step ends the run with an `aborted` note.
+invertible.  A failed step ends the run with an `aborted` note and a
+step-0 row; a failed state, target transfer or residual stage ends it
+with a note and the earlier rows.
 Each iterate builds one `model.OperatorSet`, on the run's one set of CSR
 patterns, and one set of element terms, which the gradient and the KKT
 system read.
@@ -20,12 +22,8 @@ import numpy as np
 
 from . import fem, kkt, model, shape_calculus
 from .fem import ScalarField
-from .mesh import Mesh, apply_deformation, check_invertibility
-
-
-class LineSearchError(RuntimeError):
-    pass
-
+from .mesh import (Mesh, NonInvertibleDeformation, apply_deformation,
+                   check_invertibility)
 
 MAX_HALVINGS = 30      # step halvings before a step is given up
 
@@ -105,17 +103,10 @@ def _dual_norms(ops, r_u, r_shape, r_lam):
     return float(np.sqrt(max(ss, 0.0))), float(np.sqrt(max(su + ss + sl, 0.0)))
 
 
-def steepest_descent(mesh0: Mesh, cfg, target, sched: Schedule):
-    """Projected-gradient loop: `run_two_phase` with every iteration a
-    gradient step and the state and adjoint re-solved each time."""
-    return run_two_phase(mesh0, cfg, target, sched, _newton=False)
-
-
-def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
+def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
     """Projected gradient steps for the first `n_gradient_iters`
-    iterations, one-shot Newton steps after them (none with
-    `_newton=False`)."""
-    n_gradient = sched.n_gradient_iters if _newton else sched.max_iters + 1
+    iterations, one-shot Newton steps after them; with `n_gradient_iters`
+    = `max_iters` every step is a gradient step."""
     mesh = mesh0
     history = History()
     # every iterate keeps mesh0's triangles: one set of CSR patterns serves
@@ -123,12 +114,17 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
     patterns = fem.ScatterPatterns(mesh0)
     for k in range(sched.max_iters + 1):
         ops = model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2, patterns)
-        z = model.transfer_target(target, mesh)
-        z_grad = model.target_gradients(target, mesh)
-        mode = "newton" if k >= n_gradient else "gradient"
+        try:
+            z = model.transfer_target(target, mesh)
+            z_grad = model.target_gradients(target, mesh)
+        except model.PointOutsideMesh as exc:
+            history.notes.append(f"aborted at iteration {k} (transfer): "
+                                 f"{exc}")
+            break
+        mode = "newton" if k >= sched.n_gradient_iters else "gradient"
         mass_w = None       # M (u - z), shared where the adjoint is solved
         # project through the switch iteration so Newton starts feasible
-        if k <= n_gradient:
+        if k <= sched.n_gradient_iters:
             try:
                 u = model.solve_state(ops)
                 mass_w = model.mass_misfit(ops, u, z)
@@ -150,7 +146,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule, _newton=True):
                                      gradient=gradient),
                     history.notes, k)
                 t, halvings, margin = _step_length(ops, sched, mode, v)
-            except (fem.SingularSystemError, LineSearchError) as exc:
+            except (fem.SingularSystemError, NonInvertibleDeformation) as exc:
                 history.notes.append(f"aborted at iteration {k}: {exc}")
         del terms       # it holds `ops`: the set dies with its iterate
         try:
@@ -196,4 +192,4 @@ def _step_length(ops, sched, mode, v):
         if ok:
             return t, halvings, info["min_area_ratio"]
         t *= 0.5
-    raise LineSearchError("deformation not invertible")
+    raise NonInvertibleDeformation("deformation not invertible")

@@ -5,7 +5,9 @@ mass and vector H1 forms, and sparse solves on the free x free block of a
 Dirichlet-constrained operator: SuperLU factorizations, and Chebyshev
 iteration for the mass.  Products of P1 fields are integrated by a
 degree-4 rule, exact up to products of four fields.  Assembly fills CSR
-patterns built once per triangle array (`ScatterPatterns`).
+patterns built once per triangle array (`ScatterPatterns`), and the
+patterns that filled an operator also keep the gather of its free block
+for each constrained set (`_Restriction`).
 
 Every per-element array has the element axis last and contiguous: basis
 gradients (3, 2, ne), local matrices (r, c, ne), element gradients (2, ne).
@@ -194,9 +196,11 @@ def integrate_p1_product(fields, weights=None):
 class SparseOperator:
     """Assembled symmetric bilinear form with Dirichlet handling.
 
-    `matrix` is the unconstrained operator.  `constrained` lists the dofs
-    held at given values (zero by default): a solve runs on the free x free
-    block of `matrix` (`free_block`).
+    `matrix` is the unconstrained operator, filled on the square (1, 1)
+    pattern of `patterns`.  `constrained` lists the dofs held at given
+    values (zero by default): a solve runs on the free x free block of
+    `matrix` (`free_block`), gathered by the `_Restriction` that `patterns`
+    keep for the constrained set (`restriction`).
 
     The block is factorized by SuperLU in symmetric mode: diagonal pivots
     only, on a minimum-degree ordering of A + A^T.  That assumes it is
@@ -205,21 +209,20 @@ class SparseOperator:
     through `_factor`.  A singular block (the pure-Neumann stiffness) is
     caught by the residual check of `solve_constrained`.  With diagonal
     pivots the ordering depends on the structure alone, so it is kept in
-    the block's `_Restriction`, one per constrained set in the
-    `ScatterPatterns` that filled `matrix`.
+    the `_Restriction` too.
     """
 
     matrix: sp.csr_matrix
     constrained: np.ndarray
-    patterns: "ScatterPatterns | None" = None   # that filled `matrix`
+    patterns: "ScatterPatterns"     # that filled `matrix`
 
     @cached_property
     def restriction(self) -> "_Restriction":
-        return _restriction(self.matrix, self.constrained, self.patterns)[1]
+        return self.patterns.restriction(self.constrained)
 
     @cached_property
     def free_block(self):
-        return apply_dirichlet(self.matrix, self.constrained, self.patterns)
+        return apply_dirichlet(self.matrix, self.restriction)
 
     @cached_property
     def _factor(self):
@@ -437,32 +440,13 @@ class VectorOperator:
         return x.reshape(rhs.shape)
 
 
-def apply_dirichlet(matrix, constrained, patterns=None):
-    """The free x free block of `matrix` in CSR: the canonical CSR form
-    without the rows and columns of the constrained dofs, stored zeros
-    kept, taken by one gather of its data.
-
-    `patterns` are the `ScatterPatterns` the matrix may have been filled
-    from.  They keep the `_Restriction` of each constrained set on each of
-    their structures; a matrix of another structure gets a fresh one from
-    its own arrays.
-    """
-    mat, r = _restriction(matrix, constrained, patterns)
-    return sp.csr_matrix((mat.data[r.take], r.indices.copy(),
+def apply_dirichlet(matrix, restriction: _Restriction):
+    """The free x free block of the canonical CSR `matrix`, in CSR: one
+    gather of its data by `restriction`, a `_Restriction` of its structure,
+    stored zeros kept."""
+    r = restriction
+    return sp.csr_matrix((matrix.data[r.take], r.indices.copy(),
                           r.indptr.copy()), shape=(r.free.size,) * 2)
-
-
-def _restriction(matrix, constrained, patterns):
-    """(`matrix` in canonical CSR, the `_Restriction` of `constrained` on
-    its structure: the one `patterns` keep, or a fresh one).  The input is
-    not changed."""
-    mat = matrix.tocsr()
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    if patterns is None:
-        return mat, _Restriction(mat.indptr, mat.indices, constrained)
-    return mat, patterns.restriction(mat, constrained)
 
 
 @dataclass(frozen=True)
@@ -597,12 +581,12 @@ class ScatterPatterns:
     the columns: (1, 1) for K, M and the metric block, (1, 2) for
     L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega, derived from
     the (1, 2) pattern (`_split_rows`); a load vector (the shape
-    derivative) has one kind per dofs per vertex.  The free x free block
-    of each constrained set on a square pattern is kept too, with its
-    SuperLU ordering (`restriction`).  The patterns hold no mesh, so that
-    a run can own one object for all its iterates and drop it when it
-    returns.  Each matrix gets its own copy of the index arrays, so it may
-    be changed in place.
+    derivative) has one kind per dofs per vertex.  Every `SparseOperator`
+    is filled on the (1, 1) pattern, so the free x free block of each of
+    their constrained sets is kept on it, with its SuperLU ordering
+    (`restriction`).  The patterns hold no mesh, so that a run can own one
+    object for all its iterates and drop it when it returns.  Each matrix
+    gets its own copy of the index arrays, so it may be changed in place.
 
     Local arrays have the element axis last, (r, c, ne) for matrices and
     (r, ne) for vectors, with r and c 3 (one dof per corner) or 6 (two,
@@ -646,7 +630,13 @@ class ScatterPatterns:
         return pattern
 
     def scatter(self, mesh, local):
-        """Assemble (r, c, ne) local matrices into a global CSR matrix."""
+        """Assemble (r, c, ne) local matrices into a global CSR matrix.
+
+        The result equals `coo_matrix.tocsr()` of the (ne, r, c) layout bit
+        for bit: `np.bincount` sums each slot's entries in `tocsr`'s order,
+        one after the other, as `csr_sum_duplicates` does.  The one
+        exception is a slot whose every entry is -0.0, which sums to +0.0.
+        """
         pattern = self._pattern(self._check(mesh, local, 3))
         data = np.bincount(pattern.slot, minlength=pattern.indices.size,
                            weights=local.reshape(-1)[pattern.order])
@@ -665,36 +655,17 @@ class ScatterPatterns:
         return np.bincount(pattern.slot, minlength=pattern.size,
                            weights=local.reshape(-1)[pattern.order])
 
-    def restriction(self, matrix, constrained) -> _Restriction:
-        """The `_Restriction` of `constrained` on a canonical CSR matrix:
-        the one kept for the square pattern of its structure, built on
-        first use, or a fresh one for a matrix of another structure."""
-        for kind, pattern in self._patterns.items():
-            if (pattern.shape == matrix.shape
-                    and np.array_equal(pattern.indptr, matrix.indptr)
-                    and np.array_equal(pattern.indices, matrix.indices)):
-                key = (kind, np.asarray(constrained).tobytes())
-                if key not in self._restrictions:
-                    self._restrictions[key] = _Restriction(
-                        pattern.indptr, pattern.indices, constrained)
-                return self._restrictions[key]
-        return _Restriction(matrix.indptr, matrix.indices, constrained)
-
-
-def _scatter(mesh, local, patterns=None):
-    """Assemble (r, c, ne) local matrices into a global CSR matrix.
-
-    Each element's local rows and columns map to the dofs of its vertices:
-    r = 3 (one dof per vertex) or 6 (two, interleaved as `vector_dofs`),
-    and c likewise.  The pattern comes from `patterns`, or from a fresh
-    `ScatterPatterns` of the mesh.  The result equals `coo_matrix.tocsr()`
-    of the (ne, r, c) layout bit for bit: `np.bincount` sums each slot's
-    entries in `tocsr`'s order, one after the other, as
-    `csr_sum_duplicates` does.  The one exception is a slot whose every
-    entry is -0.0, which sums to +0.0.
-    """
-    patterns = ScatterPatterns(mesh) if patterns is None else patterns
-    return patterns.scatter(mesh, local)
+    def restriction(self, constrained) -> _Restriction:
+        """The `_Restriction` of `constrained` on the square (1, 1) pattern,
+        which fills every `SparseOperator`: built on first use and kept,
+        one per constrained set."""
+        key = np.asarray(constrained).tobytes()
+        restriction = self._restrictions.get(key)
+        if restriction is None:
+            pattern = self._pattern((1, 1))
+            restriction = self._restrictions[key] = _Restriction(
+                pattern.indptr, pattern.indices, constrained)
+        return restriction
 
 
 def assemble_scalar_laplace(mesh: Mesh, mu, patterns=None) -> SparseOperator:

@@ -25,6 +25,11 @@ from .mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape, Mesh,
 TRUE_ELLIPSE = InclusionShape.ellipse((0.5, 0.5), (0.25, 0.125))
 
 
+class PointOutsideMesh(ValueError):
+    """A point lies more than 1e-6 (in barycentrics) outside every element
+    of the mesh it is located on."""
+
+
 def check_fields(owner, positive=(), nonnegative=()):
     """ValueError naming the first field of `owner` that is not finite and
     > 0 (`positive`) or >= 0 (`nonnegative`); NaN passes a `<= 0` test."""
@@ -159,7 +164,7 @@ class _PointLocator:
         lam_m[at[better]] = lam[best[better]]
         far = np.flatnonzero(lam_m.min(axis=1) < -1e-6)
         if far.size:
-            raise ValueError(
+            raise PointOutsideMesh(
                 f"point {points[miss[far[0]]]} lies far outside the mesh")
         lam_m = np.clip(lam_m, 0.0, None)
         elements[miss] = e
@@ -227,9 +232,9 @@ class TargetField:
         element with the nearest centroid, or the bucket candidate it lies
         least far outside if that is closer, and its clipped barycentrics
         are renormalised.  A point more than 1e-6 (in barycentrics) outside
-        every element raises ValueError.  `gradient_at` and
-        `verify.mask_fields` rely on this deterministic tie-break on element
-        boundaries.
+        every element raises `PointOutsideMesh`, a ValueError.
+        `gradient_at` and `verify.mask_fields` rely on this deterministic
+        tie-break on element boundaries.
 
         `hint` is an optional element per point, such as the last lookup's
         for the moved vertices.  A point whose barycentrics in its hinted

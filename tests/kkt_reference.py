@@ -7,8 +7,8 @@
   each K solve written out, as they were before `HessianBlocks.eliminate`
   served all three; the tests require bit-equal results.
 - The square and the scalar-by-vector scatters as they were before one
-  `fem._scatter` took row and column dof maps; the tests require
-  bit-equal CSR arrays.
+  `fem.ScatterPatterns.scatter` took row and column dof maps; the tests
+  require bit-equal CSR arrays.
 - The LIL Dirichlet elimination with identity rows, which the monolithic
   references solve with, where `fem` solves on the free x free block.
 """

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deformopt import cli, model, vtkio
+from deformopt import cli, fem, model, vtkio
 from deformopt.cli import (RunConfig, load_config, parse_config,
                            serialize_config)
 from deformopt.mesh import InclusionShape, MeshError, generate_mesh
@@ -219,6 +219,31 @@ class TestCommands:
             "-s", "schedule.max_iters=2",
             "optimize"])
         assert rcode == 0
+
+    def test_optimize_aborted_at_iteration_0(self, tmp_path, capsys,
+                                             monkeypatch):
+        """A run that aborts before its first row writes its files and
+        prints its note, with no last-row summary."""
+        real, calls = model.solve_state, []
+
+        def failing(ops):
+            calls.append(1)
+            if len(calls) == 2:         # the first is the target's
+                raise fem.SingularSystemError("injected")
+            return real(ops)
+
+        monkeypatch.setattr(model, "solve_state", failing)
+        rcode = cli.main([
+            "-s", f"output.output_dir={tmp_path}",
+            "-s", "mesh.h=0.1", "-s", "target.h=0.1",
+            "-s", "output.emit_vtk=false", "optimize"])
+        assert rcode == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            "note: aborted at iteration 0 (state): injected"]
+        hist = (tmp_path / "history.txt").read_text().splitlines()
+        assert hist[1:] == ["# aborted at iteration 0 (state): injected"]
+        assert "history.txt" in (tmp_path / "metadata.txt").read_text()
 
     def test_pseudo_demo_table(self, capsys):
         assert cli.main(["pseudo-demo"]) == 0

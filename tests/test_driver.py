@@ -6,8 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from deformopt import driver, fem, kkt, model
-from deformopt.driver import (History, IterationRecord, Schedule,
-                              run_two_phase, steepest_descent)
+from deformopt.driver import History, IterationRecord, Schedule, run_two_phase
 from deformopt.mesh import InclusionShape, generate_mesh
 from deformopt.model import ProblemConfig
 
@@ -73,8 +72,8 @@ class TestSteepestDescent:
         target = model.TargetField(target_mesh,
                                    model.solve_state(
                                        model.OperatorSet(target_mesh, cfg)))
-        sched = Schedule(n_gradient_iters=0, max_iters=3)
-        final, hist = steepest_descent(target_mesh, cfg, target, sched)
+        sched = Schedule(n_gradient_iters=3, max_iters=3)
+        final, hist = run_two_phase(target_mesh, cfg, target, sched)
         assert hist.column("objective")[0] < 1e-12
         assert hist.column("grad_norm")[0] < 1e-4
         moved = np.abs(final.vertices - target_mesh.vertices).max()
@@ -177,16 +176,19 @@ class TestTypedOutcomes:
     """Every failure of a step ends the run with a note and a step-0 row."""
 
     def test_always_folding_step_aborts(self, coarse, monkeypatch):
+        """A gradient step and a Newton step that fold at every halving."""
         cfg, target, mesh = coarse
         calls = fold_first(monkeypatch, None)
-        for run in (run_two_phase, steepest_descent):
+        for n_gradient, mode in ((2, "gradient"), (0, "newton")):
             calls.clear()
-            _, hist = run(mesh, cfg, target,
-                          Schedule(n_gradient_iters=2, max_iters=4))
+            _, hist = run_two_phase(
+                mesh, cfg, target,
+                Schedule(n_gradient_iters=n_gradient, max_iters=4))
             assert hist.notes == ["aborted at iteration 0: "
                                   "deformation not invertible"]
             assert len(hist.records) == 1
             assert hist.records[0].step == 0.0
+            assert hist.records[0].mode == mode
             assert len(calls) == driver.MAX_HALVINGS + 1
 
     def test_singular_kkt_aborts_after_fallback(self, coarse, monkeypatch):
@@ -249,17 +251,38 @@ class TestTypedOutcomes:
         assert hist.notes == ["aborted at iteration 2 (state): injected"]
         assert repr(hist.records) == repr(clean.records[:2])
 
+    @pytest.mark.parametrize("name", ["transfer_target", "target_gradients"])
+    def test_failed_transfer_ends_the_run_with_a_note(self, coarse,
+                                                      monkeypatch, name):
+        """A vertex that the third iterate moves far outside the target's
+        mesh ends the run with a note and keeps the two earlier rows as
+        they were."""
+        cfg, target, mesh = coarse
+        sched = Schedule(n_gradient_iters=3, max_iters=5)
+        _, clean = run_two_phase(mesh, cfg, target, sched)
+        assert len(clean.records) == 6 and not clean.notes
+        real, calls = getattr(model, name), []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise model.PointOutsideMesh("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model, name, failing)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert hist.notes == ["aborted at iteration 2 (transfer): injected"]
+        assert repr(hist.records) == repr(clean.records[:2])
+
     def test_step_halved_twice(self, coarse, monkeypatch):
         cfg, target, mesh = coarse
-        calls = fold_first(monkeypatch, 2)
+        fold_first(monkeypatch, 2)
         sched = Schedule(n_gradient_iters=1, max_iters=1, gradient_step=0.5)
-        for run in (run_two_phase, steepest_descent):
-            calls.clear()
-            _, hist = run(mesh, cfg, target, sched)
-            assert hist.notes == ["iteration 0: step halved 2x for "
-                                  "invertibility"]
-            assert hist.records[0].step == 0.125
-            assert hist.records[0].invertibility_margin > 0
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert hist.notes == ["iteration 0: step halved 2x for "
+                              "invertibility"]
+        assert hist.records[0].step == 0.125
+        assert hist.records[0].invertibility_margin > 0
 
 
 class TestOneLoop:
@@ -294,10 +317,14 @@ class TestOneLoop:
         assert len(grads) == 2 * len(hist.records) == 14
 
     def test_steepest_descent_rows_are_gradient(self, coarse):
+        """With `n_gradient_iters` = `max_iters` every step is a gradient
+        step; the last row, which takes no step, is labelled newton."""
         cfg, target, mesh = coarse
-        sched = Schedule(n_gradient_iters=0, max_iters=2, gradient_step=0.5)
-        _, hist = steepest_descent(mesh, cfg, target, sched)
-        assert [r.mode for r in hist.records] == ["gradient"] * 3
+        sched = Schedule(n_gradient_iters=2, max_iters=2, gradient_step=0.5)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
+        assert [r.mode for r in hist.records] == ["gradient"] * 2 + ["newton"]
+        assert hist.column("step").tolist() == [0.5, 0.5, 0.0]
+        assert not hist.notes
 
 
 def count_calls(monkeypatch, owner, name):
@@ -336,7 +363,7 @@ class TestOneOperatorSetPerIterate:
         solves = count_calls(monkeypatch, model, "solve_state")
         transfers = count_calls(monkeypatch, model, "transfer_target")
         sched = Schedule(n_gradient_iters=5, max_iters=5)
-        _, hist = steepest_descent(mesh, cfg, target, sched)
+        _, hist = run_two_phase(mesh, cfg, target, sched)
         assert len(hist.records) == 6 and not hist.notes
         assert hist.column("step")[:-1].tolist() == [0.4] * 5
         assert len(solves) == len(transfers) == 6
@@ -388,9 +415,29 @@ class TestScatterPatternsPerRun:
             + ["newton"] * 3
         assert sorted(kinds) == [(1, 1), (1, 2), (2, 2)]
         kinds.clear()
-        steepest_descent(mesh, cfg, target, Schedule(n_gradient_iters=2,
-                                                     max_iters=2))
+        run_two_phase(mesh, cfg, target, Schedule(n_gradient_iters=2,
+                                                  max_iters=2))
         assert sorted(kinds) == [(1, 1), (1, 2)]
+
+    def test_two_restrictions_per_run(self, monkeypatch):
+        """At the newton benchmark's sizes a run builds two free-block
+        gathers, each on its first use: K and M share the state's
+        Dirichlet set, and b_s has the outer boundary."""
+        cfg = ProblemConfig()
+        target = model.make_target(cfg, 0.01)
+        mesh = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.02)
+        built = []
+
+        class Counted(fem._Restriction):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fem, "_Restriction", Counted)
+        _, hist = run_two_phase(mesh, cfg, target,
+                                Schedule(n_gradient_iters=3, max_iters=5))
+        assert [r.mode for r in hist.records][-1] == "newton"
+        assert len(built) == 2
 
     def test_patterns_die_with_the_run(self, coarse, monkeypatch):
         """The run makes one pattern object, its iterates make none, and

@@ -262,7 +262,7 @@ class TestAssembly:
         for _ in range(2):
             local = rng.standard_normal((*block, mesh.num_triangles))
             local[rng.random(local.shape) < 0.1] = 0.0
-            assert_same_csr(fem._scatter(moved, local, patterns),
+            assert_same_csr(patterns.scatter(moved, local),
                             reference(moved, local.transpose(2, 0, 1)))
 
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
@@ -295,8 +295,8 @@ class TestAssembly:
     def test_patterns_refuse_other_triangles(self, mesh):
         other = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.15)
         with pytest.raises(FemError, match="other triangles"):
-            fem._scatter(other, np.zeros((3, 3, other.num_triangles)),
-                         fem.ScatterPatterns(mesh))
+            fem.ScatterPatterns(mesh).scatter(
+                other, np.zeros((3, 3, other.num_triangles)))
 
     @pytest.mark.parametrize("shape", [
         lambda ne: (4, 4, ne),          # no kind has 4 rows
@@ -307,8 +307,8 @@ class TestAssembly:
         ids=["4x4", "3x7", "ne+5", "element-first", "vector"])
     def test_scatter_refuses_other_shapes(self, mesh, shape):
         with pytest.raises(FemError, match="local array of shape"):
-            fem._scatter(mesh, np.zeros(shape(mesh.num_triangles)),
-                         fem.ScatterPatterns(mesh))
+            fem.ScatterPatterns(mesh).scatter(
+                mesh, np.zeros(shape(mesh.num_triangles)))
 
     def test_load_refuses_other_shapes(self, mesh):
         patterns = fem.ScatterPatterns(mesh)
@@ -403,13 +403,26 @@ class TestConstrainedSolve:
 
 class TestDirichletElimination:
     """`apply_dirichlet` eliminates the constrained dofs: it gives the free
-    x free block of the canonical CSR input, bit for bit, stored zeros
+    x free block of a canonical CSR matrix, bit for bit, stored zeros
     kept."""
 
     @staticmethod
-    def assert_free_block(matrix, constrained, patterns=None):
-        assert_same_csr(fem.apply_dirichlet(matrix, constrained, patterns),
-                        free_block(matrix, constrained))
+    def assert_free_block(matrix, constrained):
+        """The block `apply_dirichlet` gathers from the canonical form of
+        `matrix` by the `_Restriction` of that form's own arrays."""
+        mat = matrix.tocsr(copy=True)
+        mat.sum_duplicates()
+        restriction = fem._Restriction(mat.indptr, mat.indices, constrained)
+        block = fem.apply_dirichlet(mat, restriction)
+        assert_same_csr(block, free_block(matrix, constrained))
+        return block
+
+    @staticmethod
+    def assert_operator_block(op):
+        """An operator's block, gathered by the `_Restriction` its patterns
+        keep for its constrained set."""
+        assert op.restriction is op.patterns.restriction(op.constrained)
+        assert_same_csr(op.free_block, free_block(op.matrix, op.constrained))
 
     def test_kkt_matrix(self, mesh):
         cfg = model.ProblemConfig()
@@ -426,12 +439,11 @@ class TestDirichletElimination:
 
     def test_state_operator(self, mesh):
         op = model.OperatorSet(mesh, model.ProblemConfig()).state
-        self.assert_free_block(op.matrix, op.constrained, op.patterns)
+        self.assert_operator_block(op)
 
     def test_deformation_metric(self, mesh):
         op = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
-        self.assert_free_block(op.block.matrix, op.block.constrained,
-                               op.block.patterns)
+        self.assert_operator_block(op.block)
         self.assert_free_block(metric_matrix(op), op.constrained)
 
     def test_positions_kept_per_constrained_set(self, mesh, monkeypatch):
@@ -456,23 +468,14 @@ class TestDirichletElimination:
                                     patterns)
             for op in (ops.state, ops.mass, ops.metric.block):
                 assert op.patterns is patterns
-                assert_same_csr(op.free_block,
-                                free_block(op.matrix, op.constrained))
+                self.assert_operator_block(op)
             assert ops.state.restriction is ops.mass.restriction
         assert len(built) == 2
 
-    def test_other_structure_gets_its_own(self, mesh):
-        """A matrix of another structure than the patterns' is restricted
-        on its own arrays."""
-        op = model.OperatorSet(mesh, model.ProblemConfig()).state
-        other = (op.matrix + sp.eye(mesh.num_vertices, k=5)).tocsr()
-        assert op.patterns.restriction(other, op.constrained) \
-            is not op.restriction
-        self.assert_free_block(other, op.constrained, op.patterns)
-
     def test_no_constraints(self, mesh):
         op = assemble_mass(mesh)
-        self.assert_free_block(op.matrix, op.constrained, op.patterns)
+        self.assert_operator_block(op)
+        assert op.free_block.shape == op.matrix.shape
 
     def test_any_csr_matrix(self):
         """Unsorted and duplicate entries, stored zeros (also ones that only
@@ -491,13 +494,11 @@ class TestDirichletElimination:
              np.searchsorted(rows[order], np.arange(41))), shape=(40, 40))
         assert not matrix.has_canonical_format
         for constrained in ([3, 7, 11], [11, 3, 3], list(range(40))):
-            block = fem.apply_dirichlet(matrix, np.array(constrained))
-            assert not matrix.has_canonical_format   # the input is untouched
-            assert_same_csr(block, free_block(matrix, constrained))
+            block = self.assert_free_block(matrix, np.array(constrained))
         assert block.shape == (0, 0)
         # the stored zeros of the free block are kept, (3, 5) among them
-        assert np.count_nonzero(
-            fem.apply_dirichlet(matrix, np.array([7])).data == 0) > 1
+        block = self.assert_free_block(matrix, np.array([7]))
+        assert np.count_nonzero(block.data == 0) > 1
 
 
 def mmd_factor(matrix):

@@ -239,6 +239,9 @@ class TestTarget:
         # the first offending point in input order is named
         with pytest.raises(ValueError, match=r"\[1\.5 0\.5\]"):
             target.locate(np.array([[0.5, 0.5], [1.5, 0.5], [2.0, 2.0]]))
+        # typed, so that a run can end on it with a note
+        with pytest.raises(model.PointOutsideMesh):
+            target.gradient_at(np.array([[0.5, -0.5]]))
 
     def test_batched_locator_matches_reference(self, target, mesh):
         """Bit-equal element ids and barycentrics against the per-point
