@@ -196,7 +196,9 @@ def cmd_optimize(rc: RunConfig) -> int:
     hist_path = out / "history.txt"
     history.write(hist_path)
     produced.append(hist_path)
-    if rc.emit_vtk:
+    # the last iterate of an aborted run may fail the same stage again
+    aborted = any("aborted" in note for note in history.notes)
+    if rc.emit_vtk and not aborted:
         ops = model.OperatorSet(mesh, rc.problem)
         z = model.transfer_target(target, mesh)
         u = model.solve_state(ops)
@@ -214,7 +216,7 @@ def cmd_optimize(rc: RunConfig) -> int:
               f"residual={last.residual:.3e}")
     for note in history.notes:
         print(f"note: {note}")
-    return 0
+    return 1 if aborted else 0
 
 
 def cmd_verify(rc: RunConfig) -> int:

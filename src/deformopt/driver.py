@@ -31,16 +31,15 @@ MAX_HALVINGS = 30      # step halvings before a step is given up
 @dataclass(frozen=True)
 class Schedule:
     """Iteration schedule and regularization knobs.  The gradient rule
-    takes `gradient_step` and the Newton rule `newton_step`, each halved
-    only until the mesh stays invertible.  The metric b of (eps1, eps2) is
-    the gradient rule's Riesz metric and the Newton rule's Tikhonov term;
-    eps1 alone sets its strength."""
+    takes `gradient_step` and the Newton rule the full step t = 1, each
+    halved only until the mesh stays invertible.  The metric b of (eps1,
+    eps2) is the gradient rule's Riesz metric and the Newton rule's
+    Tikhonov term; eps1 alone sets its strength."""
 
     n_gradient_iters: int = 20
     # 0.4 keeps the warm-up monotone on fine meshes; larger steps oscillate
     # near the interface and damage the mesh before the Newton phase
     gradient_step: float = 0.4
-    newton_step: float = 1.0
     max_iters: int = 60
     eps1: float = 3e-2
     eps2: float = 5e-1
@@ -48,7 +47,7 @@ class Schedule:
 
     def __post_init__(self):
         model.check_fields(
-            self, positive=("gradient_step", "newton_step", "eps1", "tol_v"),
+            self, positive=("gradient_step", "eps1", "tol_v"),
             nonnegative=("eps2", "n_gradient_iters", "max_iters"))
         if self.n_gradient_iters > self.max_iters:
             raise ValueError("n_gradient_iters must not exceed max_iters")
@@ -186,7 +185,7 @@ def _step_length(ops, sched, mode, v):
     tol_v."""
     if np.sqrt(max(ops.metric.energy(v.flat()), 0.0)) <= sched.tol_v:
         return 0.0, 0, 1.0
-    t = sched.newton_step if mode == "newton" else sched.gradient_step
+    t = 1.0 if mode == "newton" else sched.gradient_step
     for halvings in range(MAX_HALVINGS + 1):
         ok, info = check_invertibility(ops.mesh, v, t)
         if ok:

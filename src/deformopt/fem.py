@@ -5,9 +5,10 @@ mass and vector H1 forms, and sparse solves on the free x free block of a
 Dirichlet-constrained operator: SuperLU factorizations, and Chebyshev
 iteration for the mass.  Products of P1 fields are integrated by a
 degree-4 rule, exact up to products of four fields.  Assembly fills CSR
-patterns built once per triangle array (`ScatterPatterns`), and the
-patterns that filled an operator also keep the gather of its free block
-for each constrained set (`_Restriction`).
+patterns derived from one 3x3 pattern per triangle array
+(`ScatterPatterns`), each entry summing its local entries in the flat
+order of the local array; the patterns that filled an operator also keep
+the gather of its free block for each constrained set (`_Restriction`).
 
 Every per-element array has the element axis last and contiguous: basis
 gradients (3, 2, ne), local matrices (r, c, ne), element gradients (2, ne).
@@ -23,7 +24,6 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import _sparsetools
 
 from .mesh import Mesh, corners, signed_areas
 
@@ -452,10 +452,8 @@ def apply_dirichlet(matrix, restriction: _Restriction):
 @dataclass(frozen=True)
 class _CsrPattern:
     """Where each entry of an (r, c, ne) local array goes in one CSR matrix:
-    CSR entry `slot[q]` sums local entry `order[q]` (an index into the flat
-    local array), for q in order."""
+    entry q of the flat local array adds to CSR entry `slot[q]`."""
 
-    order: np.ndarray
     slot: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -464,125 +462,56 @@ class _CsrPattern:
 
 def _frozen_parts(parts):
     """`parts` as views of one read-only buffer.  A run keeps its patterns
-    through every iterate, and four arrays per pattern left holes in the
-    heap that raised the `newton` benchmark's peak RSS by 5 % (1 % with one
-    buffer)."""
+    through every iterate, and separate arrays per pattern left holes in
+    the heap: with four of them, the `newton` benchmark's peak RSS rose by
+    5 % (1 % with one buffer)."""
     buf = np.concatenate(parts)
     buf.setflags(write=False)
     return np.split(buf, np.cumsum([p.size for p in parts[:-1]]))
 
 
-def _build_pattern(row_dofs, col_dofs, shape) -> _CsrPattern:
-    """The CSR pattern of scattering onto `row_dofs` x `col_dofs`.
+def _kind_pattern(square_slot, square_ptr, triangles, kind) -> _CsrPattern:
+    """The pattern of kind (kr, kc), derived from the 3x3 one by arithmetic.
 
-    It runs scipy's own COO-to-CSR conversion, and its index sort unless
-    every row is sorted already, on the COO entries in the (ne, r, c)
-    order, carrying each entry's index in the flat (r, c, ne) local array:
-    `order` is then the order in which `tocsr` sums the entries of each
-    CSR slot.  The conversion is a stable counting sort and the index sort
-    compares columns only, so what they carry does not change the order.
+    `square_slot` is the 3x3 slot of each entry of the flat (3, 3, ne)
+    local array and `square_ptr` the 3x3 `indptr`.  Row kr v + a holds the
+    columns kc c + b of 3x3 row v, in that order, so the local entry
+    (kr i + a, kc j + b, e) goes to slot kc s + (kr - 1) kc ptr[v_i]
+    + a kc len[v_i] + b, with s its 3x3 slot and ptr, len the start and
+    length of the 3x3 row of v_i.  Each row's columns ascend, as in
+    scipy's COO-to-CSR conversion of the same entries.
     """
-    ne, r = row_dofs.shape
-    c = col_dofs.shape[1]
-    rows = np.repeat(row_dofs.astype(np.int32), c, axis=1).reshape(-1)
-    cols = np.tile(col_dofs.astype(np.int32), (1, r)).reshape(-1)
-    nnz = rows.size
-    indptr = np.empty(shape[0] + 1, dtype=np.int32)
-    indices = np.empty(nnz, dtype=np.int32)
-    order = np.empty(nnz, dtype=np.int32)
-    _sparsetools.coo_tocsr(
-        shape[0], shape[1], nnz, rows, cols,
-        np.arange(nnz, dtype=np.int32).reshape(r * c, ne).T.reshape(-1),
-        indptr, indices, order)
-    if not _sparsetools.csr_has_sorted_indices(shape[0], indptr, indices):
-        _sparsetools.csr_sort_indices(shape[0], indptr, indices, order)
-    # a slot starts at each row start and at each change of column
-    starts = np.ones(nnz, dtype=bool)
-    starts[1:] = indices[1:] != indices[:-1]
-    starts[indptr[:-1][indptr[:-1] < nnz]] = True
-    first = np.flatnonzero(starts)
+    kr, kc = kind
+    ne = triangles.shape[0]
+    start, length = square_ptr[:-1], np.diff(square_ptr)
+    # axes (i, a, j, b, e) of the (3 kr, 3 kc, ne) local array
+    vi = triangles.T[:, None, None, None]
+    a = np.arange(kr, dtype=np.int32)[:, None, None, None]
+    b = np.arange(kc, dtype=np.int32)[:, None]
+    slot = (kc * square_slot.reshape(3, 1, 3, 1, ne)
+            + (kr - 1) * kc * start[vi] + a * kc * length[vi] + b)
+    indices = np.empty(kr * kc * square_ptr[-1], dtype=np.int32)
+    indices[slot] = kc * triangles.T[:, None] + b
+    indptr = np.zeros(kr * length.size + 1, dtype=np.int32)
+    np.cumsum(np.repeat(kc * length, kr), out=indptr[1:])
     return _CsrPattern(*_frozen_parts([
-        order, np.cumsum(starts, dtype=np.int32) - 1,
-        indices[first], np.searchsorted(first, indptr).astype(np.int32)]),
-        shape)
-
-
-def _split_rows(pattern: _CsrPattern, ne) -> _CsrPattern:
-    """The 6x6 pattern, derived from the 3x6 `pattern` without a sort.
-
-    Row 2v + a of the 6x6 scatter has the columns of row v of the 3x6 one,
-    and its COO entries (e, 2i + a, c) come in the order of row v's
-    entries (e, i, c): ascending e, then c.  `tocsr` sees the same column
-    sequence in both rows, and its index sort compares columns only, so it
-    orders both alike, and each 6x6 slot sums its entries in the order of
-    the 3x6 slot it copies.  The arrays equal `_build_pattern`'s bit for
-    bit.  (The 3x3 pattern is no such source: a 3x6 row holds each column
-    of its 3x3 row twice, so the sort, which is not stable, orders equal
-    columns differently.)
-    """
-    order, slot, indices, indptr = (pattern.order, pattern.slot,
-                                    pattern.indices, pattern.indptr)
-    nv = indptr.size - 1
-    by_entry = np.searchsorted(slot, indptr).astype(np.int32)
-
-    def doubled(ptr):
-        """(new row pointers, source of each new item, the new row's
-        component a) for rows v -> 2v, 2v + 1 of the items ptr[v]:ptr[v+1]."""
-        lengths = np.repeat(np.diff(ptr), 2)
-        new_ptr = np.zeros(2 * nv + 1, dtype=np.int32)
-        np.cumsum(lengths, out=new_ptr[1:])
-        shift = np.repeat(ptr[:-1], 2) - new_ptr[:-1]
-        source = np.arange(new_ptr[-1], dtype=np.int32) + np.repeat(
-            shift, lengths)
-        return new_ptr, source, np.repeat(np.tile(np.int32([0, 1]), nv),
-                                          lengths)
-
-    entry_ptr, source, comp = doubled(by_entry)
-    slot_ptr, slot_source, _ = doubled(indptr)
-    # the local entry (i, c, e) of the (3, 6, ne) array becomes (2i + a, c,
-    # e) of the (6, 6, ne) one
-    local = order[source]
-    block = 6 * ne
-    return _CsrPattern(*_frozen_parts([
-        local + (local // block + comp) * block,
-        slot[source] + np.repeat(slot_ptr[:-1] - np.repeat(indptr[:-1], 2),
-                                 np.diff(entry_ptr)),
-        indices[slot_source], slot_ptr]), (2 * nv, 2 * nv))
-
-
-@dataclass(frozen=True)
-class _LoadPattern:
-    """Where each entry of an (r, ne) local array goes in one vector: dof
-    `slot[q]` sums local entry `order[q]`, for q in order."""
-
-    order: np.ndarray
-    slot: np.ndarray
-    size: int
-
-
-def _build_load(dofs, size) -> _LoadPattern:
-    """The pattern of summing onto `dofs` in element order, as `np.add.at`
-    on the (ne, r) layout sums."""
-    ne, r = dofs.shape
-    by_dof = np.argsort(dofs.reshape(-1), kind="stable")
-    return _LoadPattern(*_frozen_parts([
-        ((by_dof % r) * ne + by_dof // r).astype(np.int32),
-        dofs.reshape(-1)[by_dof].astype(np.int32)]), size)
+        slot.reshape(-1), indices, indptr]),
+        (kr * length.size, kc * length.size))
 
 
 class ScatterPatterns:
     """The CSR patterns of the scatters on one triangle array.
 
     The connectivity of an iterate never changes (`Mesh.with_vertices`
-    keeps the triangle array), so each kind of scatter builds its pattern
-    once, on first use, and every later assembly on a mesh with these
-    triangles (the same array, not an equal one) only sums its local
-    entries into it.  The kinds are the dofs per vertex of the rows and of
-    the columns: (1, 1) for K, M and the metric block, (1, 2) for
-    L_lambdaOmega and L_uOmega, and (2, 2) for L_OmegaOmega, derived from
-    the (1, 2) pattern (`_split_rows`); a load vector (the shape
-    derivative) has one kind per dofs per vertex.  Every `SparseOperator`
-    is filled on the (1, 1) pattern, so the free x free block of each of
+    keeps the triangle array), so the 3x3 pattern is built once, by one
+    `np.unique` over the keys row * n + col of the flat (3, 3, ne) local
+    array, and each kind of scatter derives its own from it on first use
+    (`_kind_pattern`).  Every later assembly on a mesh with these triangles
+    (the same array, not an equal one) only sums its local entries into
+    it.  The kinds are the dofs per vertex of the rows and of the columns:
+    (1, 1) for K, M and the metric block, (1, 2) for L_lambdaOmega and
+    L_uOmega, and (2, 2) for L_OmegaOmega.  Every `SparseOperator` is
+    filled on the (1, 1) pattern, so the free x free block of each of
     their constrained sets is kept on it, with its SuperLU ordering
     (`restriction`).  The patterns hold no mesh, so that a run can own one
     object for all its iterates and drop it when it returns.  Each matrix
@@ -590,19 +519,23 @@ class ScatterPatterns:
 
     Local arrays have the element axis last, (r, c, ne) for matrices and
     (r, ne) for vectors, with r and c 3 (one dof per corner) or 6 (two,
-    interleaved as `vector_dofs`).
+    interleaved as `vector_dofs`).  Each global entry sums its local
+    entries in the flat order of the local array, one after the other, as
+    `np.add.at` on the flat array would.
     """
 
     def __init__(self, mesh: Mesh):
         self.triangles = mesh.triangles
-        self.num_vertices = mesh.num_vertices
+        self.num_vertices = n = mesh.num_vertices
+        tri = self.triangles.T
+        keys, slot = np.unique(n * tri[:, None] + tri[None, :],
+                               return_inverse=True)
+        # row v's keys are those in [v n, (v + 1) n)
+        self._square = _frozen_parts([
+            slot.reshape(-1).astype(np.int32),
+            np.searchsorted(keys, n * np.arange(n + 1)).astype(np.int32)])
         self._patterns = {}
-        self._loads = {}
         self._restrictions = {}
-
-    def _dofs(self, per_vertex):
-        return self.triangles if per_vertex == 1 \
-            else vector_dofs(self.triangles)
 
     def _check(self, mesh, local, ndim):
         if mesh.triangles is not self.triangles:
@@ -618,42 +551,25 @@ class ScatterPatterns:
     def _pattern(self, kind):
         pattern = self._patterns.get(kind)
         if pattern is None:
-            if kind == (2, 2):
-                pattern = _split_rows(self._pattern((1, 2)),
-                                      self.triangles.shape[0])
-            else:
-                pattern = _build_pattern(
-                    self._dofs(kind[0]), self._dofs(kind[1]),
-                    (self.num_vertices * kind[0],
-                     self.num_vertices * kind[1]))
-            self._patterns[kind] = pattern
+            pattern = self._patterns[kind] = _kind_pattern(
+                *self._square, self.triangles, kind)
         return pattern
 
     def scatter(self, mesh, local):
-        """Assemble (r, c, ne) local matrices into a global CSR matrix.
-
-        The result equals `coo_matrix.tocsr()` of the (ne, r, c) layout bit
-        for bit: `np.bincount` sums each slot's entries in `tocsr`'s order,
-        one after the other, as `csr_sum_duplicates` does.  The one
-        exception is a slot whose every entry is -0.0, which sums to +0.0.
-        """
+        """Assemble (r, c, ne) local matrices into a global CSR matrix."""
         pattern = self._pattern(self._check(mesh, local, 3))
-        data = np.bincount(pattern.slot, minlength=pattern.indices.size,
-                           weights=local.reshape(-1)[pattern.order])
+        data = np.bincount(pattern.slot, weights=local.reshape(-1),
+                           minlength=pattern.indices.size)
         return sp.csr_matrix(
             (data, pattern.indices.copy(), pattern.indptr.copy()),
             shape=pattern.shape)
 
     def load(self, mesh, local):
-        """Sum (r, ne) local vectors into a global vector, each dof's
-        entries in element order."""
+        """Sum (r, ne) local vectors into a global vector."""
         (kind,) = self._check(mesh, local, 2)
-        pattern = self._loads.get(kind)
-        if pattern is None:
-            pattern = self._loads[kind] = _build_load(
-                self._dofs(kind), self.num_vertices * kind)
-        return np.bincount(pattern.slot, minlength=pattern.size,
-                           weights=local.reshape(-1)[pattern.order])
+        dofs = self.triangles if kind == 1 else vector_dofs(self.triangles)
+        return np.bincount(dofs.T.reshape(-1), weights=local.reshape(-1),
+                           minlength=self.num_vertices * kind)
 
     def restriction(self, constrained) -> _Restriction:
         """The `_Restriction` of `constrained` on the square (1, 1) pattern,

@@ -100,7 +100,9 @@ def shape_derivative_dual(ops, u, lam, z_on_m, z_grad,
     d_elem -= (mu_e * geo.areas)[:, None, None] * (
         gl_dot[:, :, None] * gu[:, None, :] + gu_dot[:, :, None] * gl[:, None, :])
     dual = np.zeros((mesh.num_vertices, 2))
-    np.add.at(dual, tris.reshape(-1), d_elem.reshape(-1, 2))
+    # summed in the flat (3, ne) order, as `fem.ScatterPatterns.load` sums
+    np.add.at(dual, tris.T.reshape(-1),
+              d_elem.transpose(1, 0, 2).reshape(-1, 2))
     dual -= (ops.mass.matrix @ w)[:, None] * z_grad
     flat = dual.reshape(-1)
     flat[fem.vector_dofs(mesh.boundary_vertices)] = 0.0

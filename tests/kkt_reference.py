@@ -6,9 +6,10 @@
 - The sensitivities, the reduced Hessian operator and the Newton step with
   each K solve written out, as they were before `HessianBlocks.eliminate`
   served all three; the tests require bit-equal results.
-- The square and the scalar-by-vector scatters as they were before one
-  `fem.ScatterPatterns.scatter` took row and column dof maps; the tests
-  require bit-equal CSR arrays.
+- The square and the scalar-by-vector scatters: the CSR structure of
+  scipy's COO-to-CSR conversion, each entry summed by `np.add.at` in the
+  flat (r, c, ne) order of the local entries, as `fem.ScatterPatterns`
+  sums them; the tests require bit-equal CSR arrays.
 - The LIL Dirichlet elimination with identity rows, which the monolithic
   references solve with, where `fem` solves on the free x free block.
 """
@@ -151,22 +152,40 @@ def newton_step(system):
     return du, v, dlam
 
 
+def flat_order_csr(local, rows, cols, shape):
+    """CSR of the (ne, r, c) entries `local` at (`rows`, `cols`): the
+    structure of scipy's COO-to-CSR conversion, each entry summed by
+    `np.add.at` in the flat (r, c, ne) order of the entries."""
+    structure = sp.coo_matrix((np.ones(rows.size),
+                               (rows.reshape(-1), cols.reshape(-1))),
+                              shape=shape).tocsr()
+    keys = (np.repeat(np.arange(shape[0]), np.diff(structure.indptr))
+            * shape[1] + structure.indices)
+
+    def flat(a):
+        return a.transpose(1, 2, 0).reshape(-1)
+
+    data = np.zeros(keys.size)
+    np.add.at(data, np.searchsorted(keys, flat(rows) * shape[1] + flat(cols)),
+              flat(local))
+    return sp.csr_matrix((data, structure.indices, structure.indptr),
+                         shape=shape)
+
+
 def scatter(mesh, local, ndof_per_vertex=1):
     """Assemble (ne, k, k) local matrices into a global CSR matrix."""
     k = local.shape[1]
     dofs = mesh.triangles if ndof_per_vertex == 1 \
         else fem.vector_dofs(mesh.triangles)
-    rows = np.repeat(dofs, k, axis=1).reshape(-1)
-    cols = np.tile(dofs, (1, k)).reshape(-1)
+    rows = np.repeat(dofs[:, :, None], k, axis=2)
     n = mesh.num_vertices * ndof_per_vertex
-    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, n))
-    return mat.tocsr()
+    return flat_order_csr(local, rows, rows.transpose(0, 2, 1), (n, n))
 
 
 def mixed_scatter(mesh, local):
     """Assemble (ne, 3, 3, 2) scalar-by-vector blocks into (n, 2n) CSR."""
-    rows = np.repeat(mesh.triangles, 6).reshape(-1)
-    cols = np.tile(fem.vector_dofs(mesh.triangles), (1, 3)).reshape(-1)
+    cols = fem.vector_dofs(mesh.triangles)
+    rows = np.repeat(mesh.triangles[:, :, None], 6, axis=2)
     n = mesh.num_vertices
-    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)), shape=(n, 2 * n))
-    return mat.tocsr()
+    return flat_order_csr(local.reshape(-1, 3, 6), rows,
+                          np.repeat(cols[:, None], 3, axis=1), (n, 2 * n))

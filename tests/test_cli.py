@@ -222,8 +222,8 @@ class TestCommands:
 
     def test_optimize_aborted_at_iteration_0(self, tmp_path, capsys,
                                              monkeypatch):
-        """A run that aborts before its first row writes its files and
-        prints its note, with no last-row summary."""
+        """A run that aborts before its first row writes its files,
+        prints its note, with no last-row summary, and exits 1."""
         real, calls = model.solve_state, []
 
         def failing(ops):
@@ -237,13 +237,38 @@ class TestCommands:
             "-s", f"output.output_dir={tmp_path}",
             "-s", "mesh.h=0.1", "-s", "target.h=0.1",
             "-s", "output.emit_vtk=false", "optimize"])
-        assert rcode == 0
+        assert rcode == 1
         out = capsys.readouterr().out
         assert out.splitlines() == [
             "note: aborted at iteration 0 (state): injected"]
         hist = (tmp_path / "history.txt").read_text().splitlines()
         assert hist[1:] == ["# aborted at iteration 0 (state): injected"]
         assert "history.txt" in (tmp_path / "metadata.txt").read_text()
+
+    def test_optimize_aborted_writes_no_final_mesh(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A run aborted at the transfer stage, with `emit_vtk` at its
+        default, writes `history.txt` and `metadata.txt` but no
+        `final_mesh.vtk`, which would locate the last iterate again."""
+        real, calls = model.transfer_target, []
+
+        def failing(target, mesh):
+            calls.append(1)
+            if len(calls) >= 2:
+                raise model.PointOutsideMesh("injected")
+            return real(target, mesh)
+
+        monkeypatch.setattr(model, "transfer_target", failing)
+        rcode = cli.main([
+            "-s", f"output.output_dir={tmp_path}",
+            "-s", "mesh.h=0.1", "-s", "target.h=0.1", "optimize"])
+        assert rcode == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "note: aborted at iteration 1 (transfer): injected"
+        assert len(calls) == 2
+        assert not (tmp_path / "final_mesh.vtk").exists()
+        meta = (tmp_path / "metadata.txt").read_text()
+        assert "history.txt" in meta and "final_mesh.vtk" not in meta
 
     def test_pseudo_demo_table(self, capsys):
         assert cli.main(["pseudo-demo"]) == 0

@@ -32,8 +32,8 @@ class TestSchedule:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("cls, name", [
-        (Schedule, "gradient_step"), (Schedule, "newton_step"),
-        (Schedule, "eps1"), (Schedule, "eps2"), (Schedule, "tol_v"),
+        (Schedule, "gradient_step"), (Schedule, "eps1"),
+        (Schedule, "eps2"), (Schedule, "tol_v"),
         (ProblemConfig, "alpha"), (ProblemConfig, "mu_in"),
         (ProblemConfig, "mu_out")])
     def test_non_finite_float_field_rejected(self, cls, name, value):
@@ -384,20 +384,14 @@ class TestScatterPatternsPerRun:
     @staticmethod
     def record_builds(monkeypatch):
         """The block kind (dofs per vertex of rows and columns) of every
-        pattern built, the 6x6 one derived from the 3x6 one included, in
-        the returned list."""
-        real, real_split, kinds = fem._build_pattern, fem._split_rows, []
+        pattern derived from the 3x3 one, in the returned list."""
+        real, kinds = fem._kind_pattern, []
 
-        def counted(row_dofs, col_dofs, shape):
-            kinds.append((row_dofs.shape[1] // 3, col_dofs.shape[1] // 3))
-            return real(row_dofs, col_dofs, shape)
+        def counted(square_slot, square_ptr, triangles, kind):
+            kinds.append(kind)
+            return real(square_slot, square_ptr, triangles, kind)
 
-        def split(pattern, ne):
-            kinds.append((2, 2))
-            return real_split(pattern, ne)
-
-        monkeypatch.setattr(fem, "_build_pattern", counted)
-        monkeypatch.setattr(fem, "_split_rows", split)
+        monkeypatch.setattr(fem, "_kind_pattern", counted)
         return kinds
 
     def test_each_kind_built_once_per_run(self, monkeypatch):

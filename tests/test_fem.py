@@ -230,7 +230,8 @@ class TestAssembly:
 
     def test_scatter_csr_bit_identical(self, mesh):
         """K, M and the metric block b_s from element-last local matrices:
-        the CSR arrays of the (ne, ...) kernels through the COO scatter."""
+        the CSR arrays of the (ne, ...) kernels through the reference
+        scatter."""
         assert_operators_equal_reference(mesh)
 
     @pytest.mark.parametrize("h, deformed", [(0.05, False), (0.02, False),
@@ -252,7 +253,7 @@ class TestAssembly:
     def test_patterns_fill_deformed_mesh_like_coo(self, mesh, block,
                                                   reference):
         """Patterns built on the start mesh, filled on a deformed iterate
-        from (r, c, ne) local arrays: the CSR arrays of the COO-to-CSR
+        from (r, c, ne) local arrays: the CSR arrays of the reference
         scatter of the same entries in the (ne, r, c) layout, for each of
         the three kinds and each of several fills."""
         patterns = fem.ScatterPatterns(mesh)
@@ -266,29 +267,35 @@ class TestAssembly:
                             reference(moved, local.transpose(2, 0, 1)))
 
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
-    def test_split_rows_equal_the_built_pattern(self, h):
-        """The 6x6 pattern derived from the 3x6 one: every array equals
-        the one scipy's COO-to-CSR conversion and index sort give, bit for
-        bit, so each slot sums its entries in `tocsr`'s order."""
+    def test_patterns_have_the_coo_structure(self, h):
+        """Each kind's pattern, derived from the 3x3 one: `indices` and
+        `indptr` equal those of scipy's `coo_matrix(...).tocsr()` of the
+        same entries, on which the kept SuperLU orderings rest."""
         m = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), h)
-        dofs = vector_dofs(m.triangles)
-        nv = m.num_vertices
-        got = fem.ScatterPatterns(m)._pattern((2, 2))
-        want = fem._build_pattern(dofs, dofs, (2 * nv, 2 * nv))
-        assert got.shape == want.shape
-        for name in ("order", "slot", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        patterns = fem.ScatterPatterns(m)
+        for kind in [(1, 1), (1, 2), (2, 2)]:
+            rows, cols = (m.triangles if k == 1 else vector_dofs(m.triangles)
+                          for k in kind)
+            shape = (m.num_vertices * kind[0], m.num_vertices * kind[1])
+            r, c = rows.shape[1], cols.shape[1]
+            want = sp.coo_matrix((np.ones(m.num_triangles * r * c), (
+                np.repeat(rows, c, axis=1).reshape(-1),
+                np.tile(cols, (1, r)).reshape(-1))), shape=shape).tocsr()
+            got = patterns._pattern(kind)
+            assert got.shape == shape
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.indptr, want.indptr)
 
     def test_load_sums_like_add_at(self, mesh):
         """A (6, ne) local vector summed onto the 2n dofs equals
-        `np.add.at` on the (ne, 3, 2) layout bit for bit, zero signs too."""
+        `np.add.at` in the flat (3, ne) order bit for bit, zero signs
+        too."""
         rng = np.random.default_rng(7)
         local = rng.standard_normal((3, 2, mesh.num_triangles))
         local[rng.random(local.shape) < 0.1] = -0.0
         want = np.zeros((mesh.num_vertices, 2))
-        np.add.at(want, mesh.triangles.reshape(-1),
-                  local.transpose(2, 0, 1).reshape(-1, 2))
+        np.add.at(want, mesh.triangles.T.reshape(-1),
+                  local.transpose(0, 2, 1).reshape(-1, 2))
         got = fem.ScatterPatterns(mesh).load(mesh, local.reshape(6, -1))
         assert got.tobytes() == want.reshape(-1).tobytes()
 

@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import deformopt
+
+PACKAGE = Path(deformopt.__file__).parent
 
 
 def test_every_exported_name_resolves():
@@ -6,3 +11,27 @@ def test_every_exported_name_resolves():
                if not hasattr(deformopt, name)]
     assert not missing
     assert len(set(deformopt.__all__)) == len(deformopt.__all__)
+
+
+def private_imports(tree):
+    """The modules of numpy and scipy, or of their subpackages, whose name
+    has a part with a leading underscore, that `tree` imports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [node.module] + [f"{node.module}.{alias.name}"
+                                      for alias in node.names]
+    return [name for name in names
+            if name.split(".")[0] in ("numpy", "scipy")
+            and any(part.startswith("_") for part in name.split(".")[1:])]
+
+
+def test_no_private_numpy_or_scipy_module_imported():
+    """The program uses the public APIs of numpy and scipy only: a private
+    module may change or vanish in any release."""
+    found = {str(path.relative_to(PACKAGE)):
+             private_imports(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: bad for name, bad in found.items() if bad} == {}
