@@ -146,7 +146,7 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
                     history.notes, k)
                 t, halvings, margin = _step_length(ops, sched, mode, v)
             except (fem.SingularSystemError, NonInvertibleDeformation) as exc:
-                history.notes.append(f"aborted at iteration {k}: {exc}")
+                history.notes.append(f"aborted at iteration {k} (step): {exc}")
         del terms       # it holds `ops`: the set dies with its iterate
         try:
             gn, res = _dual_norms(ops, *gradient)

@@ -2,13 +2,14 @@
 
 Nodal fields, exact element quadrature, assembly of the scalar stiffness,
 mass and vector H1 forms, and sparse solves on the free x free block of a
-Dirichlet-constrained operator: SuperLU factorizations, and Chebyshev
-iteration for the mass.  Products of P1 fields are integrated by a
-degree-4 rule, exact up to products of four fields.  Assembly fills CSR
-patterns derived from one 3x3 pattern per triangle array
-(`ScatterPatterns`), each entry summing its local entries in the flat
-order of the local array; the patterns that filled an operator also keep
-the gather of its free block for each constrained set (`_Restriction`).
+Dirichlet-constrained operator: SuperLU factorizations and Chebyshev
+iteration for the mass, each checked once by its residual.  Products of
+P1 fields are integrated by a degree-4 rule, exact up to products of four
+fields.  Assembly fills CSR patterns derived from one 3x3 pattern per
+triangle array (`ScatterPatterns`), each entry summing its local entries
+in the flat order of the local array; the patterns that filled an operator
+also keep the gather of its free block for each constrained set
+(`_Restriction`).
 
 Every per-element array has the element axis last and contiguous: basis
 gradients (3, 2, ne), local matrices (r, c, ne), element gradients (2, ne).
@@ -207,7 +208,7 @@ class SparseOperator:
     symmetric positive definite, as every block built here is (stiffness,
     mass and the metric block); nothing nonsymmetric or indefinite may go
     through `_factor`.  A singular block (the pure-Neumann stiffness) is
-    caught by the residual check of `solve_constrained`.  With diagonal
+    caught by the residual check of `solve_free`.  With diagonal
     pivots the ordering depends on the structure alone, so it is kept in
     the `_Restriction` too.
     """
@@ -233,30 +234,31 @@ class SparseOperator:
         return float(x @ (self.matrix @ y))
 
     def solve_constrained(self, rhs, bc_values=None, rtol=1e-8):
-        """Solve with homogeneous (or given) values at constrained dofs.
-
-        `rhs` is one right-hand side (n,) or several as columns (n, k),
-        solved on the one factorization; the residual check and the
-        iterative refinement then take all columns together."""
+        """Solve for (n,) or (n, k) `rhs` on the free block (`solve_free`),
+        with homogeneous (or given) values at the constrained dofs."""
         rhs = np.asarray(rhs, dtype=float)
         if bc_values is not None:
             lift = np.zeros_like(rhs)
             lift[self.constrained] = bc_values
             rhs = rhs - self.matrix @ lift
-        block, rhs = self.free_block, self.restriction.restrict(rhs)
-        x = self._factor.solve(rhs)
-        scale = max(np.linalg.norm(rhs), 1.0)
-        res = np.linalg.norm(block @ x - rhs)
-        for _ in range(6):                     # iterative refinement
-            if res <= 1e-12 * scale:
-                break
-            x = x + self._factor.solve(rhs - block @ x)
-            res = np.linalg.norm(block @ x - rhs)
-        if not np.isfinite(res) or res > rtol * scale:
-            raise SingularSystemError(
-                f"linear solve residual {res:.3e} exceeds tolerance")
-        x = self.restriction.extend(x)
+        r = self.restriction
+        x = r.extend(self.solve_free(r.restrict(rhs), rtol))
         return x if bc_values is None else x + lift
+
+    def solve_free(self, rhs, rtol=1e-8):
+        """One factor solve of the free block, then one residual check."""
+        return _checked(self.free_block, self._factor.solve(rhs), rhs, rtol,
+                        "linear solve")
+
+
+def _checked(block, x, rhs, rtol, what):
+    """`x` if |block @ x - rhs| <= rtol max(|rhs|, 1), else raise."""
+    scale = max(np.linalg.norm(rhs), 1.0)
+    res = np.linalg.norm(block @ x - rhs)
+    if not np.isfinite(res) or res > rtol * scale:
+        raise SingularSystemError(
+            f"{what} residual {res:.3e} exceeds tolerance")
+    return x
 
 
 def _splu(csc, permc_spec):
@@ -374,10 +376,9 @@ def solve_mass(op: SparseOperator, rhs):
     reduce the M-norm error by 1/T_k(5/3) <= 2 * 3**-k, and so the relative
     error of r . M^-1 r: `MASS_STEPS` fixed steps need no inner product and
     no stopping test.  `rhs` is (n,) or (n, k).  The final residual is
-    checked as in `SparseOperator.solve_constrained`, at the 1e-6 relative
-    that the residual column's solves allow; an operator whose scaled
-    spectrum leaves [1/2, 2], such as a stiffness, fails it and raises
-    SingularSystemError.
+    checked as by `SparseOperator.solve_free`, at the 1e-6 relative that the
+    residual column's solves allow: an operator whose scaled spectrum
+    leaves [1/2, 2], such as a stiffness, fails it (SingularSystemError).
     """
     mat = op.free_block
     rhs = op.restriction.restrict(np.asarray(rhs, dtype=float))
@@ -399,13 +400,8 @@ def solve_mass(op: SparseOperator, rhs):
         d *= rho_next * rho
         d += (2.0 * rho_next / delta) * r
         rho = rho_next
-    x = s * (y + d)
-    scale = max(np.linalg.norm(rhs), 1.0)
-    res = np.linalg.norm(mat @ x - rhs)
-    if not np.isfinite(res) or res > 1e-6 * scale:
-        raise SingularSystemError(
-            f"mass solve residual {res:.3e} exceeds tolerance")
-    return op.restriction.extend(x)
+    return op.restriction.extend(
+        _checked(mat, s * (y + d), rhs, 1e-6, "mass solve"))
 
 
 @dataclass
@@ -414,9 +410,9 @@ class VectorOperator:
     component of a P1 vector field, for a scalar operator `block` = B.
 
     Only B (n x n) is stored and factorized: `metric @ x` applies B to the
-    (n, 2) view of a 2n vector, and `solve_constrained` solves both
-    components as one two-column right-hand side on B's factorization.
-    `constrained` is both dofs of each of B's constrained vertices.
+    (n, 2) view of a 2n vector, and a solve takes both components as one
+    two-column right-hand side on B's factorization.  `constrained` is both
+    dofs of each of B's constrained vertices, and `restrict` keeps the rest.
     """
 
     block: SparseOperator
@@ -433,11 +429,19 @@ class VectorOperator:
         y = x if y is None else y
         return float(x @ (self @ y))
 
+    def restrict(self, x):
+        return self.block.restriction.restrict(x.reshape(-1, 2)).reshape(-1)
+
+    def extend(self, x):
+        return self.block.restriction.extend(x.reshape(-1, 2)).reshape(-1)
+
+    def solve_free(self, rhs):
+        return self.block.solve_free(rhs.reshape(-1, 2)).reshape(-1)
+
     def solve_constrained(self, rhs, rtol=1e-8):
         """Solve with homogeneous values at the constrained dofs."""
-        rhs = np.asarray(rhs, dtype=float)
-        x = self.block.solve_constrained(rhs.reshape(-1, 2), rtol=rtol)
-        return x.reshape(rhs.shape)
+        x = self.block.solve_constrained(np.reshape(rhs, (-1, 2)), rtol=rtol)
+        return x.reshape(np.shape(rhs))
 
 
 def apply_dirichlet(matrix, restriction: _Restriction):

@@ -237,11 +237,11 @@ class KktSystem:
         S V = (L_OO + b) V + B_u^T udot + B^T ldot with
         udot = -K^-1 B V and ldot = -K^-1 (M udot + B_u V) is the reduced
         shape Hessian (`HessianBlocks.apply`) plus the Tikhonov term.  It is
-        symmetric, and MINRES solves it preconditioned by the constrained
-        b factorization.  The Newton step makes its K solves through
-        `HessianBlocks.eliminate`: with V = 0 for (du_p, dlambda_p), and
-        with V for (du, dlambda).  The reduced step drops M, B_u and L_OO:
-        then S = b, V is one direct metric solve and dlambda = dlambda_p.
+        symmetric: MINRES solves it on the free deformation dofs,
+        preconditioned by b_s's free-block factorization.  The Newton step
+        makes its K solves by `HessianBlocks.eliminate`, with V = 0 for (du_p,
+        dlambda_p) and with V for (du, dlambda).  The reduced step drops M, B_u
+        and L_OO: then S = b, V is one metric solve and dlambda = dlambda_p.
 
         Raises SingularSystemError when MINRES reaches MINRES_MAXITER, the
         step is not finite, or a block residual exceeds KKT_RESIDUAL_TOL.
@@ -264,35 +264,30 @@ class KktSystem:
                 ScalarField(mesh, dlam))
 
     def _minres(self, g):
-        """W with S W = g on the free deformation dofs; S acts as the
-        identity on the constrained ones, where g and W vanish."""
+        """W with S W = g, zero on the outer boundary: MINRES on the free
+        deformation dofs, preconditioned by b's free block solve (SPD)."""
         metric = self.blocks.ops.metric
-        fixed = metric.constrained
 
         def s_matvec(x):
-            w = x.copy()
-            w[fixed] = 0.0
-            y = self.blocks.apply(w) + metric @ w
-            y[fixed] = x[fixed]
-            return y
+            w = metric.extend(x)
+            return metric.restrict(self.blocks.apply(w) + metric @ w)
 
         def count(_):
             self.krylov_iterations += 1
 
         self.krylov_iterations = 0
-        n = g.size
-        rhs = g.copy()
-        rhs[fixed] = 0.0
+        rhs = metric.restrict(g)
+        n = rhs.size
         w, info = spla.minres(
             spla.LinearOperator((n, n), matvec=s_matvec, dtype=float), rhs,
-            M=spla.LinearOperator((n, n), matvec=metric.solve_constrained,
+            M=spla.LinearOperator((n, n), matvec=metric.solve_free,
                                   dtype=float),
             rtol=MINRES_RTOL, maxiter=MINRES_MAXITER, callback=count)
         if info != 0:
             raise fem.SingularSystemError(
                 f"MINRES stopped after {self.krylov_iterations} iterations "
                 f"(info {info})")
-        return w
+        return metric.extend(w)
 
     def _check_residual(self, du, v, dlam):
         """Each block's residual relative to the norms of its terms."""

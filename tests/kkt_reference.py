@@ -5,7 +5,11 @@
   The tests use it as the reference that the step must reproduce.
 - The sensitivities, the reduced Hessian operator and the Newton step with
   each K solve written out, as they were before `HessianBlocks.eliminate`
-  served all three; the tests require bit-equal results.
+  served all three; the tests require bit-equal results.  The Newton step
+  runs MINRES on the free deformation dofs, as `KktSystem.solve` does.
+- The Newton step with MINRES in the padded 2n space (identity rows on
+  the fixed deformation dofs), which the free-dof MINRES replaced; the
+  tests require the same step to rounding and the same iteration count.
 - The square and the scalar-by-vector scatters: the CSR structure of
   scipy's COO-to-CSR conversion, each entry summed by `np.add.at` in the
   flat (r, c, ne) order of the local entries, as `fem.ScatterPatterns`
@@ -118,16 +122,73 @@ def apply(blocks, v):
             + blocks.b_lam_shape.T @ ldot)
 
 
-def newton_step(system):
-    """Flat (du, V, dlambda) of a Newton system, each K solve written out
-    and MINRES run on `apply` with the settings of `KktSystem.solve`."""
+def _minres_rhs(system):
+    """g with S W = g for the step's W = -V of a Newton system, each K
+    solve written out."""
     b = system.blocks
-    state, mass, metric = b.ops.state, b.ops.mass.matrix, b.ops.metric
+    state, mass = b.ops.state, b.ops.mass.matrix
     du_p = -state.solve_constrained(system.rhs_lam)
     dlam_p = -state.solve_constrained(system.rhs_u + mass @ du_p)
-    g = (system.rhs_shape + b.b_u_shape.T @ du_p
-         + b.b_lam_shape.T @ dlam_p)
-    fixed, metric_2n = metric.constrained, metric_matrix(metric)
+    return (system.rhs_shape + b.b_u_shape.T @ du_p
+            + b.b_lam_shape.T @ dlam_p)
+
+
+def _step_from(system, v):
+    """Flat (du, V, dlambda) of the step V, each K solve written out."""
+    b = system.blocks
+    state, mass = b.ops.state, b.ops.mass.matrix
+    du = -state.solve_constrained(system.rhs_lam + b.b_lam_shape @ v)
+    dlam = -state.solve_constrained(system.rhs_u + mass @ du
+                                    + b.b_u_shape @ v)
+    return du, v, dlam
+
+
+def _minres(matvec, psolve, rhs):
+    """scipy's MINRES with the settings of `KktSystem.solve`: the solution
+    and the iteration count."""
+    n, count = rhs.size, []
+    w, info = spla.minres(
+        spla.LinearOperator((n, n), matvec=matvec, dtype=float), rhs,
+        M=spla.LinearOperator((n, n), matvec=psolve, dtype=float),
+        rtol=kkt.MINRES_RTOL, maxiter=kkt.MINRES_MAXITER,
+        callback=count.append)
+    assert info == 0
+    return w, len(count)
+
+
+def newton_step(system):
+    """Flat (du, V, dlambda) of a Newton system, each K solve written out
+    and MINRES run on `apply` over the free deformation dofs, gathered and
+    put back by plain indexing."""
+    b = system.blocks
+    metric, metric_2n = b.ops.metric, metric_matrix(b.ops.metric)
+    g = _minres_rhs(system)
+    free = np.setdiff1d(np.arange(g.size), metric.constrained)
+
+    def extend(x):
+        w = np.zeros(g.size)
+        w[free] = x
+        return w
+
+    def s_matvec(x):
+        w = extend(x)
+        return (apply(b, w) + metric_2n @ w)[free]
+
+    w, _ = _minres(s_matvec,
+                   lambda x: metric.solve_constrained(extend(x))[free],
+                   g[free])
+    return _step_from(system, -extend(w))
+
+
+def padded_newton_step(system):
+    """The Newton step as MINRES once solved it, in the padded 2n space:
+    S with identity rows on the fixed deformation dofs, and the
+    constrained b solve, zero on those dofs, as preconditioner.  Flat
+    (du, V, dlambda) and the MINRES iteration count."""
+    b = system.blocks
+    metric, metric_2n = b.ops.metric, metric_matrix(b.ops.metric)
+    g = _minres_rhs(system)
+    fixed = metric.constrained
 
     def s_matvec(x):
         w = x.copy()
@@ -136,20 +197,10 @@ def newton_step(system):
         y[fixed] = x[fixed]
         return y
 
-    n = g.size
     rhs = g.copy()
     rhs[fixed] = 0.0
-    w, info = spla.minres(
-        spla.LinearOperator((n, n), matvec=s_matvec, dtype=float), rhs,
-        M=spla.LinearOperator((n, n), matvec=metric.solve_constrained,
-                              dtype=float),
-        rtol=kkt.MINRES_RTOL, maxiter=kkt.MINRES_MAXITER)
-    assert info == 0
-    v = -w
-    du = -state.solve_constrained(system.rhs_lam + b.b_lam_shape @ v)
-    dlam = -state.solve_constrained(system.rhs_u + mass @ du
-                                    + b.b_u_shape @ v)
-    return du, v, dlam
+    w, iterations = _minres(s_matvec, metric.solve_constrained, rhs)
+    return _step_from(system, -w), iterations
 
 
 def flat_order_csr(local, rows, cols, shape):

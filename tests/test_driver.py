@@ -184,7 +184,7 @@ class TestTypedOutcomes:
             _, hist = run_two_phase(
                 mesh, cfg, target,
                 Schedule(n_gradient_iters=n_gradient, max_iters=4))
-            assert hist.notes == ["aborted at iteration 0: "
+            assert hist.notes == ["aborted at iteration 0 (step): "
                                   "deformation not invertible"]
             assert len(hist.records) == 1
             assert hist.records[0].step == 0.0
@@ -204,7 +204,8 @@ class TestTypedOutcomes:
         _, hist = run_two_phase(mesh, cfg, target, sched)
         assert hist.notes == ["iteration 0: newton solve failed (injected "
                               "singular KKT); gradient fallback",
-                              "aborted at iteration 0: injected singular KKT"]
+                              "aborted at iteration 0 (step): "
+                              "injected singular KKT"]
         assert len(hist.records) == 1
         assert hist.records[0].step == 0.0
 

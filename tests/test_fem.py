@@ -401,11 +401,22 @@ class TestConstrainedSolve:
         assert np.abs(u - exact).max() < 5e-3
 
     def test_unconstrained_singular_stiffness_detected(self, mesh):
+        """The residual check reports the singular system after one factor
+        solve, with no iterative refinement before it."""
         a = assemble_scalar_laplace(mesh, 1.0)
+        factor, solves = a._factor, []
+
+        class Counted:
+            def solve(self, rhs):
+                solves.append(rhs)
+                return factor.solve(rhs)
+
+        a._factor = Counted()
         rhs = np.zeros(mesh.num_vertices)
         rhs[0] = 1.0  # not in the range of the pure-Neumann operator
-        with pytest.raises(SingularSystemError):
+        with pytest.raises(SingularSystemError, match="linear solve residual"):
             a.solve_constrained(rhs)
+        assert len(solves) == 1
 
 
 class TestDirichletElimination:

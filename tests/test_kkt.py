@@ -256,6 +256,41 @@ class TestKktSystem:
         assert system.relative_residual <= kkt.KKT_RESIDUAL_TOL
         assert system.krylov_iterations > 0
 
+    @pytest.mark.parametrize("where", ["start", "perturbed", "newton phase"])
+    def test_newton_step_matches_padded_minres(self, setup,
+                                               newton_phase_medium, where):
+        """MINRES on the free deformation dofs gives the step of MINRES in
+        the padded 2n space it replaced, to rounding, in as many
+        iterations, at the iterates of the saddle-solve test above."""
+        iterate = {"start": setup, "perturbed": perturbed(setup, 1e-3),
+                   "newton phase": newton_phase_medium}[where]
+        system = newton_system(iterate)
+        du, v, dlam = system.solve()
+        want, iterations = kkt_reference.padded_newton_step(system)
+        for got, ref in zip((du.values, v.flat(), dlam.values), want):
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert system.krylov_iterations == iterations
+
+    def test_minres_runs_on_the_free_deformation_dofs(self, setup,
+                                                      monkeypatch):
+        """MINRES gets a right-hand side of 2 (n - |boundary|) entries, and
+        as preconditioner the inverse of b's free block, which is SPD,
+        not the 2n constrained solve, which is zero on the fixed dofs."""
+        ops, mesh = setup[0], setup[2]
+        real, sizes = spla.minres, []
+
+        def recorded(op, rhs, **kwargs):
+            sizes.append(rhs.size)
+            x = np.random.default_rng(21).standard_normal(rhs.size)
+            bx = ops.metric.restrict(ops.metric @ ops.metric.extend(x))
+            assert np.abs(kwargs["M"].matvec(bx) - x).max() <= 1e-10
+            return real(op, rhs, **kwargs)
+
+        monkeypatch.setattr(spla, "minres", recorded)
+        newton_system(setup).solve()
+        assert sizes == [2 * (mesh.num_vertices
+                              - mesh.boundary_vertices.size)]
+
     def test_krylov_count_mesh_independent(self, newton_phase_medium):
         """MINRES iterations at the Newton-phase iterate stay bounded as
         the mesh is refined from h=0.1 to h=0.05."""

@@ -89,4 +89,8 @@ def test_newton_trace_does_the_same_work():
     assert metrics["fem.factor_fill_nnz"] == 1344608
     assert metrics["fem.factor_max_dofs"] == 2830
     assert metrics["kkt.solve_calls"] == 5
+    # 138 less the 37 preconditioner solves of the two Newton steps' MINRES,
+    # which solve b_s's free block directly (`solve_free`), not through
+    # the wrapped `solve_constrained`: their time is `kkt.solve`'s own
+    assert metrics["fem.solve_constrained_calls"] == 101
     assert metrics["model.locate_points"] == 6 * 2932
