@@ -10,8 +10,9 @@ invertible.  A failed step ends the run with an `aborted` note and a
 step-0 row; a failed state, target transfer or residual stage ends it
 with a note and the earlier rows.
 Each iterate builds one `model.OperatorSet`, on the run's one set of CSR
-patterns, and one set of element terms, which the gradient and the KKT
-system read.
+patterns, forms M (u - z) once, for the adjoint's load, the objective and
+the element terms, and builds one set of element terms, which the gradient
+and the KKT system read.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
                                  f"{exc}")
             break
         mode = "newton" if k >= sched.n_gradient_iters else "gradient"
-        mass_w = None       # M (u - z), shared where the adjoint is solved
         # project through the switch iteration so Newton starts feasible
         if k <= sched.n_gradient_iters:
             try:
@@ -132,7 +132,9 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
                 history.notes.append(f"aborted at iteration {k} (state): "
                                      f"{exc}")
                 break
-        j0 = model.objective(ops, u, z)
+        else:
+            mass_w = model.mass_misfit(ops, u, z)
+        j0 = model.objective(ops, u, z, mass_w)
         terms = shape_calculus.element_terms(ops, u, lam, z, z_grad,
                                              mass_w=mass_w)
         gradient = kkt.lagrangian_gradient(terms)

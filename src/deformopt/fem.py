@@ -3,13 +3,11 @@
 Nodal fields, exact element quadrature, assembly of the scalar stiffness,
 mass and vector H1 forms, and sparse solves on the free x free block of a
 Dirichlet-constrained operator: SuperLU factorizations and Chebyshev
-iteration for the mass, each checked once by its residual.  Products of
-P1 fields are integrated by a degree-4 rule, exact up to products of four
-fields.  Assembly fills CSR patterns derived from one 3x3 pattern per
-triangle array (`ScatterPatterns`), each entry summing its local entries
-in the flat order of the local array; the patterns that filled an operator
-also keep the gather of its free block for each constrained set
-(`_Restriction`).
+iteration for the mass, each checked once by its residual.  Assembly
+fills CSR patterns derived from one 3x3 pattern per triangle array
+(`ScatterPatterns`), each entry summing its local entries in the flat
+order of the local array; the patterns that filled an operator also keep
+the gather of its free block for each constrained set (`_Restriction`).
 
 Every per-element array has the element axis last and contiguous: basis
 gradients (3, 2, ne), local matrices (r, c, ne), element gradients (2, ne).
@@ -160,37 +158,6 @@ def _stiffness_local(weights, grads):
     wg = weights * grads
     return (wg[:, None, 0] * grads[None, :, 0]
             + wg[:, None, 1] * grads[None, :, 1])
-
-
-# Quadrature on the reference triangle, exact for polynomials of degree 4.
-_QP4 = np.array([
-    [0.445948490915965, 0.445948490915965],
-    [0.445948490915965, 0.108103018168070],
-    [0.108103018168070, 0.445948490915965],
-    [0.091576213509771, 0.091576213509771],
-    [0.091576213509771, 0.816847572980459],
-    [0.816847572980459, 0.091576213509771],
-])
-_QW4 = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3)
-
-
-def integrate_p1_product(fields, weights=None):
-    """Exact integral of a product of P1 scalar fields (degree <= 4).
-
-    `weights` is an optional elementwise-constant factor.
-    """
-    mesh = fields[0].mesh
-    geo = geometry(mesh)
-    lam = np.column_stack([1 - _QP4[:, 0] - _QP4[:, 1], _QP4[:, 0], _QP4[:, 1]])
-    prod = np.ones((mesh.num_triangles, _QP4.shape[0]))
-    for f in fields:
-        _same_mesh(fields[0], f)
-        nodal = f.values[mesh.triangles]          # (ne, 3)
-        prod *= nodal @ lam.T                     # (ne, nq)
-    per_elem = prod @ _QW4
-    if weights is not None:
-        per_elem = per_elem * np.asarray(weights, dtype=float)
-    return float(np.dot(geo.areas, per_elem))
 
 
 @dataclass

@@ -277,7 +277,11 @@ def generate_mesh(shape: InclusionShape, target_h: float) -> Mesh:
     edges = _edge_table(simplices, points.shape[0])
     k = np.arange(n_if)
     if_ends = np.sort(np.column_stack([k, (k + 1) % n_if]), axis=1)
-    missing = ~np.isin(if_ends @ [points.shape[0], 1], edges[0])
+    # the table's keys are sorted and unique: a missing key is not at its
+    # insertion point
+    keys = if_ends @ [points.shape[0], 1]
+    at = np.minimum(np.searchsorted(edges[0], keys), edges[0].size - 1)
+    missing = edges[0][at] != keys
     if missing.any():
         e = tuple(if_ends[np.argmax(missing)].tolist())
         raise MeshError(

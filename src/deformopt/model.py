@@ -103,11 +103,17 @@ class _PointLocator:
             [[0], np.cumsum(np.bincount(keys, minlength=self.nx ** 2))])
         self.box_lo = lo - self.BOX_MARGIN
         self.box_hi = hi + self.BOX_MARGIN
+        self.corners = pts
         # element e maps (s, t) to origin[e] + affine[e] @ (s, t)
         self.origin = pts[:, 0]
         self.affine = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]],
                                axis=2)
-        self.centroid_tree = cKDTree(pts.mean(axis=1))
+
+    @cached_property
+    def centroid_tree(self):
+        """k-d tree of the element centroids, for the clamp of a point in
+        no element: built by the first lookup with such a point."""
+        return cKDTree(self.corners.mean(axis=1))
 
     def _cells(self, p):
         """Grid cell (column, row) of each point, clamped to the grid."""
@@ -337,7 +343,8 @@ def solve_state(ops: OperatorSet) -> ScalarField:
 
 def mass_misfit(ops: OperatorSet, u: ScalarField,
                 z_on_m: ScalarField) -> np.ndarray:
-    """M (u - z): the adjoint's load, and the misfit of the element terms."""
+    """M (u - z): the adjoint's load, J's misfit and the misfit of the
+    element terms."""
     return ops.mass.matrix @ (u.values - z_on_m.values)
 
 
@@ -356,10 +363,16 @@ def inclusion_area(mesh: Mesh):
     return float(geo.areas[mesh.region == REGION_INCLUSION].sum())
 
 
-def objective(ops: OperatorSet, u: ScalarField, z_on_m: ScalarField) -> float:
-    """J = 1/2 int (u-z)^2 dx + alpha/2 * area of the inclusion."""
-    w = u - z_on_m
-    misfit = 0.5 * fem.integrate_p1_product([w, w])
+def objective(ops: OperatorSet, u: ScalarField, z_on_m: ScalarField,
+              mass_w=None) -> float:
+    """J = 1/2 int (u-z)^2 dx + alpha/2 * area of the inclusion.
+
+    The misfit is the mass energy 1/2 (u - z) . M (u - z), exact for P1
+    fields, with M (u - z) from `mass_w` (`mass_misfit(ops, u, z_on_m)`,
+    when the caller has it), summed as `SparseOperator.energy` sums."""
+    if mass_w is None:
+        mass_w = mass_misfit(ops, u, z_on_m)
+    misfit = 0.5 * float((u.values - z_on_m.values) @ mass_w)
     return misfit + 0.5 * ops.cfg.alpha * inclusion_area(ops.mesh)
 
 

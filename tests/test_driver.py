@@ -370,8 +370,8 @@ class TestOneOperatorSetPerIterate:
         assert len(solves) == len(transfers) == 6
 
     def test_mass_misfit_once_per_row(self, coarse, monkeypatch):
-        """M (u - z) is formed once per row: on a projected row the adjoint
-        and the element terms share it."""
+        """M (u - z) is formed once per row, projected or Newton: the
+        adjoint, the objective and the element terms share it."""
         cfg, target, mesh = coarse
         products = count_calls(monkeypatch, model, "mass_misfit")
         _, hist = run_two_phase(mesh, cfg, target,

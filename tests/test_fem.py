@@ -11,7 +11,7 @@ from deformopt.fem import (FemError, ScalarField, SingularSystemError,
                            VectorField, assemble_mass,
                            assemble_scalar_laplace, assemble_vector_h1_form,
                            elem_grad, elem_jacobian, divergence,
-                           integrate_p1_product, vector_dofs, with_constraints)
+                           vector_dofs, with_constraints)
 from deformopt.mesh import (REGION_INCLUSION, InclusionShape,
                             apply_deformation, generate_mesh)
 import element_terms_reference as ref
@@ -116,24 +116,6 @@ class TestElementCalculus:
                            atol=1e-12)
         assert np.allclose(divergence(v), 6.0, atol=1e-12)
 
-    def test_integrate_constant(self, mesh):
-        one = ScalarField.from_callable(mesh, lambda p: np.ones(len(p)))
-        assert integrate_p1_product([one]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_integrate_p1_product_quartic(self, mesh):
-        # int_[0,1]^2 x^2 y^2 dx dy = 1/9, exact for the degree-4 rule
-        x = ScalarField.from_callable(mesh, lambda p: p[:, 0])
-        y = ScalarField.from_callable(mesh, lambda p: p[:, 1])
-        val = integrate_p1_product([x, x, y, y])
-        assert val == pytest.approx(1.0 / 9.0, rel=1e-12)
-
-    def test_integrate_p1_product_with_weights(self, mesh):
-        one = ScalarField.from_callable(mesh, lambda p: np.ones(len(p)))
-        w = (mesh.region == REGION_INCLUSION).astype(float)
-        area = integrate_p1_product([one], weights=w)
-        # inscribed interface polygon: area deficit is O(h^2)
-        assert area == pytest.approx(np.pi * 0.2 ** 2, abs=8e-3)
-
     def test_geometry_keeps_no_reference_cycle(self, mesh):
         """A mesh with cached geometry is freed by reference counting alone,
         so deformed iterates do not wait for the cyclic collector."""
@@ -156,11 +138,12 @@ class TestAssembly:
         assert m.energy(ones) == pytest.approx(1.0, rel=1e-12)
 
     def test_mass_vs_product_quadrature(self, mesh):
-        f = ScalarField.from_callable(mesh, lambda x: np.sin(x[:, 0]))
-        g = ScalarField.from_callable(mesh, lambda x: x[:, 1] ** 2)
+        """M integrates products of P1 fields exactly: x and y are P1, so
+        on the unit square x . M y = int xy = 1/4 and x . M x = 1/3."""
+        x, y = mesh.vertices.T
         m = assemble_mass(mesh)
-        assert m.energy(f.values, g.values) == pytest.approx(
-            integrate_p1_product([f, g]), rel=1e-12)
+        assert m.energy(x, y) == pytest.approx(0.25, rel=1e-12)
+        assert m.energy(x) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_stiffness_kernel_and_energy(self, mesh):
         a = assemble_scalar_laplace(mesh, 1.0)

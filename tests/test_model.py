@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from deformopt import driver, fem, model
 from deformopt.fem import ScalarField
 from deformopt.mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape,
-                            generate_mesh)
+                            apply_deformation, generate_mesh)
 from deformopt.model import (OperatorSet, ProblemConfig, TargetField,
                              boundary_flux,
                              energy_fraction, inclusion_area, make_target,
@@ -198,6 +198,22 @@ class TestObjective:
         u = solve_state(ops)
         assert objective(ops, u, u) == 0.0
 
+    def test_objective_is_the_mass_energy_of_the_misfit(self, mesh, cfg,
+                                                        target):
+        """J's misfit is 1/2 (u - z) . M (u - z), bit for bit, on a
+        deformed iterate, whether J forms M (u - z) or is handed it."""
+        x, y = mesh.vertices.T
+        bump = np.sin(np.pi * x) * np.sin(np.pi * y)
+        deformed = apply_deformation(
+            mesh, 0.02 * np.column_stack([bump, -0.5 * bump]), 1.0)
+        ops = OperatorSet(deformed, cfg)
+        u = solve_state(ops)
+        z = transfer_target(target, deformed)
+        want = (0.5 * ops.mass.energy(u.values - z.values)
+                + 0.5 * cfg.alpha * inclusion_area(deformed))
+        assert objective(ops, u, z) == want
+        assert objective(ops, u, z, model.mass_misfit(ops, u, z)) == want
+
 
 class TestTarget:
     def test_target_reproduces_own_mesh(self, target):
@@ -268,6 +284,17 @@ class TestTarget:
             want = [ref.locate(p) for p in points]
             assert np.array_equal(got.elements, [e for e, _ in want])
             assert np.array_equal(got.bary, np.array([lam for _, lam in want]))
+
+    def test_lookup_that_hits_builds_no_centroid_tree(self, target, mesh):
+        """The clamp's k-d tree is built by the first lookup with a point
+        in no element: lookups whose points all hit, searched or hinted,
+        leave it unbuilt."""
+        fresh = TargetField(target.mesh, target.z)
+        first = fresh.locate(mesh.vertices)
+        fresh.locate(mesh.vertices, hint=first.elements)
+        assert "centroid_tree" not in vars(fresh._locator)
+        fresh.locate(np.array([[1.0 + 1e-9, 0.5]]))
+        assert "centroid_tree" in vars(fresh._locator)
 
     @pytest.mark.parametrize("gap", [1e-14, 1e-10, 1e-8])
     def test_box_filter_keeps_every_hit(self, target, gap):
