@@ -21,7 +21,7 @@ import numpy as np
 from . import model, driver, verify, vtkio
 from .driver import Schedule
 from .fem import ScalarField
-from .mesh import InclusionShape, generate_mesh
+from .mesh import InclusionShape, MeshError, generate_mesh
 from .model import ProblemConfig, TargetField
 
 
@@ -162,7 +162,10 @@ def _write_metadata(out_dir: Path, rc: RunConfig, produced):
 
 def _load_target(rc: RunConfig) -> TargetField:
     if rc.target_load:
-        mesh, scalars, _ = vtkio.read_vtk(rc.target_load)
+        mesh, scalars = vtkio.read_vtk(rc.target_load)
+        if "z" not in scalars:
+            raise MeshError(f"target file {rc.target_load} has no point "
+                            f"scalar 'z'")
         return TargetField(mesh, ScalarField(mesh, scalars["z"]))
     return model.make_target(rc.problem, rc.target_h)
 
@@ -187,7 +190,7 @@ def cmd_optimize(rc: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     target = _load_target(rc)
     if rc.mesh_load:
-        mesh0, _, _ = vtkio.read_vtk(rc.mesh_load)
+        mesh0, _ = vtkio.read_vtk(rc.mesh_load)
     else:
         mesh0 = generate_mesh(rc.parse_shape(), rc.mesh_h)
     mesh, history = driver.run_two_phase(mesh0, rc.problem, target,

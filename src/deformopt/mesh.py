@@ -119,8 +119,8 @@ class Mesh:
             self._validate()
 
     def _validate(self):
-        """Shapes, index ranges and positive, finite areas: for meshes from
-        outside, not for iterates (`with_vertices` skips it)."""
+        """Shapes, index ranges, known tags and positive, finite areas: for
+        meshes from outside, not for iterates (`with_vertices` skips it)."""
         n = self.vertices.shape[0]
         for name, trailing in [("vertices", (2,)), ("triangles", (3,)),
                                ("boundary_edges", (2,)), ("boundary_tags", ()),
@@ -134,6 +134,12 @@ class Mesh:
             raise MeshError("region tag count does not match triangle count")
         if self.boundary_tags.shape[0] != self.boundary_edges.shape[0]:
             raise MeshError("boundary tag count does not match edge count")
+        for name, tags in [("region", (REGION_INCLUSION, REGION_EXTERIOR)),
+                           ("boundary_tags", (GAMMA_BOTTOM, GAMMA_LEFT,
+                                              GAMMA_TOP, GAMMA_RIGHT))]:
+            bad = np.setdiff1d(getattr(self, name), tags)
+            if bad.size:
+                raise MeshError(f"{name} holds unknown tag {bad[0]}")
         for name in ("triangles", "boundary_edges", "interface_vertices"):
             idx = getattr(self, name)
             if idx.size and not (idx.min() >= 0 and idx.max() < n):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import fem
 from .fem import ScalarField, SparseOperator, VectorOperator
@@ -26,8 +25,8 @@ TRUE_ELLIPSE = InclusionShape.ellipse((0.5, 0.5), (0.25, 0.125))
 
 
 class PointOutsideMesh(ValueError):
-    """A point lies more than 1e-6 (in barycentrics) outside every element
-    of the mesh it is located on."""
+    """A point lies in no element of the mesh it is located on: in each,
+    some barycentric of it is below -`HIT_TOL`."""
 
 
 def check_fields(owner, positive=(), nonnegative=()):
@@ -77,10 +76,10 @@ class _PointLocator:
     The buckets are CSR arrays: bucket ``i * nx + j`` (cell column i, row j)
     lists, in ascending order, every element whose bounding box meets it.
     Each element also keeps that box widened by `BOX_MARGIN`: a point whose
-    barycentrics are all >= -1e-12 lies far inside it, so barycentrics are
-    solved only for the bucket candidates whose widened box holds the
-    point.  That changes neither the first hit nor its barycentrics; a point
-    in no candidate still has every candidate solved for its clamp.
+    barycentrics are all >= -`HIT_TOL` lies far inside it, so barycentrics
+    are solved only for the bucket candidates whose widened box holds the
+    point.  That changes neither the first hit nor its barycentrics.  A
+    point in no candidate raises `PointOutsideMesh`.
     """
 
     BOX_MARGIN = 1e-9
@@ -103,17 +102,10 @@ class _PointLocator:
             [[0], np.cumsum(np.bincount(keys, minlength=self.nx ** 2))])
         self.box_lo = lo - self.BOX_MARGIN
         self.box_hi = hi + self.BOX_MARGIN
-        self.corners = pts
         # element e maps (s, t) to origin[e] + affine[e] @ (s, t)
         self.origin = pts[:, 0]
         self.affine = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]],
                                axis=2)
-
-    @cached_property
-    def centroid_tree(self):
-        """k-d tree of the element centroids, for the clamp of a point in
-        no element: built by the first lookup with such a point."""
-        return cKDTree(self.corners.mean(axis=1))
 
     def _cells(self, p):
         """Grid cell (column, row) of each point, clamped to the grid."""
@@ -125,12 +117,12 @@ class _PointLocator:
                              (points - self.origin[elems])[:, :, None])[:, :, 0]
         return np.column_stack([1 - st[:, 0] - st[:, 1], st[:, 0], st[:, 1]])
 
-    def locate(self, points, tol=1e-12, hint=None):
+    def locate(self, points, hint=None):
         points = np.asarray(points, dtype=float)
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
         if hint is not None:
-            return self._locate_hinted(points, tol, hint)
+            return self._locate_hinted(points, hint)
         cells = self._cells(points)
         key = cells[:, 0] * self.nx + cells[:, 1]
         start = self.bucket_ptr[key]
@@ -142,42 +134,16 @@ class _PointLocator:
                                 & (xy <= self.box_hi[cand])).all(axis=1))
         lam = self._bary(cand[boxed], xy[boxed])
         first = _first_per_owner(owner[boxed],
-                                 np.flatnonzero(lam.min(axis=1) >= -tol))
+                                 np.flatnonzero(lam.min(axis=1) >= -HIT_TOL))
         hit = boxed[first]
-        elements = np.full(len(points), -1)
-        bary = np.empty((len(points), 3))
-        elements[owner[hit]] = cand[hit]
-        bary[owner[hit]] = np.clip(lam[first], 0.0, None)
-        miss = np.flatnonzero(elements < 0)
-        if miss.size == 0:
-            return Located(elements, bary)
-
-        # clamp to the nearest element (point marginally outside the hull):
-        # the nearest-centroid element, unless the bucket candidate with the
-        # largest min barycentric (the first such) is less far outside
-        _, near = self.centroid_tree.query(points[miss])
-        e = np.asarray(near, dtype=np.int64)
-        lam_m = self._bary(e, points[miss])
-        pairs = np.flatnonzero(elements[owner] < 0)
-        owner, cand = owner[pairs], cand[pairs]
-        lam = self._bary(cand, xy[pairs])
-        lmin = lam.min(axis=1)
-        best = _first_per_owner(
-            owner, np.lexsort((np.arange(len(owner)), -lmin, owner)))
-        at = np.searchsorted(miss, owner[best])
-        better = lmin[best] > lam_m[at].min(axis=1)
-        e[at[better]] = cand[best[better]]
-        lam_m[at[better]] = lam[best[better]]
-        far = np.flatnonzero(lam_m.min(axis=1) < -1e-6)
-        if far.size:
+        # one hit per point, in point order, or a point has none
+        if len(hit) < len(points):
+            miss = np.setdiff1d(np.arange(len(points)), owner[hit])[0]
             raise PointOutsideMesh(
-                f"point {points[miss[far[0]]]} lies far outside the mesh")
-        lam_m = np.clip(lam_m, 0.0, None)
-        elements[miss] = e
-        bary[miss] = lam_m / lam_m.sum(axis=1, keepdims=True)
-        return Located(elements, bary)
+                f"point {points[miss]} lies in no element of the mesh")
+        return Located(cand[hit], np.clip(lam[first], 0.0, None))
 
-    def _locate_hinted(self, points, tol, hint):
+    def _locate_hinted(self, points, hint):
         """`locate`, keeping each point's hinted element where its
         barycentrics there are all >= `HINT_TOL`; see `TargetField.locate`."""
         hint = np.asarray(hint)
@@ -189,11 +155,13 @@ class _PointLocator:
         rest = np.flatnonzero(lam.min(axis=1) < HINT_TOL)
         elements, bary = hint.astype(np.int64), lam
         if rest.size:
-            cold = self.locate(points[rest], tol)
+            cold = self.locate(points[rest])
             elements[rest], bary[rest] = cold.elements, cold.bary
         return Located(elements, bary)
 
 
+# a point lies in an element if its barycentrics there are all >= -HIT_TOL
+HIT_TOL = 1e-12
 # barycentrics a point needs in its hinted element to keep it
 HINT_TOL = 1e-8
 
@@ -233,12 +201,12 @@ class TargetField:
         """Background element containing each point, with its barycentrics.
 
         Each point takes the first candidate of its grid bucket, in
-        ascending element order, whose barycentrics are all >= -1e-12 (then
-        clipped at 0).  A point in no candidate is clamped: it takes the
-        element with the nearest centroid, or the bucket candidate it lies
-        least far outside if that is closer, and its clipped barycentrics
-        are renormalised.  A point more than 1e-6 (in barycentrics) outside
-        every element raises `PointOutsideMesh`, a ValueError.
+        ascending element order, whose barycentrics are all >= -`HIT_TOL`
+        = -1e-12; they are then clipped at 0.  If any point has no such
+        candidate, `PointOutsideMesh` (a ValueError) names the first such
+        point in input order.  There is no clamp: an iterate's vertices lie
+        in the unit square, which the background mesh covers exactly, as
+        V vanishes on the outer boundary and no step folds a triangle.
         `gradient_at` and `verify.mask_fields` rely on this deterministic
         tie-break on element boundaries.
 

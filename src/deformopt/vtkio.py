@@ -1,7 +1,7 @@
 """Legacy ASCII VTK unstructured-grid export/import for meshes and fields.
 
 Only the subset used here is supported: POINTS, CELLS of triangles,
-CELL_DATA region tags and POINT_DATA scalars/vectors.  Floats are written
+CELL_DATA region tags and POINT_DATA scalars.  Floats are written
 with 17 significant digits so a write/read round trip is bit-exact.
 """
 
@@ -16,11 +16,10 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def write_vtk(path, mesh: Mesh, point_scalars=None, point_vectors=None,
-              title="deformopt mesh"):
-    """Write mesh plus optional named nodal data to a legacy VTK file.
+def write_vtk(path, mesh: Mesh, point_scalars=None, title="deformopt mesh"):
+    """Write mesh plus optional named nodal scalars to a legacy VTK file.
 
-    point_scalars / point_vectors are dicts name -> array.
+    point_scalars is a dict name -> array.
     """
     n = mesh.num_vertices
     ne = mesh.num_triangles
@@ -37,16 +36,12 @@ def write_vtk(path, mesh: Mesh, point_scalars=None, point_vectors=None,
     lines.append("SCALARS region int 1")
     lines.append("LOOKUP_TABLE default")
     lines.extend(str(int(r)) for r in mesh.region)
-    if point_scalars or point_vectors:
+    if point_scalars:
         lines.append(f"POINT_DATA {n}")
-        for name, vals in (point_scalars or {}).items():
+        for name, vals in point_scalars.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
             lines.extend(_fmt(v) for v in np.asarray(vals))
-        for name, vals in (point_vectors or {}).items():
-            lines.append(f"VECTORS {name} double")
-            for v in np.asarray(vals):
-                lines.append(f"{_fmt(v[0])} {_fmt(v[1])} 0")
     # Connectivity metadata VTK cannot express; appended as comments so a
     # written mesh reloads with boundary tags and interface ordering intact.
     lines.append(f"METADATA boundary_edges {mesh.boundary_edges.shape[0]}")
@@ -59,7 +54,7 @@ def write_vtk(path, mesh: Mesh, point_scalars=None, point_vectors=None,
 
 
 def read_vtk(path):
-    """Read a file written by write_vtk; returns (mesh, scalars, vectors).
+    """Read a file written by write_vtk; returns (mesh, scalars).
     A file of another layout, a truncated one, or one whose counts, numbers
     or rows are malformed raises MeshError."""
     with open(path) as fh:
@@ -109,7 +104,7 @@ def _parse(tokens_lines):
         line()
 
     region = None
-    scalars, vectors = {}, {}
+    scalars = {}
     bedges = btags = ifv = None
     while idx < len(tokens_lines):
         raw = line().strip()
@@ -126,9 +121,6 @@ def _parse(tokens_lines):
         elif parts[0] == "SCALARS":
             line()
             scalars[parts[1]] = np.array([line() for _ in range(n)], dtype=float)
-        elif parts[0] == "VECTORS":
-            vectors[parts[1]] = np.array(
-                [line().split() for _ in range(n)], dtype=float)[:, :2]
         elif parts[0] == "METADATA" and parts[1] == "boundary_edges":
             nb = int(parts[2])
             data = np.array([line().split() for _ in range(nb)], dtype=np.int64)
@@ -140,5 +132,4 @@ def _parse(tokens_lines):
 
     if region is None or bedges is None or ifv is None:
         raise MeshError("VTK file lacks region tags or connectivity metadata")
-    mesh = Mesh(pts, tris, bedges, btags, region, ifv)
-    return mesh, scalars, vectors
+    return Mesh(pts, tris, bedges, btags, region, ifv), scalars

@@ -23,11 +23,9 @@ class TestVtkRoundTrip:
     def test_mesh_and_fields_bit_exact(self, small_mesh, tmp_path):
         rng = np.random.default_rng(0)
         s = rng.standard_normal(small_mesh.num_vertices)
-        v = rng.standard_normal((small_mesh.num_vertices, 2))
         path = tmp_path / "m.vtk"
-        vtkio.write_vtk(path, small_mesh, point_scalars={"u": s},
-                        point_vectors={"V": v})
-        mesh2, scalars, vectors = vtkio.read_vtk(path)
+        vtkio.write_vtk(path, small_mesh, point_scalars={"u": s})
+        mesh2, scalars = vtkio.read_vtk(path)
         assert np.array_equal(mesh2.vertices, small_mesh.vertices)
         assert np.array_equal(mesh2.triangles, small_mesh.triangles)
         assert np.array_equal(mesh2.region, small_mesh.region)
@@ -35,7 +33,6 @@ class TestVtkRoundTrip:
         assert np.array_equal(mesh2.interface_vertices,
                               small_mesh.interface_vertices)
         assert np.array_equal(scalars["u"], s)
-        assert np.array_equal(vectors["V"], v)
 
     def test_legacy_header(self, small_mesh, tmp_path):
         path = tmp_path / "m.vtk"
@@ -53,6 +50,8 @@ class TestVtkRoundTrip:
         cells = next(i for i, ln in enumerate(lines) if ln.startswith("CELLS"))
         bedges = next(i for i, ln in enumerate(lines)
                       if ln.startswith("METADATA boundary_edges"))
+        region = lines.index("SCALARS region int 1") + 2
+        i, j, _ = lines[bedges + 1].split()
 
         def edited(at, text):
             return "\n".join(lines[:at] + [text] + lines[at + 1:])
@@ -70,7 +69,15 @@ class TestVtkRoundTrip:
                 (edited(cells + 1, "4 0 1 2 3"), "malformed VTK file"),
                 (edited(points + 1, "0.5 0.5"), "malformed VTK file"),
                 (edited(points, "POINTS x double"), "malformed VTK file"),
-                (edited(points + 1, "abc 0.5 0"), "malformed VTK file")]:
+                (edited(points + 1, "abc 0.5 0"), "malformed VTK file"),
+                # an unknown tag would count as exterior, or drop its edges
+                # from every Dirichlet set
+                (edited(region, "7"), "region holds unknown tag 7"),
+                (edited(bedges + 1, f"{i} {j} 9"),
+                 "boundary_tags holds unknown tag 9"),
+                ("\n".join(lines + [f"POINT_DATA {small_mesh.num_vertices}",
+                                    "VECTORS V double"]),
+                 "unsupported VTK section: VECTORS")]:
             path.write_text(text + "\n")
             with pytest.raises(MeshError, match=message):
                 vtkio.read_vtk(path)
@@ -180,7 +187,7 @@ class TestCommands:
         assert rcode == 0
         out = capsys.readouterr().out
         assert "target written" in out
-        mesh, scalars, _ = vtkio.read_vtk(tmp_path / "target.vtk")
+        mesh, scalars = vtkio.read_vtk(tmp_path / "target.vtk")
         assert "z" in scalars
         meta = (tmp_path / "metadata.txt").read_text()
         assert "[checksums]" in meta and "target.vtk" in meta
@@ -203,7 +210,7 @@ class TestCommands:
         assert [int(r[0]) for r in rows] == list(range(5))
         # objective decreased overall
         assert float(rows[-1][1]) < float(rows[0][1])
-        mesh, scalars, _ = vtkio.read_vtk(tmp_path / "final_mesh.vtk")
+        mesh, scalars = vtkio.read_vtk(tmp_path / "final_mesh.vtk")
         assert set(scalars) == {"u", "lambda", "z"}
 
     def test_optimize_reuses_saved_target(self, tmp_path, capsys):
@@ -219,6 +226,17 @@ class TestCommands:
             "-s", "schedule.max_iters=2",
             "optimize"])
         assert rcode == 0
+
+    def test_optimize_refuses_target_without_z(self, small_mesh, tmp_path):
+        """A `target.load` file without the point scalar z is refused by
+        name, not with a bare KeyError."""
+        path = tmp_path / "target.vtk"
+        vtkio.write_vtk(path, small_mesh,
+                        point_scalars={"u": np.zeros(small_mesh.num_vertices)})
+        with pytest.raises(MeshError,
+                           match=r"target\.vtk has no point scalar 'z'"):
+            cli.main(["-s", f"output.output_dir={tmp_path / 'o'}",
+                      "-s", f"target.load={path}", "optimize"])
 
     def test_optimize_aborted_at_iteration_0(self, tmp_path, capsys,
                                              monkeypatch):

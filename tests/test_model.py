@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from deformopt import driver, fem, model
 from deformopt.fem import ScalarField
@@ -22,7 +21,8 @@ class ReferenceLocator:
     """The per-point bucket search the batched locator replaced.
 
     One 2x2 solve per bucket candidate; kept as the reference the batched
-    `TargetField.locate` must match bit for bit.
+    `TargetField.locate` must match bit for bit.  A point in no candidate
+    raises.
     """
 
     def __init__(self, mesh):
@@ -40,7 +40,6 @@ class ReferenceLocator:
             for i in range(i0, i1 + 1):
                 for j in range(j0, j1 + 1):
                     self.buckets.setdefault((i, j), []).append(e)
-        self.centroid_tree = cKDTree(pts.mean(axis=1))
 
     def _cell_of(self, p):
         return (min(self.nx - 1, max(0, int(p[0] / self.cell))),
@@ -53,26 +52,13 @@ class ReferenceLocator:
         st = np.linalg.solve(m, np.asarray(p, dtype=float) - a)
         return np.array([1 - st[0] - st[1], st[0], st[1]])
 
-    def locate(self, p, tol=1e-12):
+    def locate(self, p):
         key = self._cell_of(np.asarray(p, dtype=float))
-        best, best_min = None, -np.inf
         for e in self.buckets.get(key, ()):
             lam = self.bary(e, p)
-            lmin = lam.min()
-            if lmin >= -tol:
+            if lam.min() >= -1e-12:
                 return e, np.clip(lam, 0.0, None)
-            if lmin > best_min:
-                best, best_min = (e, lam), lmin
-        _, e = self.centroid_tree.query(np.asarray(p, dtype=float))
-        lam = self.bary(int(e), p)
-        if best is not None and best_min > lam.min():
-            e, lam = best
-        else:
-            e = int(e)
-        if lam.min() < -1e-6:
-            raise ValueError(f"point {p} lies far outside the mesh")
-        lam = np.clip(lam, 0.0, None)
-        return e, lam / lam.sum()
+        raise ValueError(f"point {p} lies in no element of the mesh")
 
 
 @pytest.fixture(scope="module")
@@ -261,8 +247,8 @@ class TestTarget:
 
     def test_batched_locator_matches_reference(self, target, mesh):
         """Bit-equal element ids and barycentrics against the per-point
-        search, on element interiors, edges and vertices, and on a point
-        just outside the hull that takes the clamp path."""
+        search, on element interiors, edges and vertices; a point just
+        outside the hull is refused by both."""
         back = target.mesh
         ref = ReferenceLocator(back)
         rng = np.random.default_rng(11)
@@ -271,40 +257,37 @@ class TestTarget:
             back.triangles[:, [2, 0]]]), axis=1), axis=0)
         a, b = back.vertices[edges[:, 0]], back.vertices[edges[:, 1]]
         t = rng.uniform(0.0, 1.0, (len(edges), 1))
-        # in no element, yet within 1e-6: takes the clamp path
-        outside = np.array([[1.0 + 1e-9, 0.5]])
-        every = np.arange(back.num_triangles)
-        lam_all = target._locator._bary(every, outside[[0] * len(every)])
-        assert -1e-6 < lam_all.min(axis=1).max() < -1e-12
         for points in (mesh.vertices, rng.uniform(0.0, 1.0, (20000, 2)),
-                       back.vertices, a + t * (b - a), 0.5 * (a + b),
-                       outside):
+                       back.vertices, a + t * (b - a), 0.5 * (a + b)):
             got = target.locate(points)
             assert len(got) == len(points)
             want = [ref.locate(p) for p in points]
             assert np.array_equal(got.elements, [e for e, _ in want])
             assert np.array_equal(got.bary, np.array([lam for _, lam in want]))
+        # in no element, yet within 1e-6 of one
+        outside = np.array([[1.0 + 1e-9, 0.5]])
+        every = np.arange(back.num_triangles)
+        lam_all = target._locator._bary(every, outside[[0] * len(every)])
+        assert -1e-6 < lam_all.min(axis=1).max() < -1e-12
+        with pytest.raises(model.PointOutsideMesh):
+            target.locate(outside)
+        with pytest.raises(ValueError):
+            ref.locate(outside[0])
 
-    def test_lookup_that_hits_builds_no_centroid_tree(self, target, mesh):
-        """The clamp's k-d tree is built by the first lookup with a point
-        in no element: lookups whose points all hit, searched or hinted,
-        leave it unbuilt."""
-        fresh = TargetField(target.mesh, target.z)
-        first = fresh.locate(mesh.vertices)
-        fresh.locate(mesh.vertices, hint=first.elements)
-        assert "centroid_tree" not in vars(fresh._locator)
-        fresh.locate(np.array([[1.0 + 1e-9, 0.5]]))
-        assert "centroid_tree" in vars(fresh._locator)
-
-    @pytest.mark.parametrize("gap", [1e-14, 1e-10, 1e-8])
-    def test_box_filter_keeps_every_hit(self, target, gap):
+    @pytest.mark.parametrize("gap, refused", [
+        pytest.param(1e-14, False, id="1e-14"),
+        pytest.param(1e-10, True, id="1e-10"),
+        pytest.param(1e-8, True, id="1e-08")])
+    def test_box_filter_keeps_every_hit(self, target, gap, refused):
         """Points `gap` outside each element, beyond its vertices (away
         from its centroid) and beyond its edges (along their outward
-        normals), inside the square or within 1e-6 of it: the located
-        element and barycentrics equal the per-point search that solves
-        every bucket candidate, so the widened-box filter drops no hit.
-        At 1e-14 a point is still a hit of the element it lies outside
-        (barycentrics >= -1e-12), yet outside that element's bare box."""
+        normals): the located element and barycentrics equal the
+        per-point search that solves every bucket candidate, so the
+        widened-box filter drops no hit.  At 1e-14 a point is still a hit
+        of the element it lies outside (barycentrics >= -1e-12), yet
+        outside that element's bare box; at 1e-10 and 1e-8 the points
+        beyond the square lie in no element and both searches refuse
+        each of them."""
         back = target.mesh
         pts = back.vertices[back.triangles]                  # (ne, 3, 2)
         away = pts - pts.mean(axis=1, keepdims=True)
@@ -317,6 +300,15 @@ class TestTarget:
             normal, axis=2, keepdims=True)
         points = np.concatenate([beyond_vertex, beyond_edge]).reshape(-1, 2)
         ref = ReferenceLocator(back)
+        beyond = ~((0.0 <= points) & (points <= 1.0)).all(axis=1)
+        assert beyond.any()
+        if refused:
+            for p in points[beyond]:
+                with pytest.raises(model.PointOutsideMesh):
+                    target.locate(p[None])
+                with pytest.raises(ValueError):
+                    ref.locate(p)
+            points = points[~beyond]
         got = target.locate(points)
         want = [ref.locate(p) for p in points]
         assert np.array_equal(got.elements, [e for e, _ in want])
@@ -385,10 +377,10 @@ class TestTarget:
         searched = []
         real = model._PointLocator.locate
 
-        def spy(self, points, tol=1e-12, hint=None):
+        def spy(self, points, hint=None):
             if hint is None:
                 searched.append(points.copy())
-            return real(self, points, tol, hint)
+            return real(self, points, hint)
 
         monkeypatch.setattr(model._PointLocator, "locate", spy)
         got = target.locate(mesh.vertices, hint=cold.elements)
@@ -437,6 +429,22 @@ class TestTarget:
             start, cfg, target, driver.Schedule(n_gradient_iters=n_gradient,
                                                 max_iters=max_iters))
         assert hinted == [False] + [True] * (len(hist.records) - 1)
+
+    def test_run_keeps_its_vertices_in_the_square(self, cfg, target, mesh):
+        """What the lookup's one rule rests on: a short run (3 gradient + 2
+        Newton iterations) ends with no note, keeps every outer-boundary
+        vertex of its start mesh bit for bit and every vertex in [0, 1]^2,
+        which the background mesh covers exactly."""
+        final, hist = driver.run_two_phase(
+            mesh, cfg, target, driver.Schedule(n_gradient_iters=3,
+                                               max_iters=5))
+        assert hist.notes == []
+        assert list(hist.column("mode")) == ["gradient"] * 3 + ["newton"] * 3
+        assert not np.array_equal(final.vertices, mesh.vertices)
+        outer = mesh.boundary_vertices
+        assert (final.vertices[outer].tobytes()
+                == mesh.vertices[outer].tobytes())
+        assert ((0.0 <= final.vertices) & (final.vertices <= 1.0)).all()
 
     def test_target_field_requires_matching_mesh(self, target, mesh):
         with pytest.raises(ValueError):
