@@ -6,9 +6,10 @@ system is solved (V is the b-Riesz gradient) and the fixed step
 `gradient_step` is taken.  The later iterations are one-shot Newton steps
 on the full system, which fall back to the gradient rule on the same
 system when that solve fails.  Steps are halved until the mesh stays
-invertible.  A failed step ends the run with an `aborted` note and a
-step-0 row; a failed state, target transfer or residual stage ends it
-with a note and the earlier rows.
+invertible.  An iterate's stages run in the order transfer, state, norms
+(the residual column), step; any of them that fails (`STAGE_ERRORS`) ends
+the run with the note `aborted at iteration k (<stage>): <error>`, and a
+failed step still records its row, with step 0.
 Each iterate builds one `model.OperatorSet`, on the run's one set of CSR
 patterns, forms M (u - z) once, for the adjoint's load, the objective and
 the element terms, and builds one set of element terms, which the gradient
@@ -27,6 +28,9 @@ from .mesh import (Mesh, NonInvertibleDeformation, apply_deformation,
                    check_invertibility)
 
 MAX_HALVINGS = 30      # step halvings before a step is given up
+# how a stage fails; anything else, a `fem.FemError` say, is a bug and raises
+STAGE_ERRORS = (fem.SingularSystemError, model.PointOutsideMesh,
+                NonInvertibleDeformation)
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,13 @@ def _dual_norms(ops, r_u, r_shape, r_lam):
 
     r_u and r_lambda are one two-column right-hand side of the constrained
     mass, solved by `fem.solve_mass` (Chebyshev on the Jacobi-scaled M,
-    relative error of r . M^-1 r below 1e-14), so M is never factorized.
-    A solve that fails its residual check raises SingularSystemError."""
+    relative error of r . M^-1 r below 1e-14), so M is never factorized;
+    r_shape is solved by b's factorization.  Both are checked at
+    `fem.SOLVE_RTOL`, as every solve is: a failed check raises
+    SingularSystemError."""
     xu, xl = fem.solve_mass(ops.mass, np.column_stack([r_u, r_lam])).T
     su, sl = float(r_u @ xu), float(r_lam @ xl)
-    # the norms are diagnostics: tolerate lower solver accuracy on badly
-    # deformed meshes rather than aborting the whole run
-    ss = float(r_shape @ ops.metric.solve_constrained(r_shape, rtol=1e-6))
+    ss = float(r_shape @ ops.metric.solve_constrained(r_shape))
     return float(np.sqrt(max(ss, 0.0))), float(np.sqrt(max(su + ss + sl, 0.0)))
 
 
@@ -114,48 +118,40 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
     patterns = fem.ScatterPatterns(mesh0)
     for k in range(sched.max_iters + 1):
         ops = model.OperatorSet(mesh, cfg, sched.eps1, sched.eps2, patterns)
+        mode = "newton" if k >= sched.n_gradient_iters else "gradient"
+        t = 0.0
         try:
+            stage = "transfer"
             z = model.transfer_target(target, mesh)
             z_grad = model.target_gradients(target, mesh)
-        except model.PointOutsideMesh as exc:
-            history.notes.append(f"aborted at iteration {k} (transfer): "
-                                 f"{exc}")
-            break
-        mode = "newton" if k >= sched.n_gradient_iters else "gradient"
-        # project through the switch iteration so Newton starts feasible
-        if k <= sched.n_gradient_iters:
-            try:
+            stage = "state"
+            # project through the switch iteration so Newton starts feasible
+            if k <= sched.n_gradient_iters:
                 u = model.solve_state(ops)
                 mass_w = model.mass_misfit(ops, u, z)
                 lam = model.solve_adjoint(ops, u, z, mass_w)
-            except fem.SingularSystemError as exc:
-                history.notes.append(f"aborted at iteration {k} (state): "
-                                     f"{exc}")
-                break
-        else:
-            mass_w = model.mass_misfit(ops, u, z)
-        j0 = model.objective(ops, u, z, mass_w)
-        terms = shape_calculus.element_terms(ops, u, lam, z, z_grad,
-                                             mass_w=mass_w)
-        gradient = kkt.lagrangian_gradient(terms)
-        t = 0.0
-        if k < sched.max_iters:
-            try:
+            else:
+                mass_w = model.mass_misfit(ops, u, z)
+            j0 = model.objective(ops, u, z, mass_w)
+            terms = shape_calculus.element_terms(ops, u, lam, z, z_grad,
+                                                 mass_w=mass_w)
+            gradient = kkt.lagrangian_gradient(terms)
+            stage = "norms"
+            gn, res = _dual_norms(ops, *gradient)
+            stage = "step"
+            if k < sched.max_iters:
                 # no reference to the system (it holds `ops`) outlives k
                 mode, (du, v, dlam) = _solve(
                     kkt.assemble_kkt(terms, reduced=mode == "gradient",
                                      gradient=gradient),
                     history.notes, k)
                 t, halvings, margin = _step_length(ops, sched, mode, v)
-            except (fem.SingularSystemError, NonInvertibleDeformation) as exc:
-                history.notes.append(f"aborted at iteration {k} (step): {exc}")
+        except STAGE_ERRORS as exc:
+            history.notes.append(f"aborted at iteration {k} ({stage}): {exc}")
+            if stage != "step":
+                break
         del terms       # it holds `ops`: the set dies with its iterate
-        try:
-            gn, res = _dual_norms(ops, *gradient)
-        except fem.SingularSystemError as exc:
-            history.notes.append(f"aborted at iteration {k} (norms): {exc}")
-            break
-        if t == 0.0:
+        if t == 0.0:    # converged, out of iterations, or a failed step
             history.append(IterationRecord(k, j0, gn, res, 0.0, mode))
             break
         if halvings:

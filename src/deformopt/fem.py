@@ -200,7 +200,7 @@ class SparseOperator:
         y = x if y is None else y
         return float(x @ (self.matrix @ y))
 
-    def solve_constrained(self, rhs, bc_values=None, rtol=1e-8):
+    def solve_constrained(self, rhs, bc_values=None):
         """Solve for (n,) or (n, k) `rhs` on the free block (`solve_free`),
         with homogeneous (or given) values at the constrained dofs."""
         rhs = np.asarray(rhs, dtype=float)
@@ -209,20 +209,20 @@ class SparseOperator:
             lift[self.constrained] = bc_values
             rhs = rhs - self.matrix @ lift
         r = self.restriction
-        x = r.extend(self.solve_free(r.restrict(rhs), rtol))
+        x = r.extend(self.solve_free(r.restrict(rhs)))
         return x if bc_values is None else x + lift
 
-    def solve_free(self, rhs, rtol=1e-8):
+    def solve_free(self, rhs):
         """One factor solve of the free block, then one residual check."""
-        return _checked(self.free_block, self._factor.solve(rhs), rhs, rtol,
+        return _checked(self.free_block, self._factor.solve(rhs), rhs,
                         "linear solve")
 
 
-def _checked(block, x, rhs, rtol, what):
-    """`x` if |block @ x - rhs| <= rtol max(|rhs|, 1), else raise."""
+def _checked(block, x, rhs, what):
+    """`x` if |block @ x - rhs| <= SOLVE_RTOL max(|rhs|, 1), else raise."""
     scale = max(np.linalg.norm(rhs), 1.0)
     res = np.linalg.norm(block @ x - rhs)
-    if not np.isfinite(res) or res > rtol * scale:
+    if not np.isfinite(res) or res > SOLVE_RTOL * scale:
         raise SingularSystemError(
             f"{what} residual {res:.3e} exceeds tolerance")
     return x
@@ -326,6 +326,8 @@ class _PermutedFactor:
                        self.perm, axis=0)
 
 
+# the residual check of every solve (`_checked`), relative to max(|b|, 1)
+SOLVE_RTOL = 1e-8
 # Chebyshev steps of `solve_mass`: its error factor 2 * 3**-k is 1e-14 at 30
 MASS_STEPS = 30
 
@@ -343,9 +345,9 @@ def solve_mass(op: SparseOperator, rhs):
     reduce the M-norm error by 1/T_k(5/3) <= 2 * 3**-k, and so the relative
     error of r . M^-1 r: `MASS_STEPS` fixed steps need no inner product and
     no stopping test.  `rhs` is (n,) or (n, k).  The final residual is
-    checked as by `SparseOperator.solve_free`, at the 1e-6 relative that the
-    residual column's solves allow: an operator whose scaled spectrum
-    leaves [1/2, 2], such as a stiffness, fails it (SingularSystemError).
+    checked as by `SparseOperator.solve_free`, at `SOLVE_RTOL`: an operator
+    whose scaled spectrum leaves [1/2, 2], such as a stiffness, fails it
+    (SingularSystemError).
     """
     mat = op.free_block
     rhs = op.restriction.restrict(np.asarray(rhs, dtype=float))
@@ -368,7 +370,7 @@ def solve_mass(op: SparseOperator, rhs):
         d += (2.0 * rho_next / delta) * r
         rho = rho_next
     return op.restriction.extend(
-        _checked(mat, s * (y + d), rhs, 1e-6, "mass solve"))
+        _checked(mat, s * (y + d), rhs, "mass solve"))
 
 
 @dataclass
@@ -405,9 +407,9 @@ class VectorOperator:
     def solve_free(self, rhs):
         return self.block.solve_free(rhs.reshape(-1, 2)).reshape(-1)
 
-    def solve_constrained(self, rhs, rtol=1e-8):
+    def solve_constrained(self, rhs):
         """Solve with homogeneous values at the constrained dofs."""
-        x = self.block.solve_constrained(np.reshape(rhs, (-1, 2)), rtol=rtol)
+        x = self.block.solve_constrained(np.reshape(rhs, (-1, 2)))
         return x.reshape(np.shape(rhs))
 
 

@@ -36,7 +36,7 @@ class HessianBlocks:
     (`apply`) and its bilinear forms (`full_value`, `reduced_value`).  The
     state and adjoint directions induced by a deformation come from one
     elimination (`eliminate`), which the Newton step shares.  Deformations
-    are flat 2n arrays.
+    are flat 2n arrays, zero on the outer boundary.
 
     `b_u_shape` (L_uOmega) and `shape_shape` (L_OmegaOmega) are assembled
     on first access from the element terms: the reduced (warm-up) step
@@ -120,9 +120,7 @@ class HessianBlocks:
 
     def sensitivities(self, v):
         """Material derivatives (du[V], dlambda[V]) of state and adjoint,
-        with V pinned to zero on the outer boundary."""
-        v = v.copy()
-        v[shape_calculus.deformation_constraints(self.ops.mesh)] = 0.0
+        for V zero on the outer boundary."""
         return self.eliminate(v, 0.0, 0.0)
 
     def apply(self, v):

@@ -7,7 +7,8 @@ import scipy.sparse.linalg as spla
 
 from deformopt import driver, fem, kkt, model
 from deformopt.driver import History, IterationRecord, Schedule, run_two_phase
-from deformopt.mesh import InclusionShape, generate_mesh
+from deformopt.mesh import (InclusionShape, NonInvertibleDeformation,
+                            generate_mesh)
 from deformopt.model import ProblemConfig
 
 
@@ -172,8 +173,22 @@ def fold_first(monkeypatch, n_folds):
     return calls
 
 
+def fail_third_call(monkeypatch, owner, name, exc):
+    """Make the third call of `owner.name` raise `exc`."""
+    real, calls = getattr(owner, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise exc
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, failing)
+
+
 class TestTypedOutcomes:
-    """Every failure of a step ends the run with a note and a step-0 row."""
+    """Every failure of a stage ends the run with a note; a failed step
+    keeps its row, with step 0."""
 
     def test_always_folding_step_aborts(self, coarse, monkeypatch):
         """A gradient step and a Newton step that fold at every halving."""
@@ -217,15 +232,8 @@ class TestTypedOutcomes:
         sched = Schedule(n_gradient_iters=2, max_iters=4)
         _, clean = run_two_phase(mesh, cfg, target, sched)
         assert len(clean.records) == 5 and not clean.notes
-        real, calls = fem.solve_mass, []
-
-        def failing(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise fem.SingularSystemError("injected")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(fem, "solve_mass", failing)
+        fail_third_call(monkeypatch, fem, "solve_mass",
+                        fem.SingularSystemError("injected"))
         _, hist = run_two_phase(mesh, cfg, target, sched)
         assert hist.notes == ["aborted at iteration 2 (norms): injected"]
         assert repr(hist.records) == repr(clean.records[:2])
@@ -239,15 +247,8 @@ class TestTypedOutcomes:
         sched = Schedule(n_gradient_iters=3, max_iters=5)
         _, clean = run_two_phase(mesh, cfg, target, sched)
         assert len(clean.records) == 6 and not clean.notes
-        real, calls = getattr(model, name), []
-
-        def failing(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise fem.SingularSystemError("injected")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(model, name, failing)
+        fail_third_call(monkeypatch, model, name,
+                        fem.SingularSystemError("injected"))
         _, hist = run_two_phase(mesh, cfg, target, sched)
         assert hist.notes == ["aborted at iteration 2 (state): injected"]
         assert repr(hist.records) == repr(clean.records[:2])
@@ -262,18 +263,39 @@ class TestTypedOutcomes:
         sched = Schedule(n_gradient_iters=3, max_iters=5)
         _, clean = run_two_phase(mesh, cfg, target, sched)
         assert len(clean.records) == 6 and not clean.notes
-        real, calls = getattr(model, name), []
-
-        def failing(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 3:
-                raise model.PointOutsideMesh("injected")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(model, name, failing)
+        fail_third_call(monkeypatch, model, name,
+                        model.PointOutsideMesh("injected"))
         _, hist = run_two_phase(mesh, cfg, target, sched)
         assert hist.notes == ["aborted at iteration 2 (transfer): injected"]
         assert repr(hist.records) == repr(clean.records[:2])
+
+    def test_norms_run_before_the_step(self, coarse, monkeypatch):
+        """The residual column is the stage before the step: when both fail
+        at iteration 0, the note names the norms and no row is kept."""
+        cfg, target, mesh = coarse
+
+        def singular(*args, **kwargs):
+            raise fem.SingularSystemError("injected")
+
+        def folding(*args, **kwargs):
+            raise NonInvertibleDeformation("deformation not invertible")
+
+        monkeypatch.setattr(fem, "solve_mass", singular)
+        monkeypatch.setattr(driver, "_step_length", folding)
+        _, hist = run_two_phase(mesh, cfg, target,
+                                Schedule(n_gradient_iters=2, max_iters=4))
+        assert hist.notes == ["aborted at iteration 0 (norms): injected"]
+        assert not hist.records
+
+    def test_programming_error_propagates(self, coarse, monkeypatch):
+        """Only `driver.STAGE_ERRORS` become notes: a FemError raised by
+        the state solve at the third row propagates out of the run."""
+        cfg, target, mesh = coarse
+        fail_third_call(monkeypatch, model, "solve_state",
+                        fem.FemError("injected"))
+        with pytest.raises(fem.FemError, match="injected"):
+            run_two_phase(mesh, cfg, target,
+                          Schedule(n_gradient_iters=3, max_iters=5))
 
     def test_step_halved_twice(self, coarse, monkeypatch):
         cfg, target, mesh = coarse
@@ -284,6 +306,30 @@ class TestTypedOutcomes:
                               "invertibility"]
         assert hist.records[0].step == 0.125
         assert hist.records[0].invertibility_margin > 0
+
+
+class TestDualNorms:
+    def test_metric_solve_checked_at_the_solve_tolerance(self, coarse):
+        """The residual column's b solve is checked at `fem.SOLVE_RTOL`, as
+        every solve is: solutions scaled by 1 + 1e-7 fail it."""
+        cfg, _, mesh = coarse
+        ops = model.OperatorSet(mesh, cfg, 3e-2, 0.5)
+        n = mesh.num_vertices
+        r_shape = np.random.default_rng(0).standard_normal(2 * n)
+        r_shape[ops.metric.constrained] = 0.0
+        r_shape *= 2.0 / np.linalg.norm(r_shape)
+        zeros = np.zeros(n)
+        driver._dual_norms(ops, zeros, r_shape, zeros)
+        exact = ops.metric.block._factor
+
+        class Scaled:
+            def solve(self, rhs):
+                return (1.0 + 1e-7) * exact.solve(rhs)
+
+        ops.metric.block._factor = Scaled()
+        with pytest.raises(fem.SingularSystemError,
+                           match="linear solve residual 2.0"):
+            driver._dual_norms(ops, zeros, r_shape, zeros)
 
 
 class TestOneLoop:
