@@ -3,7 +3,7 @@
 from .mesh import (InclusionShape, Mesh, MeshError, NonInvertibleDeformation,
                    apply_deformation, check_invertibility, generate_mesh,
                    mesh_quality)
-from .fem import ScalarField, SparseOperator, VectorField, VectorOperator
+from .fem import SparseOperator, VectorOperator
 from .model import (OperatorSet, PointOutsideMesh, ProblemConfig,
                     TargetField, TRUE_ELLIPSE, make_target)
 from .shape_calculus import (assemble_shape_derivative, deformation_metric,
@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "InclusionShape", "Mesh", "MeshError", "NonInvertibleDeformation",
     "apply_deformation", "check_invertibility", "generate_mesh",
-    "mesh_quality", "ScalarField", "SparseOperator", "VectorField",
-    "VectorOperator", "OperatorSet", "PointOutsideMesh", "ProblemConfig",
+    "mesh_quality", "SparseOperator", "VectorOperator", "OperatorSet", "PointOutsideMesh", "ProblemConfig",
     "TargetField", "TRUE_ELLIPSE", "make_target",
     "assemble_shape_derivative", "deformation_metric", "element_terms",
     "eulerian_fd",

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import model, driver, verify, vtkio
 from .driver import Schedule
-from .fem import ScalarField
 from .mesh import InclusionShape, MeshError, generate_mesh
 from .model import ProblemConfig, TargetField
 
@@ -166,7 +165,7 @@ def _load_target(rc: RunConfig) -> TargetField:
         if "z" not in scalars:
             raise MeshError(f"target file {rc.target_load} has no point "
                             f"scalar 'z'")
-        return TargetField(mesh, ScalarField(mesh, scalars["z"]))
+        return TargetField(mesh, scalars["z"])
     return model.make_target(rc.problem, rc.target_h)
 
 
@@ -175,7 +174,7 @@ def cmd_generate_target(rc: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     target = model.make_target(rc.problem, rc.target_h)
     path = out / "target.vtk"
-    vtkio.write_vtk(path, target.mesh, point_scalars={"z": target.z.values},
+    vtkio.write_vtk(path, target.mesh, point_scalars={"z": target.z},
                     title="target potential on background mesh")
     frac = model.energy_fraction(target.mesh, rc.problem, target.z)
     print(f"target written: {path} "
@@ -208,8 +207,7 @@ def cmd_optimize(rc: RunConfig) -> int:
         lam = model.solve_adjoint(ops, u, z)
         mesh_path = out / "final_mesh.vtk"
         vtkio.write_vtk(mesh_path, mesh,
-                        point_scalars={"u": u.values, "lambda": lam.values,
-                                       "z": z.values},
+                        point_scalars={"u": u, "lambda": lam, "z": z},
                         title="final iterate")
         produced.append(mesh_path)
     _write_metadata(out, rc, produced)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem, kkt, model, shape_calculus
-from .fem import ScalarField
 from .mesh import (Mesh, NonInvertibleDeformation, apply_deformation,
                    check_invertibility)
 
@@ -159,8 +158,8 @@ def run_two_phase(mesh0: Mesh, cfg, target, sched: Schedule):
                 f"iteration {k}: step halved {halvings}x for invertibility")
         history.append(IterationRecord(k, j0, gn, res, t, mode, margin))
         mesh = apply_deformation(mesh, v, t)
-        u = ScalarField(mesh, u.values + t * du.values)
-        lam = ScalarField(mesh, lam.values + t * dlam.values)
+        u = u + t * du
+        lam = lam + t * dlam
     return mesh, history
 
 
@@ -181,7 +180,7 @@ def _step_length(ops, sched, mode, v):
     """(t, halvings, min area ratio) of an invertible step along V: the
     rule's step, halved until the mesh is invertible; t = 0 once V is below
     tol_v."""
-    if np.sqrt(max(ops.metric.energy(v.flat()), 0.0)) <= sched.tol_v:
+    if np.sqrt(max(ops.metric.energy(v.reshape(-1)), 0.0)) <= sched.tol_v:
         return 0.0, 0, 1.0
     t = 1.0 if mode == "newton" else sched.gradient_step
     for halvings in range(MAX_HALVINGS + 1):

@@ -1,13 +1,18 @@
 """P1 finite-element kernel on triangle meshes.
 
-Nodal fields, exact element quadrature, assembly of the scalar stiffness,
-mass and vector H1 forms, and sparse solves on the free x free block of a
-Dirichlet-constrained operator: SuperLU factorizations and Chebyshev
-iteration for the mass, each checked once by its residual.  Assembly
+Element calculus of nodal fields, exact element quadrature, assembly of
+the scalar stiffness, mass and vector H1 forms, and sparse solves on the
+free x free block of a Dirichlet-constrained operator: SuperLU
+factorizations and Chebyshev iteration for the mass, each checked once
+by its residual.  Assembly
 fills CSR patterns derived from one 3x3 pattern per triangle array
 (`ScatterPatterns`), each entry summing its local entries in the flat
 order of the local array; the patterns that filled an operator also keep
 the gather of its free block for each constrained set (`_Restriction`).
+
+A P1 field is the plain array of its nodal values: (n,) for a scalar
+field, (n, 2) for a vector field, whose flat view is the 2n vector on
+interleaved (x, y) dofs (`vector_dofs`) that the operators act on.
 
 Every per-element array has the element axis last and contiguous: basis
 gradients (3, 2, ne), local matrices (r, c, ne), element gradients (2, ne).
@@ -36,58 +41,6 @@ class SingularSystemError(RuntimeError):
 
 
 _NONE = np.array([], dtype=np.int64)       # no constrained dofs
-
-
-class _NodalField:
-    """P1 field given by an array of shape `value_shape` per mesh vertex."""
-
-    value_shape: tuple = ()
-
-    def __init__(self, mesh: Mesh, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (mesh.num_vertices, *self.value_shape):
-            raise FemError("nodal value count does not match the mesh")
-        self.mesh = mesh
-        self.values = values
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh, np.zeros((mesh.num_vertices, *cls.value_shape)))
-
-    @classmethod
-    def from_callable(cls, mesh, fn):
-        return cls(mesh, fn(mesh.vertices))
-
-    def __add__(self, other):
-        _same_mesh(self, other)
-        return type(self)(self.mesh, self.values + other.values)
-
-    def __sub__(self, other):
-        _same_mesh(self, other)
-        return type(self)(self.mesh, self.values - other.values)
-
-    def __mul__(self, c):
-        return type(self)(self.mesh, self.values * float(c))
-
-    __rmul__ = __mul__
-
-
-class ScalarField(_NodalField):
-    """P1 scalar function given by one value per mesh vertex."""
-
-
-class VectorField(_NodalField):
-    """P1 vector function with a 2-vector per mesh vertex."""
-
-    value_shape = (2,)
-
-    def flat(self):
-        return self.values.reshape(-1)
-
-
-def _same_mesh(a, b):
-    if a.mesh is not b.mesh:
-        raise FemError("fields live on different meshes")
 
 
 class Geometry:
@@ -134,22 +87,23 @@ def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def elem_grad(f: ScalarField):
-    """Constant per-element gradient of a P1 scalar field, (2, ne)."""
-    return _dot3(element_values(f.mesh, f.values)[:, None],
-                geometry(f.mesh).grads)
+def elem_grad(mesh: Mesh, values):
+    """Constant per-element gradient of the P1 scalar field of (n,) nodal
+    `values`, (2, ne)."""
+    return _dot3(element_values(mesh, values)[:, None], geometry(mesh).grads)
 
 
-def elem_jacobian(v: VectorField):
-    """Constant per-element Jacobian DV of a P1 vector field, (2, 2, ne):
-    DV[a, b] = d V_a / d x_b."""
-    return _dot3(element_values(v.mesh, v.values)[:, :, None],
-                geometry(v.mesh).grads[:, None])
+def elem_jacobian(mesh: Mesh, values):
+    """Constant per-element Jacobian DV of the P1 vector field of (n, 2)
+    nodal `values`, (2, 2, ne): DV[a, b] = d V_a / d x_b."""
+    return _dot3(element_values(mesh, values)[:, :, None],
+                geometry(mesh).grads[:, None])
 
 
-def divergence(v: VectorField):
-    """Per-element divergence of a P1 vector field, (ne,)."""
-    jac = elem_jacobian(v)
+def divergence(mesh: Mesh, values):
+    """Per-element divergence of the P1 vector field of (n, 2) nodal
+    `values`, (ne,)."""
+    jac = elem_jacobian(mesh, values)
     return jac[0, 0] + jac[1, 1]
 
 

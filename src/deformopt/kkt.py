@@ -25,7 +25,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import fem, model, shape_calculus
-from .fem import ScalarField, VectorField
 
 
 @dataclass
@@ -224,7 +223,8 @@ class KktSystem:
     relative_residual: float = field(default=0.0, init=False)
 
     def solve(self):
-        """Newton (or projected-gradient) step (du, V, dlambda), in V alone.
+        """Newton (or projected-gradient) step (du, V, dlambda), in V alone:
+        du and dlambda (n,), V (n, 2), a view of the flat 2n step.
 
         With K^-1 the constrained state solve (one factorization):
             du_p      = -K^-1 r_lambda,
@@ -258,8 +258,7 @@ class KktSystem:
                               + b.b_lam_shape.T @ dlam_p)
             du, dlam = b.eliminate(v, self.rhs_u, self.rhs_lam)
             self._check_residual(du, v, dlam)
-        return (ScalarField(mesh, du), VectorField(mesh, v.reshape(-1, 2)),
-                ScalarField(mesh, dlam))
+        return du, v.reshape(-1, 2), dlam
 
     def _minres(self, g):
         """W with S W = g, zero on the outer boundary: MINRES on the free
@@ -313,12 +312,12 @@ def lagrangian_gradient(terms: shape_calculus.ElementTerms):
     """First-order KKT right-hand side pieces (L_u, L_Omega, L_lambda)."""
     ops = terms.ops
     stiff = ops.state.matrix
-    r_u = terms.mass_w + stiff @ terms.lam.values
-    r_lam = stiff @ terms.u.values
-    d = shape_calculus.assemble_shape_derivative(terms)
+    r_u = terms.mass_w + stiff @ terms.lam
+    r_lam = stiff @ terms.u
+    r_shape = shape_calculus.assemble_shape_derivative(terms)
     r_u[ops.state.constrained] = 0.0
     r_lam[ops.state.constrained] = 0.0
-    return r_u, d.dual, r_lam
+    return r_u, r_shape, r_lam
 
 
 def assemble_kkt(terms: shape_calculus.ElementTerms, reduced=False,

@@ -343,12 +343,9 @@ def _outer_boundary(points, edge_table):
 
 
 def apply_deformation(m: Mesh, v, t: float) -> Mesh:
-    """Move every vertex by t*v and return the deformed mesh.
-
-    `v` may be a VectorField on `m` or an (n, 2) array of nodal values.
-    """
-    vals = getattr(v, "values", v)
-    vals = np.asarray(vals, dtype=float)
+    """Move every vertex by t*v, for (n, 2) nodal values v, and return the
+    deformed mesh."""
+    vals = np.asarray(v, dtype=float)
     if vals.shape != (m.num_vertices, 2):
         raise ValueError("deformation field does not match the mesh")
     new_pts = m.vertices + t * vals
@@ -365,10 +362,9 @@ def check_invertibility(m: Mesh, v, t: float):
 
     Returns (ok, info).  ok requires all deformed triangle areas positive and
     v (numerically) zero on the outer boundary, so the deformed mesh still
-    maps the hold-all domain onto itself.
+    maps the hold-all domain onto itself.  `v` holds (n, 2) nodal values.
     """
-    vals = getattr(v, "values", v)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(v, dtype=float)
     areas0 = signed_areas(m.vertices, m.triangles)
     areas = signed_areas(m.vertices + t * vals, m.triangles)
     folded = np.flatnonzero(~(areas > 0))      # NaN areas count as folded

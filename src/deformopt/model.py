@@ -11,13 +11,13 @@ the new vertex positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import fem
-from .fem import ScalarField, SparseOperator, VectorOperator
+from .fem import SparseOperator, VectorOperator
 from .mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape, Mesh,
                    REGION_INCLUSION, generate_mesh)
 
@@ -179,11 +179,13 @@ def _first_per_owner(owner, pairs):
 
 
 class TargetField:
-    """Target potential z frozen on its background mesh."""
+    """Target potential z, (n,) nodal values frozen on its background mesh."""
 
-    def __init__(self, background_mesh: Mesh, z: ScalarField):
-        if z.mesh is not background_mesh:
-            raise ValueError("z must live on the background mesh")
+    def __init__(self, background_mesh: Mesh, z):
+        z = np.asarray(z, dtype=float)
+        if z.shape != (background_mesh.num_vertices,):
+            raise ValueError(f"z of shape {z.shape} does not hold one value "
+                             f"per background vertex")
         self.mesh = background_mesh
         self.z = z
         self._last = None          # (points, Located) of the last lookup
@@ -195,7 +197,7 @@ class TargetField:
     @cached_property
     def _grads(self):
         """(ne, 2) background gradients: `gradient_at` takes rows."""
-        return np.ascontiguousarray(fem.elem_grad(self.z).T)
+        return np.ascontiguousarray(fem.elem_grad(self.mesh, self.z).T)
 
     def locate(self, points, hint=None) -> Located:
         """Background element containing each point, with its barycentrics.
@@ -237,7 +239,7 @@ class TargetField:
     def interpolate(self, points):
         """Barycentric evaluation of z at arbitrary points in [0,1]^2."""
         loc = self._located(points)
-        zv = self.z.values[self.mesh.triangles[loc.elements]]
+        zv = self.z[self.mesh.triangles[loc.elements]]
         # a stacked (1x3)(3x1) matmul runs the same dot as lam @ zv per point
         return (loc.bary[:, None, :] @ zv[:, :, None])[:, 0, 0]
 
@@ -302,28 +304,27 @@ class OperatorSet:
                                   self.patterns)
 
 
-def solve_state(ops: OperatorSet) -> ScalarField:
-    """Potential with u=0 on the bottom, u=1 on the top, insulated sides."""
-    u = ops.state.solve_constrained(np.zeros(ops.mesh.num_vertices),
-                                    bc_values=ops.dirichlet_values)
-    return ScalarField(ops.mesh, u)
+def solve_state(ops: OperatorSet) -> np.ndarray:
+    """Potential with u=0 on the bottom, u=1 on the top, insulated sides,
+    (n,)."""
+    return ops.state.solve_constrained(np.zeros(ops.mesh.num_vertices),
+                                       bc_values=ops.dirichlet_values)
 
 
-def mass_misfit(ops: OperatorSet, u: ScalarField,
-                z_on_m: ScalarField) -> np.ndarray:
+def mass_misfit(ops: OperatorSet, u, z_on_m) -> np.ndarray:
     """M (u - z): the adjoint's load, J's misfit and the misfit of the
     element terms."""
-    return ops.mass.matrix @ (u.values - z_on_m.values)
+    return ops.mass.matrix @ (u - z_on_m)
 
 
-def solve_adjoint(ops: OperatorSet, u: ScalarField, z_on_m: ScalarField,
-                  mass_w=None) -> ScalarField:
-    """Adjoint potential driven by the data misfit, zero on bottom and top.
+def solve_adjoint(ops: OperatorSet, u, z_on_m, mass_w=None) -> np.ndarray:
+    """Adjoint potential driven by the data misfit, zero on bottom and top,
+    (n,).
 
     `mass_w` is `mass_misfit(ops, u, z_on_m)`, when the caller has it."""
     if mass_w is None:
         mass_w = mass_misfit(ops, u, z_on_m)
-    return ScalarField(ops.mesh, ops.state.solve_constrained(-mass_w))
+    return ops.state.solve_constrained(-mass_w)
 
 
 def inclusion_area(mesh: Mesh):
@@ -331,8 +332,7 @@ def inclusion_area(mesh: Mesh):
     return float(geo.areas[mesh.region == REGION_INCLUSION].sum())
 
 
-def objective(ops: OperatorSet, u: ScalarField, z_on_m: ScalarField,
-              mass_w=None) -> float:
+def objective(ops: OperatorSet, u, z_on_m, mass_w=None) -> float:
     """J = 1/2 int (u-z)^2 dx + alpha/2 * area of the inclusion.
 
     The misfit is the mass energy 1/2 (u - z) . M (u - z), exact for P1
@@ -340,13 +340,13 @@ def objective(ops: OperatorSet, u: ScalarField, z_on_m: ScalarField,
     when the caller has it), summed as `SparseOperator.energy` sums."""
     if mass_w is None:
         mass_w = mass_misfit(ops, u, z_on_m)
-    misfit = 0.5 * float((u.values - z_on_m.values) @ mass_w)
+    misfit = 0.5 * float((u - z_on_m) @ mass_w)
     return misfit + 0.5 * ops.cfg.alpha * inclusion_area(ops.mesh)
 
 
-def transfer_target(target: TargetField, mesh: Mesh) -> ScalarField:
-    """Evaluate z at the vertices of `mesh` (Eulerian semantics)."""
-    return ScalarField(mesh, target.interpolate(mesh.vertices))
+def transfer_target(target: TargetField, mesh: Mesh) -> np.ndarray:
+    """Evaluate z at the vertices of `mesh` (Eulerian semantics), (n,)."""
+    return target.interpolate(mesh.vertices)
 
 
 def target_gradients(target: TargetField, mesh: Mesh):
@@ -363,14 +363,14 @@ def make_target(cfg: ProblemConfig, h: float,
     return TargetField(background, z)
 
 
-def energy_fraction(mesh: Mesh, cfg: ProblemConfig, u: ScalarField) -> float:
+def energy_fraction(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     """Share of the conduction energy int mu |grad u|^2 inside the inclusion.
 
     Near-insulating inclusions carry almost no flux, so this is ~0 when
     mu_in << mu_out.
     """
     geo = fem.geometry(mesh)
-    g = fem.elem_grad(u)
+    g = fem.elem_grad(mesh, u)
     dens = geo.areas * cfg.mu(mesh) * (g[0] * g[0] + g[1] * g[1])
     total = float(dens.sum())
     if total == 0.0:
@@ -378,12 +378,12 @@ def energy_fraction(mesh: Mesh, cfg: ProblemConfig, u: ScalarField) -> float:
     return float(dens[mesh.region == REGION_INCLUSION].sum()) / total
 
 
-def boundary_flux(ops: OperatorSet, u: ScalarField, tag):
+def boundary_flux(ops: OperatorSet, u, tag):
     """Discrete conormal flux of u through one outer boundary part.
 
     Computed variationally: pair the stiffness residual with the hat
     functions of that boundary's vertices.
     """
-    r = ops.state.matrix @ u.values
+    r = ops.state.matrix @ u
     nodes = ops.mesh.boundary_vertices_by_tag[tag]
     return float(r[nodes].sum())

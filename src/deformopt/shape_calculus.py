@@ -20,21 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fem, model
-from .fem import ScalarField, VectorField, VectorOperator
+from .fem import VectorOperator
 from .mesh import Mesh, REGION_INCLUSION, apply_deformation, check_invertibility
-
-
-class ShapeGradientFunctional:
-    """Dual vector d with d . V = dJ(Omega)[V] for nodal deformations V."""
-
-    def __init__(self, mesh: Mesh, dual: np.ndarray):
-        self.mesh = mesh
-        self.dual = dual
-
-    def pair(self, v: VectorField) -> float:
-        if v.mesh is not self.mesh:
-            raise fem.FemError("direction field lives on a different mesh")
-        return float(self.dual @ v.flat())
 
 
 def deformation_constraints(mesh: Mesh):
@@ -50,8 +37,8 @@ class ElementTerms:
     axis is last: i and j are an element's corners, d its two coordinates."""
 
     ops: model.OperatorSet
-    u: ScalarField
-    lam: ScalarField
+    u: np.ndarray          # (n,) state
+    lam: np.ndarray        # (n,) adjoint
     z_grad: np.ndarray     # (n, 2) background gradient of z at each vertex
     mass_w: np.ndarray     # (n,) M (u - z)
     gz: np.ndarray         # (3, 2, ne) z_grad at each element's corners
@@ -67,10 +54,10 @@ class ElementTerms:
     c_div: np.ndarray      # (ne,) div V coefficient
 
 
-def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
-                  z_on_m: ScalarField, z_grad, alpha_whole_domain=False,
-                  mass_w=None) -> ElementTerms:
-    """The element terms of the Lagrangian at (u, lam) on `ops`.
+def element_terms(ops: model.OperatorSet, u, lam, z_on_m, z_grad,
+                  alpha_whole_domain=False, mass_w=None) -> ElementTerms:
+    """The element terms of the Lagrangian at (u, lam) on `ops`, for (n,)
+    nodal u, lam and z.
 
     `z_grad` holds the background gradient of z at each vertex; it feeds
     the material derivative of the fixed field z.  The regularization term
@@ -83,16 +70,12 @@ def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
     term rounds as before: left to right, except for `Mw`.
     """
     mesh, cfg = ops.mesh, ops.cfg
-    for f in (u, lam, z_on_m):
-        if f.mesh is not mesh:
-            raise fem.FemError("field lives on a different mesh")
-
     geo = fem.geometry(mesh)
     G, Mloc = geo.grads, geo.local_mass
     mu_e = cfg.mu(mesh)
-    gu = fem.elem_grad(u)
-    gl = fem.elem_grad(lam)
-    wloc = fem.element_values(mesh, u.values - z_on_m.values)
+    gu = fem.elem_grad(mesh, u)
+    gl = fem.elem_grad(mesh, lam)
+    wloc = fem.element_values(mesh, u - z_on_m)
 
     # div V coefficient: int_e 1/2 w^2 + |e| (mu grad u . grad lam) + alpha/2 chi
     # the nine w_i M_ij w_j summed in row-major order
@@ -114,8 +97,10 @@ def element_terms(ops: model.OperatorSet, u: ScalarField, lam: ScalarField,
         mu_e * geo.areas, c_div)
 
 
-def assemble_shape_derivative(t: ElementTerms) -> ShapeGradientFunctional:
-    """Volume-form shape derivative of the Lagrangian at the terms' iterate.
+def assemble_shape_derivative(t: ElementTerms) -> np.ndarray:
+    """Volume-form shape derivative of the Lagrangian at the terms' iterate,
+    as its flat 2n dual d: d . V.reshape(-1) = dJ(Omega)[V] for (n, 2)
+    nodal deformations V, zero on the outer-boundary dofs.
 
     When u solves the state and lam the adjoint equation this equals the
     derivative of the reduced objective.
@@ -133,7 +118,7 @@ def assemble_shape_derivative(t: ElementTerms) -> ShapeGradientFunctional:
 
     flat = dual.reshape(-1)
     flat[deformation_constraints(mesh)] = 0.0
-    return ShapeGradientFunctional(mesh, flat)
+    return flat
 
 
 def deformation_metric(mesh: Mesh, eps1: float, eps2: float,
@@ -149,10 +134,11 @@ def deformation_metric(mesh: Mesh, eps1: float, eps2: float,
                                                   mesh.boundary_vertices))
 
 
-def riesz_gradient(d: ShapeGradientFunctional, metric: VectorOperator) -> VectorField:
-    """Gradient representative: b(grad J, Z) = dJ[Z] for all admissible Z."""
-    g = metric.solve_constrained(d.dual)
-    return VectorField(d.mesh, g.reshape(-1, 2))
+def riesz_gradient(dual, metric: VectorOperator) -> np.ndarray:
+    """Gradient representative of the flat dual of
+    `assemble_shape_derivative`, (n, 2): b(grad J, Z) = dJ[Z] for all
+    admissible Z."""
+    return metric.solve_constrained(dual).reshape(-1, 2)
 
 
 def objective_on_deformed(ops: model.OperatorSet, target, v, t: float):

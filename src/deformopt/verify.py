@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import fem, kkt, model, shape_calculus
-from .fem import ScalarField, VectorField
 from .mesh import InclusionShape, Mesh, generate_mesh
 from .shape_calculus import objective_on_deformed
 
@@ -86,7 +85,7 @@ def gradient_consistency(h=0.1, n_fields=10, seed=DEFAULT_SEED,
     for _ in range(n_fields):
         (v,) = mask_fields(mesh, target, [random_interior_field(mesh, rng)],
                            ts.max())
-        exact = d.pair(VectorField(mesh, v))
+        exact = float(d @ v.reshape(-1))
         errs = [abs((objective_on_deformed(ops, target, t * v, 1.0)
                      - objective_on_deformed(ops, target, -t * v, 1.0))
                     / (2 * t) - exact) for t in ts]
@@ -180,7 +179,7 @@ def taylor_remainder(h=0.1, n_fields=3, seed=DEFAULT_SEED,
     for _ in range(n_fields):
         (v,) = mask_fields(mesh, target, [random_interior_field(mesh, rng)],
                            ss.max())
-        d1 = d.pair(VectorField(mesh, v))
+        d1 = float(d @ v.reshape(-1))
         d2 = hess.reduced_value(v.reshape(-1), v.reshape(-1))
         rems = [abs(objective_on_deformed(ops, target, s * v, 1.0)
                     - (j0 + s * d1 + 0.5 * s * s * d2)) for s in ss]
@@ -209,7 +208,7 @@ def volume_surrogate(h=0.1, n_fields=5, seed=DEFAULT_SEED, tol=1e-12,
     worst = 0.0
     for _ in range(n_fields):
         v = random_interior_field(mesh, rng)
-        jac = fem.elem_jacobian(VectorField(mesh, v))
+        jac = fem.elem_jacobian(mesh, v)
         div = jac[0, 0] + jac[1, 1]
         # tr(DV DV), each row's pair summed first
         tr2 = ((jac[0, 0] * jac[0, 0] + jac[0, 1] * jac[1, 0])
@@ -303,7 +302,7 @@ def pullback_check(h=0.1, seed=DEFAULT_SEED, tol=1e-6, fd_step=1e-5,
             jp = objective_on_deformed(ops, target, e, 1.0)
             jm = objective_on_deformed(ops, target, -e, 1.0)
             fd_dual[2 * i + a] = (jp - jm) / (2 * fd_step)
-    an_dual = d.dual.copy()
+    an_dual = d.copy()
     kept_dofs = fem.vector_dofs(np.flatnonzero(keep))
     sel = np.zeros(2 * mesh.num_vertices, dtype=bool)
     sel[kept_dofs] = True

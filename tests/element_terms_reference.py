@@ -48,16 +48,14 @@ def geometry(mesh):
                            local_mass=areas[:, None, None] * base[None])
 
 
-def elem_grad(f):
-    """(ne, 2)"""
-    return np.einsum("ei,eid->ed", f.values[f.mesh.triangles],
-                     geometry(f.mesh).grads)
+def elem_grad(mesh, f):
+    """(ne, 2) for (n,) nodal f."""
+    return np.einsum("ei,eid->ed", f[mesh.triangles], geometry(mesh).grads)
 
 
-def elem_jacobian(v):
-    """(ne, 2, 2)"""
-    return np.einsum("eia,eib->eab", v.values[v.mesh.triangles],
-                     geometry(v.mesh).grads)
+def elem_jacobian(mesh, v):
+    """(ne, 2, 2) for (n, 2) nodal v."""
+    return np.einsum("eia,eib->eab", v[mesh.triangles], geometry(mesh).grads)
 
 
 def stiffness_local(weights, grads):
@@ -86,9 +84,9 @@ def shape_derivative_dual(ops, u, lam, z_on_m, z_grad,
     geo = geometry(mesh)
     tris = mesh.triangles
     mu_e = cfg.mu(mesh)
-    gu = elem_grad(u)
-    gl = elem_grad(lam)
-    w = u.values - z_on_m.values
+    gu = elem_grad(mesh, u)
+    gl = elem_grad(mesh, lam)
+    w = u - z_on_m
     wloc = w[tris]
     half_w2 = 0.5 * np.einsum("ei,eij,ej->e", wloc, geo.local_mass, wloc)
     c_div = half_w2 + geo.areas * (mu_e * np.einsum("ed,ed->e", gu, gl)
@@ -114,10 +112,10 @@ def hessian_div_coefficient(ops, u, lam, z_on_m, alpha_whole_domain=False):
     part, (ne,) each."""
     mesh, cfg = ops.mesh, ops.cfg
     geo = geometry(mesh)
-    wloc = (u.values - z_on_m.values)[mesh.triangles]
+    wloc = (u - z_on_m)[mesh.triangles]
     half_w2 = 0.5 * np.einsum("ei,ei->e", wloc,
                               np.einsum("eij,ej->ei", geo.local_mass, wloc))
-    gu, gl = elem_grad(u), elem_grad(lam)
+    gu, gl = elem_grad(mesh, u), elem_grad(mesh, lam)
     return half_w2 + geo.areas * (
         cfg.mu(mesh) * np.einsum("ed,ed->e", gu, gl)
         + 0.5 * cfg.alpha * _chi(mesh, alpha_whole_domain)), half_w2
@@ -132,9 +130,9 @@ def hessian_blocks(ops, u, lam, z_on_m, z_grad, c_div, tr_sign=1.0):
     tris = mesh.triangles
     area, G, Mloc = geo.areas, geo.grads, geo.local_mass
     mu_e = ops.cfg.mu(mesh)
-    gu = elem_grad(u)
-    gl = elem_grad(lam)
-    wloc = (u.values - z_on_m.values)[tris]
+    gu = elem_grad(mesh, u)
+    gl = elem_grad(mesh, lam)
+    wloc = (u - z_on_m)[tris]
     Mw = np.einsum("eij,ej->ei", Mloc, wloc)
     gz = z_grad[tris]
     gg = np.einsum("eid,ejd->eij", G, G)

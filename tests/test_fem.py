@@ -7,8 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from deformopt import fem, kkt, model, shape_calculus
-from deformopt.fem import (FemError, ScalarField, SingularSystemError,
-                           VectorField, assemble_mass,
+from deformopt.fem import (FemError, SingularSystemError, assemble_mass,
                            assemble_scalar_laplace, assemble_vector_h1_form,
                            elem_grad, elem_jacobian, divergence,
                            vector_dofs, with_constraints)
@@ -64,57 +63,21 @@ def free_block(matrix, constrained):
     return mat[free][:, free]
 
 
-class TestFields:
-    def test_shape_checked(self, mesh):
-        with pytest.raises(FemError):
-            ScalarField(mesh, np.zeros(mesh.num_vertices + 1))
-        with pytest.raises(FemError):
-            VectorField(mesh, np.zeros((mesh.num_vertices, 3)))
-
-    def test_algebra(self, mesh):
-        f = ScalarField.from_callable(mesh, lambda x: x[:, 0])
-        g = ScalarField.from_callable(mesh, lambda x: x[:, 1])
-        assert np.allclose((2.0 * f + g - f).values,
-                           mesh.vertices[:, 0] + mesh.vertices[:, 1])
-
-    def test_cross_mesh_rejected(self, mesh):
-        other = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.15)
-        with pytest.raises(FemError):
-            ScalarField.zeros(mesh) + ScalarField.zeros(other)
-
-    def test_field_types_kept(self, mesh):
-        """Zeros, sums, differences and scalings keep the field's type and
-        per-vertex value shape."""
-        for cls, shape in [(ScalarField, (mesh.num_vertices,)),
-                           (VectorField, (mesh.num_vertices, 2))]:
-            f = cls.zeros(mesh)
-            for g in (f, f + f, f - f, 2.0 * f, f * 2.0):
-                assert type(g) is cls and g.values.shape == shape
-
-    def test_vector_flat_interleaved(self, mesh):
-        v = VectorField.from_callable(
-            mesh, lambda x: np.column_stack([x[:, 0], -x[:, 1]]))
-        flat = v.flat()
-        assert flat[0::2] == pytest.approx(mesh.vertices[:, 0])
-        assert flat[1::2] == pytest.approx(-mesh.vertices[:, 1])
-
-
 class TestElementCalculus:
     def test_gradient_of_linear_is_exact(self, mesh):
-        f = ScalarField.from_callable(mesh, lambda x: 3 * x[:, 0] - 2 * x[:, 1])
-        g = elem_grad(f)
+        x, y = mesh.vertices.T
+        g = elem_grad(mesh, 3 * x - 2 * y)
         assert g.shape == (2, mesh.num_triangles)
         assert np.allclose(g.T, [3.0, -2.0], atol=1e-12)
 
     def test_jacobian_and_divergence_of_linear_field(self, mesh):
-        v = VectorField.from_callable(
-            mesh, lambda x: np.column_stack([2 * x[:, 0] + x[:, 1],
-                                             4 * x[:, 1]]))
-        jac = elem_jacobian(v)
+        x, y = mesh.vertices.T
+        v = np.column_stack([2 * x + y, 4 * y])
+        jac = elem_jacobian(mesh, v)
         assert jac.shape == (2, 2, mesh.num_triangles)
         assert np.allclose(jac.transpose(2, 0, 1), [[2.0, 1.0], [0.0, 4.0]],
                            atol=1e-12)
-        assert np.allclose(divergence(v), 6.0, atol=1e-12)
+        assert np.allclose(divergence(mesh, v), 6.0, atol=1e-12)
 
     def test_geometry_keeps_no_reference_cycle(self, mesh):
         """A mesh with cached geometry is freed by reference counting alone,
@@ -150,17 +113,15 @@ class TestAssembly:
         ones = np.ones(mesh.num_vertices)
         assert abs(a.energy(ones)) < 1e-12
         # int |grad(x)|^2 = 1 on the unit square
-        f = ScalarField.from_callable(mesh, lambda x: x[:, 0])
-        assert a.energy(f.values) == pytest.approx(1.0, rel=1e-12)
+        assert a.energy(mesh.vertices[:, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_stiffness_region_weights(self, mesh):
         """Per-element conductivities weight each element's energy: for
         f = x (|grad f| = 1) the energy is the mu-weighted area."""
         inside = mesh.region == REGION_INCLUSION
         a = assemble_scalar_laplace(mesh, np.where(inside, 7.0, 1.0))
-        f = ScalarField.from_callable(mesh, lambda x: x[:, 0])
         area_in = fem.geometry(mesh).areas[inside].sum()
-        assert a.energy(f.values) == pytest.approx(
+        assert a.energy(mesh.vertices[:, 0]) == pytest.approx(
             7.0 * area_in + (1.0 - area_in), rel=1e-12)
 
     def test_nonpositive_conductivity_rejected(self, mesh):
@@ -171,10 +132,10 @@ class TestAssembly:
         b = assemble_vector_h1_form(mesh, 2.0, 0.5)
         m = assemble_mass(mesh)
         a = assemble_scalar_laplace(mesh, 1.0)
-        f = ScalarField.from_callable(mesh, lambda x: np.cos(x[:, 0] * x[:, 1]))
-        v = VectorField(mesh, np.column_stack([f.values, 0 * f.values]))
-        expected = 2.0 * (m.energy(f.values) + 0.5 * a.energy(f.values))
-        assert b.energy(v.flat()) == pytest.approx(expected, rel=1e-12)
+        f = np.cos(mesh.vertices[:, 0] * mesh.vertices[:, 1])
+        v = np.column_stack([f, 0 * f])
+        expected = 2.0 * (m.energy(f) + 0.5 * a.energy(f))
+        assert b.energy(v.reshape(-1)) == pytest.approx(expected, rel=1e-12)
 
     def test_vector_form_parameter_validation(self, mesh):
         with pytest.raises(FemError):
@@ -204,12 +165,12 @@ class TestAssembly:
                          (geo.local_mass, want.local_mass)]:
             assert got.shape == old.shape[1:] + old.shape[:1]
             assert np.moveaxis(got, -1, 0).tobytes() == old.tobytes()
-        f = ScalarField(m, rng.standard_normal(m.num_vertices))
-        v = VectorField(m, rng.standard_normal((m.num_vertices, 2)))
-        assert np.array_equal(np.moveaxis(elem_grad(f), -1, 0),
-                              ref.elem_grad(f))
-        assert np.array_equal(np.moveaxis(elem_jacobian(v), -1, 0),
-                              ref.elem_jacobian(v))
+        f = rng.standard_normal(m.num_vertices)
+        v = rng.standard_normal((m.num_vertices, 2))
+        assert np.array_equal(np.moveaxis(elem_grad(m, f), -1, 0),
+                              ref.elem_grad(m, f))
+        assert np.array_equal(np.moveaxis(elem_jacobian(m, v), -1, 0),
+                              ref.elem_jacobian(m, v))
 
     def test_scatter_csr_bit_identical(self, mesh):
         """K, M and the metric block b_s from element-last local matrices:

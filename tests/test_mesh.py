@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from deformopt import fem, mesh as mesh_module
-from deformopt.fem import VectorField
 from deformopt.mesh import (GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_RIGHT, GAMMA_TOP,
                             InclusionShape, Mesh, MeshError,
                             NonInvertibleDeformation, REGION_EXTERIOR,
@@ -151,21 +150,20 @@ class TestGenerateMesh:
 
 class TestDeformation:
     def test_identity_deformation(self, mesh):
-        v = VectorField.zeros(mesh)
+        v = np.zeros((mesh.num_vertices, 2))
         m2 = apply_deformation(mesh, v, 1.0)
         assert np.array_equal(m2.vertices, mesh.vertices)
         assert np.array_equal(m2.triangles, mesh.triangles)
 
     def test_translation_of_interior(self, mesh):
-        v = VectorField.zeros(mesh)
+        v = np.zeros((mesh.num_vertices, 2))
         ok, info = check_invertibility(mesh, v, 1.0)
         assert ok and info["min_area_ratio"] == pytest.approx(1.0)
 
     def test_folding_detected(self, mesh):
         rng = np.random.default_rng(0)
-        vals = rng.standard_normal((mesh.num_vertices, 2))
-        vals[mesh.boundary_vertices] = 0.0
-        v = VectorField(mesh, vals)
+        v = rng.standard_normal((mesh.num_vertices, 2))
+        v[mesh.boundary_vertices] = 0.0
         ok, info = check_invertibility(mesh, v, 1.0)
         assert not ok
         assert info["folded_triangles"].size > 0
@@ -185,18 +183,15 @@ class TestDeformation:
     def test_boundary_motion_rejected(self, mesh):
         vals = np.zeros((mesh.num_vertices, 2))
         vals[mesh.boundary_vertices[0]] = (0.1, 0.0)
-        ok, info = check_invertibility(mesh, VectorField(mesh, vals), 1.0)
+        ok, info = check_invertibility(mesh, vals, 1.0)
         assert not ok
         assert info["boundary_max_abs"] > 0
 
     def test_small_smooth_deformation_ok(self, mesh):
-        v = VectorField.from_callable(
-            mesh, lambda x: 0.05 * np.column_stack([
-                np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
-                np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])]))
-        vals = v.values.copy()
-        vals[mesh.boundary_vertices] = 0.0
-        v = VectorField(mesh, vals)
+        x, y = mesh.vertices.T
+        bump = 0.05 * np.sin(np.pi * x) * np.sin(np.pi * y)
+        v = np.column_stack([bump, bump])
+        v[mesh.boundary_vertices] = 0.0
         ok, _ = check_invertibility(mesh, v, 1.0)
         assert ok
         m2 = apply_deformation(mesh, v, 1.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deformopt import driver, fem, model
-from deformopt.fem import ScalarField
 from deformopt.mesh import (GAMMA_BOTTOM, GAMMA_TOP, InclusionShape,
                             apply_deformation, generate_mesh)
 from deformopt.model import (OperatorSet, ProblemConfig, TargetField,
@@ -113,14 +112,14 @@ class TestState:
     def test_state_respects_bc_and_maximum_principle(self, mesh, cfg):
         u = solve_state(OperatorSet(mesh, cfg))
         nodes, values = state_dirichlet(mesh)
-        assert np.abs(u.values[nodes] - values).max() < 1e-12
-        assert u.values.min() > -1e-10 and u.values.max() < 1 + 1e-10
+        assert np.abs(u[nodes] - values).max() < 1e-12
+        assert u.min() > -1e-10 and u.max() < 1 + 1e-10
 
     def test_uniform_conductivity_gives_linear_ramp(self, mesh):
         """With mu_in == mu_out the exact solution is u = y."""
         uniform = ProblemConfig(mu_in=1.0, mu_out=1.0)
         u = solve_state(OperatorSet(mesh, uniform))
-        assert np.abs(u.values - mesh.vertices[:, 1]).max() < 1e-10
+        assert np.abs(u - mesh.vertices[:, 1]).max() < 1e-10
 
     def test_insulating_inclusion_diverts_flux(self, mesh, cfg):
         u = solve_state(OperatorSet(mesh, cfg))
@@ -142,28 +141,26 @@ class TestAdjoint:
         ops = OperatorSet(mesh, cfg)
         u = solve_state(ops)
         lam = solve_adjoint(ops, u, u)
-        assert np.abs(lam.values).max() < 1e-12
+        assert np.abs(lam).max() < 1e-12
 
     def test_adjoint_bc_and_linearity(self, mesh, cfg):
         ops = OperatorSet(mesh, cfg)
         u = solve_state(ops)
-        z1 = ScalarField(mesh, u.values + 0.3)
-        z2 = ScalarField(mesh, u.values + 0.9)
-        l1 = solve_adjoint(ops, u, z1)
-        l2 = solve_adjoint(ops, u, z2)
+        l1 = solve_adjoint(ops, u, u + 0.3)
+        l2 = solve_adjoint(ops, u, u + 0.9)
         nodes, _ = state_dirichlet(mesh)
-        assert np.abs(l1.values[nodes]).max() < 1e-12
-        assert np.allclose(l2.values, 3.0 * l1.values, atol=1e-12)
+        assert np.abs(l1[nodes]).max() < 1e-12
+        assert np.allclose(l2, 3.0 * l1, atol=1e-12)
 
     def test_adjoint_identity_against_quadrature(self, mesh, cfg):
         """Stiffness residual of lambda equals the misfit load."""
         ops = OperatorSet(mesh, cfg)
         u = solve_state(ops)
-        z = ScalarField.from_callable(mesh, lambda x: x[:, 1] ** 2)
+        z = mesh.vertices[:, 1] ** 2
         lam = solve_adjoint(ops, u, z)
         op = fem.assemble_scalar_laplace(mesh, cfg.mu(mesh))
         mass = fem.assemble_mass(mesh)
-        res = op.matrix @ lam.values + mass.matrix @ (u.values - z.values)
+        res = op.matrix @ lam + mass.matrix @ (u - z)
         nodes, _ = state_dirichlet(mesh)
         free = np.setdiff1d(np.arange(mesh.num_vertices), nodes)
         assert np.abs(res[free]).max() < 1e-10
@@ -171,8 +168,8 @@ class TestAdjoint:
 
 class TestObjective:
     def test_objective_value(self, mesh, cfg):
-        u = ScalarField.from_callable(mesh, lambda x: x[:, 1])
-        z = ScalarField.zeros(mesh)
+        u = mesh.vertices[:, 1]
+        z = np.zeros(mesh.num_vertices)
         # 1/2 int y^2 = 1/6 plus the area penalty
         expected = 1.0 / 6.0 + 0.5 * cfg.alpha * inclusion_area(mesh)
         assert objective(OperatorSet(mesh, cfg), u, z) == pytest.approx(
@@ -195,7 +192,7 @@ class TestObjective:
         ops = OperatorSet(deformed, cfg)
         u = solve_state(ops)
         z = transfer_target(target, deformed)
-        want = (0.5 * ops.mass.energy(u.values - z.values)
+        want = (0.5 * ops.mass.energy(u - z)
                 + 0.5 * cfg.alpha * inclusion_area(deformed))
         assert objective(ops, u, z) == want
         assert objective(ops, u, z, model.mass_misfit(ops, u, z)) == want
@@ -204,19 +201,23 @@ class TestObjective:
 class TestTarget:
     def test_target_reproduces_own_mesh(self, target):
         z_back = transfer_target(target, target.mesh)
-        assert np.abs(z_back.values - target.z.values).max() < 1e-10
+        assert np.abs(z_back - target.z).max() < 1e-10
 
     def test_transfer_is_barycentric(self, target, mesh):
         """Interpolating a linear function through the background mesh is
         exact regardless of which element contains each point."""
-        lin = ScalarField.from_callable(
-            target.mesh, lambda x: 2 * x[:, 0] - x[:, 1] + 0.25)
-        t2 = TargetField(target.mesh, lin)
+        x, y = target.mesh.vertices.T
+        t2 = TargetField(target.mesh, 2 * x - y + 0.25)
         z = transfer_target(t2, mesh)
         expect = (2 * mesh.vertices[:, 0] - mesh.vertices[:, 1] + 0.25)
-        assert np.abs(z.values - expect).max() < 1e-10
+        assert np.abs(z - expect).max() < 1e-10
         g = target_gradients(t2, mesh)
         assert np.allclose(g, [2.0, -1.0], atol=1e-10)
+
+    def test_target_field_refuses_wrong_value_count(self, target):
+        """z can come from a file: one value too many is a ValueError."""
+        with pytest.raises(ValueError, match="one value per background"):
+            TargetField(target.mesh, np.zeros(target.mesh.num_vertices + 1))
 
     def test_target_gradient_matches_fd_inside_elements(self, target):
         rng = np.random.default_rng(7)
@@ -317,7 +318,7 @@ class TestTarget:
 
     def test_batched_transfer_matches_per_point_evaluation(self, target, mesh):
         ref = ReferenceLocator(target.mesh)
-        z = target.z.values
+        z = target.z
         tris = target.mesh.triangles
         want = [ref.locate(p) for p in mesh.vertices]
         assert np.array_equal(target.interpolate(mesh.vertices),

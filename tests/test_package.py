@@ -35,3 +35,27 @@ def test_no_private_numpy_or_scipy_module_imported():
              private_imports(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def unused_imports(tree):
+    """The names that `tree` imports at module level and never uses.  A
+    name is used if it is read or equals a string constant: an entry of
+    `__all__` or a quoted annotation."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.name
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_unused_import():
+    found = {str(path.relative_to(PACKAGE)):
+             unused_imports(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: bad for name, bad in found.items() if bad} == {}
