@@ -7,8 +7,9 @@ factorizations and Chebyshev iteration for the mass, each checked once
 by its residual.  Assembly
 fills CSR patterns derived from one 3x3 pattern per triangle array
 (`ScatterPatterns`), each entry summing its local entries in the flat
-order of the local array; the patterns that filled an operator also keep
-the gather of its free block for each constrained set (`_Restriction`).
+order of the local array.  Each assembly takes the operator's constrained
+vertex set and hands it the gather of its free block, which the patterns
+keep once per set (`_Restriction`).
 
 A P1 field is the plain array of its nodal values: (n,) for a scalar
 field, (n, 2) for a vector field, whose flat view is the 2n vector on
@@ -38,9 +39,6 @@ class FemError(ValueError):
 
 class SingularSystemError(RuntimeError):
     pass
-
-
-_NONE = np.array([], dtype=np.int64)       # no constrained dofs
 
 
 class Geometry:
@@ -100,13 +98,6 @@ def elem_jacobian(mesh: Mesh, values):
                 geometry(mesh).grads[:, None])
 
 
-def divergence(mesh: Mesh, values):
-    """Per-element divergence of the P1 vector field of (n, 2) nodal
-    `values`, (ne,)."""
-    jac = elem_jacobian(mesh, values)
-    return jac[0, 0] + jac[1, 1]
-
-
 def _stiffness_local(weights, grads):
     """(3, 3, ne) local matrices weights <grad phi_i, grad phi_j>."""
     wg = weights * grads
@@ -119,10 +110,11 @@ class SparseOperator:
     """Assembled symmetric bilinear form with Dirichlet handling.
 
     `matrix` is the unconstrained operator, filled on the square (1, 1)
-    pattern of `patterns`.  `constrained` lists the dofs held at given
-    values (zero by default): a solve runs on the free x free block of
-    `matrix` (`free_block`), gathered by the `_Restriction` that `patterns`
-    keep for the constrained set (`restriction`).
+    pattern of a `ScatterPatterns`.  `constrained` lists the dofs held at
+    given values (zero by default): a solve runs on the free x free block
+    of `matrix` (`free_block`), gathered by `restriction`, the
+    `_Restriction` the patterns keep for that set, which the assembly
+    passes in.
 
     The block is factorized by SuperLU in symmetric mode: diagonal pivots
     only, on a minimum-degree ordering of A + A^T.  That assumes it is
@@ -136,11 +128,7 @@ class SparseOperator:
 
     matrix: sp.csr_matrix
     constrained: np.ndarray
-    patterns: "ScatterPatterns"     # that filled `matrix`
-
-    @cached_property
-    def restriction(self) -> "_Restriction":
-        return self.patterns.restriction(self.constrained)
+    restriction: "_Restriction"
 
     @cached_property
     def free_block(self):
@@ -440,9 +428,10 @@ class ScatterPatterns:
     L_uOmega, and (2, 2) for L_OmegaOmega.  Every `SparseOperator` is
     filled on the (1, 1) pattern, so the free x free block of each of
     their constrained sets is kept on it, with its SuperLU ordering
-    (`restriction`).  The patterns hold no mesh, so that a run can own one
-    object for all its iterates and drop it when it returns.  Each matrix
-    gets its own copy of the index arrays, so it may be changed in place.
+    (`restriction`), which each assembly hands its operator.  The patterns
+    hold no mesh, so that a run can own one object for all its iterates
+    and drop it when it returns.  Each matrix gets its own copy of the
+    index arrays, so it may be changed in place.
 
     Local arrays have the element axis last, (r, c, ne) for matrices and
     (r, ne) for vectors, with r and c 3 (one dof per corner) or 6 (two,
@@ -500,8 +489,8 @@ class ScatterPatterns:
 
     def restriction(self, constrained) -> _Restriction:
         """The `_Restriction` of `constrained` on the square (1, 1) pattern,
-        which fills every `SparseOperator`: built on first use and kept,
-        one per constrained set."""
+        which fills every `SparseOperator`: built for the first assembly
+        constrained on that set and kept for every later one."""
         key = np.asarray(constrained).tobytes()
         restriction = self._restrictions.get(key)
         if restriction is None:
@@ -511,8 +500,20 @@ class ScatterPatterns:
         return restriction
 
 
-def assemble_scalar_laplace(mesh: Mesh, mu, patterns=None) -> SparseOperator:
-    """Stiffness matrix of the form (w, v) -> int mu <grad w, grad v>.
+def _operator(mesh, patterns, local, constrained) -> SparseOperator:
+    """The `SparseOperator` of (3, 3, ne) `local` matrices, constrained on
+    the vertex set `constrained` (none if None)."""
+    constrained = np.asarray([] if constrained is None else constrained,
+                             dtype=np.int64)
+    patterns = ScatterPatterns(mesh) if patterns is None else patterns
+    return SparseOperator(patterns.scatter(mesh, local), constrained,
+                          patterns.restriction(constrained))
+
+
+def assemble_scalar_laplace(mesh: Mesh, mu, patterns=None,
+                            constrained=None) -> SparseOperator:
+    """Stiffness matrix of the form (w, v) -> int mu <grad w, grad v>,
+    constrained on the vertices `constrained` (none by default).
 
     `mu` is a positive conductivity, one for all elements or (ne,) per
     element.
@@ -521,35 +522,35 @@ def assemble_scalar_laplace(mesh: Mesh, mu, patterns=None) -> SparseOperator:
     if np.any(mu_e <= 0):
         raise FemError("conductivity must be positive")
     geo = geometry(mesh)
-    patterns = ScatterPatterns(mesh) if patterns is None else patterns
     local = _stiffness_local(mu_e * geo.areas, geo.grads)
-    return SparseOperator(patterns.scatter(mesh, local), _NONE, patterns)
+    return _operator(mesh, patterns, local, constrained)
 
 
-def assemble_mass(mesh: Mesh, patterns=None) -> SparseOperator:
-    patterns = ScatterPatterns(mesh) if patterns is None else patterns
-    return SparseOperator(patterns.scatter(mesh, geometry(mesh).local_mass),
-                          _NONE, patterns)
+def assemble_mass(mesh: Mesh, patterns=None,
+                  constrained=None) -> SparseOperator:
+    """P1 mass matrix, constrained on the vertices `constrained` (none by
+    default)."""
+    return _operator(mesh, patterns, geometry(mesh).local_mass, constrained)
 
 
 def assemble_vector_h1_form(mesh: Mesh, eps1: float, eps2: float,
-                            patterns=None) -> VectorOperator:
+                            patterns=None, constrained=None) -> VectorOperator:
     """Deformation metric b(W, V) = int eps1 (<W,V> + eps2 <DW,DV>_F).
 
     Serves both as the Riesz metric for the shape gradient and as the
     Tikhonov term of the regularized Newton system.  b = I2 (x) B with the
     scalar block B = eps1 (M + eps2 K1) (mass plus unit stiffness), which
-    is all that is assembled and, once constrained, factorized.
+    is all that is assembled and, constrained on the vertices
+    `constrained` (none by default), factorized.
     """
     if eps1 <= 0:
         raise FemError("eps1 must be positive (metric must be an inner product)")
     if eps2 < 0:
         raise FemError("eps2 must be nonnegative")
     geo = geometry(mesh)
-    patterns = ScatterPatterns(mesh) if patterns is None else patterns
     kloc = _stiffness_local(geo.areas, geo.grads)
-    block = patterns.scatter(mesh, eps1 * (geo.local_mass + eps2 * kloc))
-    return VectorOperator(SparseOperator(block, _NONE, patterns))
+    return VectorOperator(_operator(
+        mesh, patterns, eps1 * (geo.local_mass + eps2 * kloc), constrained))
 
 
 def vector_dofs(vertex_indices):
@@ -557,8 +558,3 @@ def vector_dofs(vertex_indices):
     last axis: [a, b] -> [2a, 2a+1, 2b, 2b+1], also per row of an array."""
     vi = np.asarray(vertex_indices, dtype=np.int64)
     return np.stack([2 * vi, 2 * vi + 1], axis=-1).reshape(*vi.shape[:-1], -1)
-
-
-def with_constraints(op: SparseOperator, constrained) -> SparseOperator:
-    return SparseOperator(op.matrix, np.asarray(constrained, dtype=np.int64),
-                          op.patterns)

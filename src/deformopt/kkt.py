@@ -32,10 +32,11 @@ class HessianBlocks:
     """The linear second shape derivative of the Lagrangian at one iterate.
 
     One object holds its blocks, its action as an operator on deformations
-    (`apply`) and its bilinear forms (`full_value`, `reduced_value`).  The
-    state and adjoint directions induced by a deformation come from one
-    elimination (`eliminate`), which the Newton step shares.  Deformations
-    are flat 2n arrays, zero on the outer boundary.
+    (`apply`) and its bilinear form (`reduced_value`, the `sum_terms` of
+    `full_terms` on the sensitivity triples).  The state and adjoint
+    directions induced by a deformation come from one elimination
+    (`eliminate`), which the Newton step shares.  Deformations are flat 2n
+    arrays, zero on the outer boundary.
 
     `b_u_shape` (L_uOmega) and `shape_shape` (L_OmegaOmega) are assembled
     on first access from the element terms: the reduced (warm-up) step
@@ -142,10 +143,6 @@ class HessianBlocks:
                 u1 @ (self.b_u_shape @ v2), u2 @ (self.b_u_shape @ v1),
                 l1 @ (self.b_lam_shape @ v2), l2 @ (self.b_lam_shape @ v1),
                 v1 @ (self.shape_shape @ v2)]
-
-    def full_value(self, triple1, triple2) -> float:
-        """L''[(udot, V, ldot), (udot~, W, ldot~)] on explicit directions."""
-        return sum_terms(self.full_terms(triple1, triple2))
 
     def reduced_terms(self, v, w_dir):
         """The eight terms of `reduced_value`, as `full_terms`."""

@@ -267,7 +267,8 @@ class OperatorSet:
     """One iterate's operators, passed to every consumer: K and M constrained
     on the state's Dirichlet nodes, b of (eps1, eps2) on the outer boundary
     (a FemError for a set built without eps1 and eps2).  Each is assembled
-    on first use; K and b hold the factorization of their first
+    on first use with its constrained set, and so with the free-block
+    gather of that set; K and b hold the factorization of their first
     constrained solve (M is solved by `fem.solve_mass`, never factorized):
     build one set per iterate and drop it with the iterate.
 
@@ -285,14 +286,12 @@ class OperatorSet:
 
     @cached_property
     def state(self) -> SparseOperator:
-        op = fem.assemble_scalar_laplace(self.mesh, self.cfg.mu(self.mesh),
-                                         self.patterns)
-        return fem.with_constraints(op, self.dirichlet_nodes)
+        return fem.assemble_scalar_laplace(self.mesh, self.cfg.mu(self.mesh),
+                                           self.patterns, self.dirichlet_nodes)
 
     @cached_property
     def mass(self) -> SparseOperator:
-        return fem.with_constraints(fem.assemble_mass(self.mesh, self.patterns),
-                                    self.dirichlet_nodes)
+        return fem.assemble_mass(self.mesh, self.patterns, self.dirichlet_nodes)
 
     @cached_property
     def metric(self) -> VectorOperator:

@@ -15,7 +15,7 @@ and the derivative sums its (3, 2, ne) element vectors into the dual with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,13 +125,13 @@ def deformation_metric(mesh: Mesh, eps1: float, eps2: float,
                        patterns=None) -> VectorOperator:
     """H1-type inner product on deformations, constrained on the boundary.
 
-    b = I2 (x) B: only the n x n block B, constrained on the outer-boundary
-    vertices, is factorized, and a solve takes both components together.
-    `patterns` are the `fem.ScatterPatterns` to fill, if not fresh ones.
+    b = I2 (x) B: only the n x n block B, assembled constrained on the
+    outer-boundary vertices, is factorized, and a solve takes both
+    components together.  `patterns` are the `fem.ScatterPatterns` to
+    fill, if not fresh ones.
     """
-    op = fem.assemble_vector_h1_form(mesh, eps1, eps2, patterns)
-    return replace(op, block=fem.with_constraints(op.block,
-                                                  mesh.boundary_vertices))
+    return fem.assemble_vector_h1_form(mesh, eps1, eps2, patterns,
+                                       mesh.boundary_vertices)
 
 
 def riesz_gradient(dual, metric: VectorOperator) -> np.ndarray:

@@ -9,8 +9,7 @@ import scipy.sparse.linalg as spla
 from deformopt import fem, kkt, model, shape_calculus
 from deformopt.fem import (FemError, SingularSystemError, assemble_mass,
                            assemble_scalar_laplace, assemble_vector_h1_form,
-                           elem_grad, elem_jacobian, divergence,
-                           vector_dofs, with_constraints)
+                           elem_grad, elem_jacobian, vector_dofs)
 from deformopt.mesh import (REGION_INCLUSION, InclusionShape,
                             apply_deformation, generate_mesh)
 import element_terms_reference as ref
@@ -77,7 +76,7 @@ class TestElementCalculus:
         assert jac.shape == (2, 2, mesh.num_triangles)
         assert np.allclose(jac.transpose(2, 0, 1), [[2.0, 1.0], [0.0, 4.0]],
                            atol=1e-12)
-        assert np.allclose(divergence(mesh, v), 6.0, atol=1e-12)
+        assert np.allclose(jac[0, 0] + jac[1, 1], 6.0, atol=1e-12)
 
     def test_geometry_keeps_no_reference_cycle(self, mesh):
         """A mesh with cached geometry is freed by reference counting alone,
@@ -310,8 +309,8 @@ class TestVectorMetric:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_two_column_solve_equals_two_solves(self, mesh):
-        a = with_constraints(assemble_scalar_laplace(mesh, 1.0),
-                             mesh.boundary_vertices)
+        a = assemble_scalar_laplace(mesh, 1.0,
+                                    constrained=mesh.boundary_vertices)
         rng = np.random.default_rng(3)
         rhs = rng.standard_normal((mesh.num_vertices, 2))
         bc = rng.standard_normal((mesh.boundary_vertices.size, 2))
@@ -326,8 +325,8 @@ class TestVectorMetric:
 class TestConstrainedSolve:
     def test_laplace_patch_test(self, mesh):
         """A linear function solves the Laplace equation exactly on P1."""
-        a = with_constraints(assemble_scalar_laplace(mesh, 1.0),
-                             mesh.boundary_vertices)
+        a = assemble_scalar_laplace(mesh, 1.0,
+                                    constrained=mesh.boundary_vertices)
         exact = 0.3 * mesh.vertices[:, 0] + 0.7 * mesh.vertices[:, 1]
         u = a.solve_constrained(np.zeros(mesh.num_vertices),
                                 bc_values=exact[mesh.boundary_vertices])
@@ -336,8 +335,7 @@ class TestConstrainedSolve:
     def test_manufactured_poisson(self):
         """-Delta u = 2 pi^2 sin(pi x) sin(pi y), homogeneous Dirichlet."""
         m = generate_mesh(InclusionShape.circle((0.5, 0.5), 0.2), 0.05)
-        a = with_constraints(assemble_scalar_laplace(m, 1.0),
-                             m.boundary_vertices)
+        a = assemble_scalar_laplace(m, 1.0, constrained=m.boundary_vertices)
         exact = (np.sin(np.pi * m.vertices[:, 0])
                  * np.sin(np.pi * m.vertices[:, 1]))
         rhs = assemble_mass(m).matrix @ (2 * np.pi ** 2 * exact)
@@ -380,10 +378,10 @@ class TestDirichletElimination:
         return block
 
     @staticmethod
-    def assert_operator_block(op):
-        """An operator's block, gathered by the `_Restriction` its patterns
-        keep for its constrained set."""
-        assert op.restriction is op.patterns.restriction(op.constrained)
+    def assert_operator_block(op, patterns):
+        """An operator's block, gathered by the `_Restriction` the patterns
+        that filled it keep for its constrained set."""
+        assert op.restriction is patterns.restriction(op.constrained)
         assert_same_csr(op.free_block, free_block(op.matrix, op.constrained))
 
     def test_kkt_matrix(self, mesh):
@@ -400,12 +398,13 @@ class TestDirichletElimination:
                                saddle_constrained_dofs(system))
 
     def test_state_operator(self, mesh):
-        op = model.OperatorSet(mesh, model.ProblemConfig()).state
-        self.assert_operator_block(op)
+        ops = model.OperatorSet(mesh, model.ProblemConfig())
+        self.assert_operator_block(ops.state, ops.patterns)
 
     def test_deformation_metric(self, mesh):
-        op = shape_calculus.deformation_metric(mesh, 3e-2, 0.5)
-        self.assert_operator_block(op.block)
+        patterns = fem.ScatterPatterns(mesh)
+        op = shape_calculus.deformation_metric(mesh, 3e-2, 0.5, patterns)
+        self.assert_operator_block(op.block, patterns)
         self.assert_free_block(metric_matrix(op), op.constrained)
 
     def test_positions_kept_per_constrained_set(self, mesh, monkeypatch):
@@ -429,14 +428,14 @@ class TestDirichletElimination:
             ops = model.OperatorSet(m, model.ProblemConfig(), 3e-2, 0.5,
                                     patterns)
             for op in (ops.state, ops.mass, ops.metric.block):
-                assert op.patterns is patterns
-                self.assert_operator_block(op)
+                self.assert_operator_block(op, patterns)
             assert ops.state.restriction is ops.mass.restriction
         assert len(built) == 2
 
     def test_no_constraints(self, mesh):
-        op = assemble_mass(mesh)
-        self.assert_operator_block(op)
+        patterns = fem.ScatterPatterns(mesh)
+        op = assemble_mass(mesh, patterns)
+        self.assert_operator_block(op, patterns)
         assert op.free_block.shape == op.matrix.shape
 
     def test_any_csr_matrix(self):
@@ -575,7 +574,8 @@ class TestPerRunOrdering:
         i, j = rows[k], zeroed.indices[k]
         zeroed[i, j] = zeroed[j, i] = 0.0
         assert zeroed.nnz == state.matrix.nnz
-        op = fem.SparseOperator(zeroed, state.constrained, patterns)
+        op = fem.SparseOperator(zeroed, state.constrained,
+                                patterns.restriction(state.constrained))
         assert op.restriction is state.restriction
         assert op.free_block.nnz == state.free_block.nnz
         rhs = np.random.default_rng(16).standard_normal(mesh.num_vertices)

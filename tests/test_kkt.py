@@ -141,7 +141,7 @@ class TestSensitivities:
         w = verify.random_interior_field(mesh, rng).reshape(-1)
         uv, lv = blocks.sensitivities(v)
         uw, lw = blocks.sensitivities(w)
-        full = blocks.full_value((uv, v, lv), (uw, w, lw))
+        full = kkt.sum_terms(blocks.full_terms((uv, v, lv), (uw, w, lw)))
         assert blocks.reduced_value(v, w) == pytest.approx(full, rel=1e-12)
 
     def test_operator_form_pairs_to_reduced_value(self, setup, blocks):

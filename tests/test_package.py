@@ -59,3 +59,37 @@ def test_no_unused_import():
              unused_imports(ast.parse(path.read_text()))
              for path in sorted(PACKAGE.rglob("*.py"))}
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def public_definitions(tree):
+    """The public functions and classes that `tree` defines at top level."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def referenced_names(tree):
+    """The names that `tree` reads, looks up as an attribute or imports
+    from a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_no_unreferenced_public_name():
+    """Every public top-level function and class of the package is used by
+    some module of it or exported by `deformopt.__all__`: library code that
+    nothing calls is dead."""
+    trees = {str(path.relative_to(PACKAGE)): ast.parse(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    used = set(deformopt.__all__).union(*map(referenced_names,
+                                             trees.values()))
+    found = {name: sorted(public_definitions(tree) - used)
+             for name, tree in trees.items()}
+    assert {name: dead for name, dead in found.items() if dead} == {}
