@@ -97,9 +97,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
     Each ``section.key=value`` override is read after the text, as one more
     line of it, so the config is validated once, with every override in
-    place.
+    place.  Values are read as written: ``%`` is not interpolation syntax.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
     cp.read_string(text)
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -128,7 +129,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 def serialize_config(rc: RunConfig) -> str:
     """Inverse of parse_config (parse -> serialize -> parse is idempotent).
     An unset ``load`` path is not written."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     for (section, key), (attr, name) in _KEYS.items():
         value = _value(rc, attr, name)
         if value == "" == _value(_DEFAULTS, attr, name):

@@ -24,8 +24,6 @@ GAMMA_RIGHT = 3
 REGION_INCLUSION = 0
 REGION_EXTERIOR = 1
 
-_BOUNDARY_TOL = 1e-12
-
 
 class MeshError(ValueError):
     """Invalid mesh data or mesh generation failure."""
@@ -37,18 +35,14 @@ class NonInvertibleDeformation(ValueError):
 
 @dataclass(frozen=True)
 class InclusionShape:
-    """Ellipse (or circle) describing the true inclusion boundary."""
+    """Ellipse describing the true inclusion boundary; a circle is an
+    ellipse with equal semi-axes."""
 
-    kind: str
     center: tuple[float, float]
     semi_axes: tuple[float, float]
 
     def __post_init__(self):
-        if self.kind not in ("ellipse", "circle"):
-            raise ValueError(f"unknown shape kind {self.kind!r}")
         a, b = self.semi_axes
-        if self.kind == "circle" and not math.isclose(a, b):
-            raise ValueError("circle requires equal semi-axes")
         if a <= 0 or b <= 0:
             raise ValueError("semi-axes must be positive")
         cx, cy = self.center
@@ -57,11 +51,11 @@ class InclusionShape:
 
     @staticmethod
     def circle(center, radius):
-        return InclusionShape("circle", tuple(center), (radius, radius))
+        return InclusionShape(tuple(center), (radius, radius))
 
     @staticmethod
     def ellipse(center, semi_axes):
-        return InclusionShape("ellipse", tuple(center), tuple(semi_axes))
+        return InclusionShape(tuple(center), tuple(semi_axes))
 
     def level(self, points):
         """Signed indicator: < 1 inside, > 1 outside the ellipse."""

@@ -73,26 +73,30 @@ class Located:
 class _PointLocator:
     """Uniform-grid bucket search for the triangles containing points.
 
-    The buckets are CSR arrays: bucket ``i * nx + j`` (cell column i, row j)
-    lists, in ascending order, every element whose bounding box meets it.
-    Each element also keeps that box widened by `BOX_MARGIN`: a point whose
-    barycentrics are all >= -`HIT_TOL` lies far inside it, so barycentrics
-    are solved only for the bucket candidates whose widened box holds the
-    point.  That changes neither the first hit nor its barycentrics.  A
-    point in no candidate raises `PointOutsideMesh`.
+    The rule is grid-free: a point lies in the lowest-index element whose
+    barycentrics there are all >= -`HIT_TOL`; they are then clipped at 0.
+    A point in no element raises `PointOutsideMesh`.
+
+    The buckets are CSR arrays: bucket ``i * nx + j`` (cell column i, row j,
+    one median element diameter wide) lists, in ascending order, every
+    element whose bounding box widened by `BOX_MARGIN` meets it.  A hit
+    lies at most 1e-12 of an element height outside its element, far
+    inside that widened box, so every hit of a point is a candidate of its
+    bucket and the first hit among the candidates is the lowest-index hit.
+    Barycentrics are formed in closed form, from the inverse of each
+    element's corner-0 edge matrix.
     """
 
     BOX_MARGIN = 1e-9
 
     def __init__(self, mesh: Mesh):
-        pts = mesh.vertices[mesh.triangles]
-        lo = pts.min(axis=1)
-        hi = pts.max(axis=1)
-        diam = (hi - lo).max(axis=1)
-        self.cell = max(float(np.median(diam)) * 2.0, 1e-6)
+        x0, x1, x2 = mesh.vertices[mesh.triangles.T]          # (ne, 2) each
+        lo = np.minimum(np.minimum(x0, x1), x2)
+        hi = np.maximum(np.maximum(x0, x1), x2)
+        self.cell = max(float(np.median((hi - lo).max(axis=1))), 1e-6)
         self.nx = max(1, int(math.ceil(1.0 / self.cell)))
-        c0 = self._cells(lo)
-        ni, nj = (self._cells(hi) - c0 + 1).T
+        c0 = self._cells(lo - self.BOX_MARGIN)
+        ni, nj = (self._cells(hi + self.BOX_MARGIN) - c0 + 1).T
         elems, k = _expand(ni * nj)
         keys = ((c0[elems, 0] + k // nj[elems]) * self.nx
                 + c0[elems, 1] + k % nj[elems])
@@ -100,12 +104,13 @@ class _PointLocator:
         self.bucket_elems = elems[np.argsort(keys, kind="stable")]
         self.bucket_ptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys, minlength=self.nx ** 2))])
-        self.box_lo = lo - self.BOX_MARGIN
-        self.box_hi = hi + self.BOX_MARGIN
-        # element e maps (s, t) to origin[e] + affine[e] @ (s, t)
-        self.origin = pts[:, 0]
-        self.affine = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]],
-                               axis=2)
+        # element e maps (s, t) to origin[e] + s (x1 - x0) + t (x2 - x0);
+        # inverse = (i00, i01, i10, i11) of that edge matrix, each (ne,)
+        self.origin = x0
+        ax, ay = (x1 - x0).T
+        bx, by = (x2 - x0).T
+        det = ax * by - bx * ay
+        self.inverse = (by / det, -bx / det, -ay / det, ax / det)
 
     def _cells(self, p):
         """Grid cell (column, row) of each point, clamped to the grid."""
@@ -113,57 +118,36 @@ class _PointLocator:
 
     def _bary(self, elems, points):
         """Barycentrics of points[k] in element elems[k], (n, 3)."""
-        st = np.linalg.solve(self.affine[elems],
-                             (points - self.origin[elems])[:, :, None])[:, :, 0]
-        return np.column_stack([1 - st[:, 0] - st[:, 1], st[:, 0], st[:, 1]])
+        i00, i01, i10, i11 = (a[elems] for a in self.inverse)
+        dx, dy = (points - self.origin[elems]).T
+        s = i00 * dx + i01 * dy
+        t = i10 * dx + i11 * dy
+        return np.column_stack([1 - s - t, s, t])
 
-    def locate(self, points, hint=None):
+    def locate(self, points):
         points = np.asarray(points, dtype=float)
         if not np.isfinite(points).all():
             raise ValueError("points must be finite")
-        if hint is not None:
-            return self._locate_hinted(points, hint)
         cells = self._cells(points)
         key = cells[:, 0] * self.nx + cells[:, 1]
         start = self.bucket_ptr[key]
         owner, k = _expand(self.bucket_ptr[key + 1] - start)
         # every (point, bucket candidate) pair, by point, in bucket order
         cand = self.bucket_elems[start[owner] + k]
-        xy = points[owner]
-        boxed = np.flatnonzero(((self.box_lo[cand] <= xy)
-                                & (xy <= self.box_hi[cand])).all(axis=1))
-        lam = self._bary(cand[boxed], xy[boxed])
-        first = _first_per_owner(owner[boxed],
-                                 np.flatnonzero(lam.min(axis=1) >= -HIT_TOL))
-        hit = boxed[first]
+        lam = self._bary(cand, points[owner])
+        # by columns: lam.min(axis=1) reduces its 3-long rows one by one
+        low = np.minimum(np.minimum(lam[:, 0], lam[:, 1]), lam[:, 2])
+        first = _first_per_owner(owner, np.flatnonzero(low >= -HIT_TOL))
         # one hit per point, in point order, or a point has none
-        if len(hit) < len(points):
-            miss = np.setdiff1d(np.arange(len(points)), owner[hit])[0]
+        if len(first) < len(points):
+            miss = np.setdiff1d(np.arange(len(points)), owner[first])[0]
             raise PointOutsideMesh(
                 f"point {points[miss]} lies in no element of the mesh")
-        return Located(cand[hit], np.clip(lam[first], 0.0, None))
-
-    def _locate_hinted(self, points, hint):
-        """`locate`, keeping each point's hinted element where its
-        barycentrics there are all >= `HINT_TOL`; see `TargetField.locate`."""
-        hint = np.asarray(hint)
-        if hint.shape != (len(points),) or hint.dtype.kind not in "iu" or \
-                (hint.size and not 0 <= hint.min() <= hint.max()
-                 < len(self.origin)):
-            raise ValueError("hint must hold one element index per point")
-        lam = self._bary(hint, points)
-        rest = np.flatnonzero(lam.min(axis=1) < HINT_TOL)
-        elements, bary = hint.astype(np.int64), lam
-        if rest.size:
-            cold = self.locate(points[rest])
-            elements[rest], bary[rest] = cold.elements, cold.bary
-        return Located(elements, bary)
+        return Located(cand[first], np.clip(lam[first], 0.0, None))
 
 
 # a point lies in an element if its barycentrics there are all >= -HIT_TOL
 HIT_TOL = 1e-12
-# barycentrics a point needs in its hinted element to keep it
-HINT_TOL = 1e-8
 
 
 def _expand(counts):
@@ -199,41 +183,29 @@ class TargetField:
         """(ne, 2) background gradients: `gradient_at` takes rows."""
         return np.ascontiguousarray(fem.elem_grad(self.mesh, self.z).T)
 
-    def locate(self, points, hint=None) -> Located:
+    def locate(self, points) -> Located:
         """Background element containing each point, with its barycentrics.
 
-        Each point takes the first candidate of its grid bucket, in
-        ascending element order, whose barycentrics are all >= -`HIT_TOL`
-        = -1e-12; they are then clipped at 0.  If any point has no such
-        candidate, `PointOutsideMesh` (a ValueError) names the first such
-        point in input order.  There is no clamp: an iterate's vertices lie
-        in the unit square, which the background mesh covers exactly, as
-        V vanishes on the outer boundary and no step folds a triangle.
-        `gradient_at` and `verify.mask_fields` rely on this deterministic
+        Each point takes the lowest-index element whose barycentrics are
+        all >= -`HIT_TOL` = -1e-12; they are then clipped at 0.  If any
+        point is in no element, `PointOutsideMesh` (a ValueError) names the
+        first such point in input order.  There is no clamp: an iterate's
+        vertices lie in the unit square, which the background mesh covers
+        exactly, as V vanishes on the outer boundary and no step folds a
+        triangle.  The rule does not depend on the locator's bucket grid;
+        `gradient_at` and `verify.mask_fields` rely on its deterministic
         tie-break on element boundaries.
-
-        `hint` is an optional element per point, such as the last lookup's
-        for the moved vertices.  A point whose barycentrics in its hinted
-        element are all >= `HINT_TOL` = 1e-8 keeps that element, and every
-        other point is searched as above.  The result is the same: such a
-        point lies inside the element by at least 1e-8 of each height, so
-        on a shape-regular background mesh every other element sees it at
-        a barycentric of about -1e-9 or less, far below the -1e-12 of a
-        hit, and the hinted element is its only hit.  Its barycentrics are
-        the ones the search solves, bit for bit.
         """
-        return self._locator.locate(points, hint=hint)
+        return self._locator.locate(points)
 
     def _located(self, points) -> Located:
-        """`locate`, reusing the last result for an equal points array (a
-        copy is compared, so a different or mutated array is located) and
-        hinted by it for points of the same count."""
+        """`locate`, reusing the last result for an equal points array, so
+        that `interpolate` and `gradient_at` of one iterate share one
+        lookup.  A copy is compared, so a different or mutated array is
+        located afresh."""
         points = np.asarray(points, dtype=float)
-        last = self._last
-        if last is None or not np.array_equal(last[0], points):
-            hint = None if last is None or len(last[0]) != len(points) \
-                else last[1].elements
-            self._last = (points.copy(), self.locate(points, hint=hint))
+        if self._last is None or not np.array_equal(self._last[0], points):
+            self._last = (points.copy(), self.locate(points))
         return self._last[1]
 
     def interpolate(self, points):

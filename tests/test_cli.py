@@ -91,7 +91,8 @@ class TestConfig:
 
     def test_round_trip_idempotent(self):
         for rc in (RunConfig(),
-                   RunConfig(mesh_load="m.vtk", target_load="t.vtk")):
+                   RunConfig(mesh_load="m.vtk", target_load="t.vtk"),
+                   RunConfig(output_dir="runs/100%", mesh_load="a%%b.vtk")):
             text = serialize_config(rc)
             rc2 = parse_config(text)
             assert serialize_config(rc2) == text
@@ -153,6 +154,9 @@ emit_vtk = false
         assert rc.schedule.max_iters == 5
         assert rc.mesh_h == 0.2
         assert load_config(cfgfile, ["mesh.h=0.3  # coarse"]).mesh_h == 0.3
+        # a value is taken as written: `%` is not interpolation syntax
+        assert load_config(cfgfile, ["output.output_dir=runs/100%"]
+                           ).output_dir == "runs/100%"
         with pytest.raises(ValueError):
             load_config(cfgfile, ["noequals"])
         # validated once, with every override applied, in either order:

@@ -57,6 +57,11 @@ class TestInclusionShape:
         with pytest.raises(ValueError):
             InclusionShape.ellipse((0.1, 0.5), (0.25, 0.125))
 
+    def test_circle_is_an_ellipse_of_equal_semi_axes(self):
+        assert CIRCLE == InclusionShape.ellipse((0.5, 0.5), (0.2, 0.2))
+        with pytest.raises(ValueError, match="positive"):
+            InclusionShape.ellipse((0.5, 0.5), (0.2, -0.1))
+
 
 class TestGenerateMesh:
     def test_basic_invariants(self, mesh):

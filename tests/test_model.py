@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -17,58 +15,42 @@ CIRCLE = InclusionShape.circle((0.5, 0.5), 0.2)
 
 
 class ReferenceLocator:
-    """The per-point bucket search the batched locator replaced.
+    """The lookup rule itself, with no buckets: a point takes the
+    lowest-index element whose barycentrics are all >= -1e-12, clipped
+    at 0.
 
-    One 2x2 solve per bucket candidate; kept as the reference the batched
-    `TargetField.locate` must match bit for bit.  A point in no candidate
-    raises.
+    Barycentrics come from the closed-form inverse of each element's
+    corner-0 edge matrix, evaluated for one point against every element;
+    the batched `TargetField.locate` must match it bit for bit, whatever
+    its bucket grid.  A point in no element raises.
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
-        pts = mesh.vertices[mesh.triangles]
-        self.lo = pts.min(axis=1)
-        self.hi = pts.max(axis=1)
-        diam = (self.hi - self.lo).max(axis=1)
-        self.cell = max(float(np.median(diam)) * 2.0, 1e-6)
-        self.nx = max(1, int(math.ceil(1.0 / self.cell)))
-        self.buckets = {}
-        for e in range(mesh.num_triangles):
-            i0, j0 = self._cell_of(self.lo[e])
-            i1, j1 = self._cell_of(self.hi[e])
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    self.buckets.setdefault((i, j), []).append(e)
+        a, b, c = mesh.vertices[mesh.triangles].transpose(1, 2, 0)
+        self.a = a                                           # (2, ne)
+        (bx, by), (cx, cy) = b - a, c - a
+        det = bx * cy - cx * by
+        self.inverse = (cy / det, -cx / det, -by / det, bx / det)
 
-    def _cell_of(self, p):
-        return (min(self.nx - 1, max(0, int(p[0] / self.cell))),
-                min(self.nx - 1, max(0, int(p[1] / self.cell))))
-
-    def bary(self, e, p):
-        tri = self.mesh.triangles[e]
-        a, b, c = self.mesh.vertices[tri]
-        m = np.array([[b[0] - a[0], c[0] - a[0]], [b[1] - a[1], c[1] - a[1]]])
-        st = np.linalg.solve(m, np.asarray(p, dtype=float) - a)
-        return np.array([1 - st[0] - st[1], st[0], st[1]])
+    def bary(self, p):
+        """Barycentrics of p in every element, (ne, 3)."""
+        i00, i01, i10, i11 = self.inverse
+        dx, dy = p[0] - self.a[0], p[1] - self.a[1]
+        s = i00 * dx + i01 * dy
+        t = i10 * dx + i11 * dy
+        return np.column_stack([1 - s - t, s, t])
 
     def locate(self, p):
-        key = self._cell_of(np.asarray(p, dtype=float))
-        for e in self.buckets.get(key, ()):
-            lam = self.bary(e, p)
-            if lam.min() >= -1e-12:
-                return e, np.clip(lam, 0.0, None)
-        raise ValueError(f"point {p} lies in no element of the mesh")
+        lam = self.bary(np.asarray(p, dtype=float))
+        hits = np.flatnonzero(lam.min(axis=1) >= -1e-12)
+        if not hits.size:
+            raise ValueError(f"point {p} lies in no element of the mesh")
+        return hits[0], np.clip(lam[hits[0]], 0.0, None)
 
 
 @pytest.fixture(scope="module")
 def cfg():
     return ProblemConfig()
-
-
-@pytest.fixture(scope="module")
-def backgrounds(cfg):
-    """The targets of the benchmark's workloads, by background size."""
-    return {h: make_target(cfg, h) for h in (0.025, 0.01)}
 
 
 @pytest.fixture(scope="module")
@@ -247,8 +229,8 @@ class TestTarget:
             target.gradient_at(np.array([[0.5, -0.5]]))
 
     def test_batched_locator_matches_reference(self, target, mesh):
-        """Bit-equal element ids and barycentrics against the per-point
-        search, on element interiors, edges and vertices; a point just
+        """Bit-equal element ids and barycentrics against the grid-free
+        rule, on element interiors, edges and vertices; a point just
         outside the hull is refused by both."""
         back = target.mesh
         ref = ReferenceLocator(back)
@@ -283,8 +265,8 @@ class TestTarget:
         """Points `gap` outside each element, beyond its vertices (away
         from its centroid) and beyond its edges (along their outward
         normals): the located element and barycentrics equal the
-        per-point search that solves every bucket candidate, so the
-        widened-box filter drops no hit.  At 1e-14 a point is still a hit
+        grid-free rule that tries every element, so the buckets, built
+        from widened boxes, drop no hit.  At 1e-14 a point is still a hit
         of the element it lies outside (barycentrics >= -1e-12), yet
         outside that element's bare box; at 1e-10 and 1e-8 the points
         beyond the square lie in no element and both searches refuse
@@ -334,9 +316,9 @@ class TestTarget:
         calls = []
         real = TargetField.locate
 
-        def counted(self, points, hint=None):
+        def counted(self, points):
             calls.append(1)
-            return real(self, points, hint=hint)
+            return real(self, points)
 
         monkeypatch.setattr(TargetField, "locate", counted)
         field = TargetField(target.mesh, target.z)
@@ -354,82 +336,6 @@ class TestTarget:
         assert np.array_equal(values, fresh.interpolate(points))
         assert np.array_equal(grads, fresh.gradient_at(points))
         assert np.array_equal(other_values, fresh.interpolate(other))
-
-    def test_wrong_or_right_hint_gives_the_search_result(self, target,
-                                                         mesh):
-        """A random hint, the search's own elements, and elements one off
-        give the unhinted result, bytewise."""
-        cold = target.locate(mesh.vertices)
-        rng = np.random.default_rng(13)
-        ne = target.mesh.num_triangles
-        for hint in (rng.integers(0, ne, mesh.num_vertices), cold.elements,
-                     (cold.elements + 1) % ne):
-            got = target.locate(mesh.vertices, hint=hint)
-            assert got.elements.tobytes() == cold.elements.tobytes()
-            assert got.bary.tobytes() == cold.bary.tobytes()
-
-    def test_outer_boundary_vertices_take_the_search(self, target, mesh,
-                                                     monkeypatch):
-        """Vertices on the outer boundary lie on background edges, below
-        the hint's 1e-8, so they are searched even with the right hint;
-        some interior vertices keep it (others of the start mesh lie on
-        background edges too)."""
-        cold = target.locate(mesh.vertices)
-        searched = []
-        real = model._PointLocator.locate
-
-        def spy(self, points, hint=None):
-            if hint is None:
-                searched.append(points.copy())
-            return real(self, points, hint)
-
-        monkeypatch.setattr(model._PointLocator, "locate", spy)
-        got = target.locate(mesh.vertices, hint=cold.elements)
-        assert got.bary.tobytes() == cold.bary.tobytes()
-        (points,) = searched
-        boundary = {tuple(p) for p in mesh.vertices[mesh.boundary_vertices]}
-        assert boundary <= {tuple(p) for p in points}
-        assert len(points) < mesh.num_vertices
-
-    def test_hint_of_another_count_or_range_rejected(self, target, mesh):
-        n, ne = mesh.num_vertices, target.mesh.num_triangles
-        for hint in (np.zeros(n - 1, dtype=int), np.full(n, ne),
-                     np.full(n, -1), np.zeros(n)):
-            with pytest.raises(ValueError, match="hint"):
-                target.locate(mesh.vertices, hint=hint)
-
-    @pytest.mark.parametrize("seed", [2024, 7, 3])
-    @pytest.mark.parametrize("mesh_h, target_h, n_gradient, max_iters", [
-        (0.05, 0.025, 20, 20), (0.02, 0.01, 3, 5)],
-        ids=["warmup", "newton"])
-    def test_hinted_lookups_of_a_run_equal_the_search(
-            self, cfg, backgrounds, monkeypatch, seed, mesh_h, target_h,
-            n_gradient, max_iters):
-        """On every iterate of the benchmark's runs (start circle drawn
-        from the seed), each lookup hinted by the last one gives the
-        elements and barycentrics of the unhinted search, bytewise."""
-        rng = np.random.default_rng(seed)
-        dx, dy, dr = rng.uniform(-0.01, 0.01, 3)
-        start = generate_mesh(InclusionShape.circle(
-            (0.5 + dx, 0.5 + dy), 0.2 + dr), mesh_h)
-        background = backgrounds[target_h]
-        target = TargetField(background.mesh, background.z)
-        hinted = []
-        real = TargetField.locate
-
-        def compared(self, points, hint=None):
-            got = real(self, points, hint=hint)
-            cold = real(self, points)
-            assert got.elements.tobytes() == cold.elements.tobytes()
-            assert got.bary.tobytes() == cold.bary.tobytes()
-            hinted.append(hint is not None)
-            return got
-
-        monkeypatch.setattr(TargetField, "locate", compared)
-        _, hist = driver.run_two_phase(
-            start, cfg, target, driver.Schedule(n_gradient_iters=n_gradient,
-                                                max_iters=max_iters))
-        assert hinted == [False] + [True] * (len(hist.records) - 1)
 
     def test_run_keeps_its_vertices_in_the_square(self, cfg, target, mesh):
         """What the lookup's one rule rests on: a short run (3 gradient + 2

@@ -70,10 +70,10 @@ def public_definitions(tree):
 
 def referenced_names(tree):
     """The names that `tree` reads, looks up as an attribute or imports
-    from a module."""
+    from a module; an assignment's target is not a read."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -82,14 +82,40 @@ def referenced_names(tree):
     return names
 
 
-def test_no_unreferenced_public_name():
-    """Every public top-level function and class of the package is used by
-    some module of it or exported by `deformopt.__all__`: library code that
-    nothing calls is dead."""
+def unread_definitions(definitions):
+    """Per module, the names of `definitions(tree)` that no module of the
+    package reads and `deformopt.__all__` does not export."""
     trees = {str(path.relative_to(PACKAGE)): ast.parse(path.read_text())
              for path in sorted(PACKAGE.rglob("*.py"))}
     used = set(deformopt.__all__).union(*map(referenced_names,
                                              trees.values()))
-    found = {name: sorted(public_definitions(tree) - used)
+    found = {name: sorted(definitions(tree) - used)
              for name, tree in trees.items()}
-    assert {name: dead for name, dead in found.items() if dead} == {}
+    return {name: dead for name, dead in found.items() if dead}
+
+
+def test_no_unreferenced_public_name():
+    """Every public top-level function and class of the package is used by
+    some module of it or exported by `deformopt.__all__`: library code that
+    nothing calls is dead."""
+    assert unread_definitions(public_definitions) == {}
+
+
+def constant_definitions(tree):
+    """The UPPER_CASE names, public or with a leading underscore, that
+    `tree` assigns at module level."""
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        names |= {target.id for target in targets
+                  if isinstance(target, ast.Name)
+                  and target.id.lstrip("_").isupper()}
+    return names
+
+
+def test_no_unread_module_constant():
+    """Every module-level UPPER_CASE constant of the package is read by
+    some module of it or exported by `deformopt.__all__`: a tolerance that
+    nothing reads documents a rule the code does not follow."""
+    assert unread_definitions(constant_definitions) == {}
