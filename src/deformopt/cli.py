@@ -40,13 +40,12 @@ class RunConfig:
     emit_vtk: bool = True
 
     def parse_shape(self) -> InclusionShape:
-        parts = self.mesh_shape.split()
-        kind = parts[0]
-        if kind == "circle" and len(parts) == 4:
-            cx, cy, r = map(float, parts[1:])
+        kind, *values = self.mesh_shape.split() or [""]
+        if kind == "circle" and len(values) == 3:
+            cx, cy, r = map(float, values)
             return InclusionShape.circle((cx, cy), r)
-        if kind == "ellipse" and len(parts) == 5:
-            cx, cy, a, b = map(float, parts[1:])
+        if kind == "ellipse" and len(values) == 4:
+            cx, cy, a, b = map(float, values)
             return InclusionShape.ellipse((cx, cy), (a, b))
         raise ValueError(
             f"shape must be 'circle cx cy r' or 'ellipse cx cy a b', "
@@ -98,16 +97,22 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     Each ``section.key=value`` override is read after the text, as one more
     line of it, so the config is validated once, with every override in
     place.  Values are read as written: ``%`` is not interpolation syntax.
+    Text that configparser cannot read (no section header, a key or a
+    section twice) is a ValueError, as is every other refused config.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                    interpolation=None)
-    cp.read_string(text)
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ValueError(f"override must be section.key=value: {item!r}")
-        key, value = item.split("=", 1)
-        section, key = key.split(".", 1)
-        cp.read_string(f"[{section}]\n{key} = {value}\n")
+    try:
+        cp.read_string(text)
+        for item in overrides:
+            if "=" not in item or "." not in item.split("=", 1)[0]:
+                raise ValueError(
+                    f"override must be section.key=value: {item!r}")
+            key, value = item.split("=", 1)
+            section, key = key.split(".", 1)
+            cp.read_string(f"[{section}]\n{key} = {value}\n")
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from exc
     attrs, nested = {}, {}
     for section in cp.sections():
         if section not in _SECTIONS:

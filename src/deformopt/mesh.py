@@ -269,7 +269,8 @@ def generate_mesh(shape: InclusionShape, target_h: float) -> Mesh:
     keep = areas > 1e-14
     simplices = simplices[keep]
 
-    centroids = points[simplices].mean(axis=1)
+    centroids = np.column_stack([(c[0] + c[1] + c[2]) / 3
+                                 for c in corners(points, simplices)])
     region = np.where(shape.level(centroids) < 1.0,
                       REGION_INCLUSION, REGION_EXTERIOR).astype(np.int64)
 
@@ -294,8 +295,9 @@ def generate_mesh(shape: InclusionShape, target_h: float) -> Mesh:
     on_if[:n_if] = True
     strict_in = (lev < 1.0) & ~on_if
     strict_out = (lev > 1.0) & ~on_if
-    has_in = strict_in[simplices].any(axis=1)
-    has_out = strict_out[simplices].any(axis=1)
+    s = simplices.T
+    has_in = strict_in[s[0]] | strict_in[s[1]] | strict_in[s[2]]
+    has_out = strict_out[s[0]] | strict_out[s[1]] | strict_out[s[2]]
     if np.any(has_in & has_out):
         raise MeshError("triangulation straddles the interface")
 
@@ -308,9 +310,10 @@ def _edge_table(simplices, n):
     """Each edge of the triangulation once, as the key i * n + j (i < j),
     with the first position where it occurs among the triangles' edges
     (0-1, 1-2, 2-0 of each triangle in turn) and its number of triangles."""
-    ends = np.stack([simplices, np.roll(simplices, -1, axis=1)], axis=-1)
-    ends = np.sort(ends.reshape(-1, 2).astype(np.int64), axis=1)
-    return np.unique(ends @ [n, 1], return_index=True, return_counts=True)
+    a = simplices.astype(np.int64)
+    b = np.roll(a, -1, axis=1)
+    keys = np.minimum(a, b) * n + np.maximum(a, b)          # (ne, 3)
+    return np.unique(keys, return_index=True, return_counts=True)
 
 
 def _outer_boundary(points, edge_table):
@@ -374,23 +377,23 @@ def check_invertibility(m: Mesh, v, t: float):
 
 def mesh_quality(m: Mesh):
     """Report {min_angle (degrees), max_aspect, min_area}."""
-    p = m.vertices[m.triangles]
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    l0 = np.linalg.norm(e0, axis=1)
-    l1 = np.linalg.norm(e1, axis=1)
-    l2 = np.linalg.norm(e2, axis=1)
-    areas = signed_areas(m.vertices, m.triangles)
-    lmax = np.maximum(np.maximum(l0, l1), l2)
+    xy = corners(m.vertices, m.triangles)
+    x, y = xy
+    # edge k joins the two corners other than k, its coordinates (ne,) each
+    ex = [x[2] - x[1], x[0] - x[2], x[1] - x[0]]
+    ey = [y[2] - y[1], y[0] - y[2], y[1] - y[0]]
+    length = [np.sqrt(ex[k] * ex[k] + ey[k] * ey[k]) for k in range(3)]
+    areas = signed_areas(m.vertices, m.triangles, xy)
+    lmax = np.maximum(np.maximum(length[0], length[1]), length[2])
     with np.errstate(divide="ignore", invalid="ignore"):
         # aspect: longest edge over smallest altitude
         alt_min = 2 * areas / lmax
         aspect = np.where(areas > 0, lmax / alt_min, np.inf)
-        cos0 = np.einsum("ij,ij->i", -e1, e2) / (l1 * l2)
-        cos1 = np.einsum("ij,ij->i", -e2, e0) / (l2 * l0)
-        cos2 = np.einsum("ij,ij->i", -e0, e1) / (l0 * l1)
-    angs = np.degrees(np.arccos(np.clip(np.column_stack([cos0, cos1, cos2]), -1, 1)))
+        # the angle at corner k lies between edges k + 1 and k + 2
+        cosines = np.stack([(-ex[i] * ex[j] + -ey[i] * ey[j])
+                            / (length[i] * length[j])
+                            for i, j in ((1, 2), (2, 0), (0, 1))])
+    angs = np.degrees(np.arccos(np.clip(cosines, -1, 1)))
     return {
         "min_angle": float(angs.min()),
         "max_aspect": float(aspect.max()),

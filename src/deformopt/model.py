@@ -93,15 +93,19 @@ class _PointLocator:
         x0, x1, x2 = mesh.vertices[mesh.triangles.T]          # (ne, 2) each
         lo = np.minimum(np.minimum(x0, x1), x2)
         hi = np.maximum(np.maximum(x0, x1), x2)
-        self.cell = max(float(np.median((hi - lo).max(axis=1))), 1e-6)
+        width, height = (hi - lo).T
+        self.cell = max(float(np.median(np.maximum(width, height))), 1e-6)
         self.nx = max(1, int(math.ceil(1.0 / self.cell)))
         c0 = self._cells(lo - self.BOX_MARGIN)
         ni, nj = (self._cells(hi + self.BOX_MARGIN) - c0 + 1).T
         elems, k = _expand(ni * nj)
         keys = ((c0[elems, 0] + k // nj[elems]) * self.nx
                 + c0[elems, 1] + k % nj[elems])
-        # the stable sort keeps each bucket's elements in ascending order
-        self.bucket_elems = elems[np.argsort(keys, kind="stable")]
+        # the stable sort keeps each bucket's elements in ascending order;
+        # on keys of 16 bits or fewer numpy sorts by radix
+        self.bucket_elems = elems[np.argsort(
+            keys.astype(np.min_scalar_type(self.nx * self.nx - 1)),
+            kind="stable")]
         self.bucket_ptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys, minlength=self.nx ** 2))])
         # element e maps (s, t) to origin[e] + s (x1 - x0) + t (x2 - x0);
@@ -170,6 +174,10 @@ class TargetField:
         if z.shape != (background_mesh.num_vertices,):
             raise ValueError(f"z of shape {z.shape} does not hold one value "
                              f"per background vertex")
+        bad = np.flatnonzero(~np.isfinite(z))
+        if bad.size:
+            raise ValueError(f"z is not finite at background vertex "
+                             f"{bad[0]}: {z[bad[0]]}")
         self.mesh = background_mesh
         self.z = z
         self._last = None          # (points, Located) of the last lookup

@@ -14,6 +14,8 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as la
 
+REL_TOL = 1e-10  # of every eigenvalue, semidefiniteness and range test here
+
 
 class RangeError(ValueError):
     """Right-hand side is not (numerically) in the range of H."""
@@ -83,26 +85,26 @@ class DenseOperator:
         """Eigendecomposition of the symmetrized whitened operator."""
         return la.eigh(0.5 * (self.whitened + self.whitened.T))
 
-    def positive_semidefinite(self, tol=1e-10):
+    def positive_semidefinite(self):
         vals, _ = self.eigen
-        return bool(vals.min() >= -tol * max(1.0, abs(vals.max())))
+        return bool(vals.min() >= -REL_TOL * max(1.0, abs(vals.max())))
 
-    def smallest_positive_eigenvalue(self, tol=1e-10):
+    def smallest_positive_eigenvalue(self):
         vals, _ = self.eigen
         scale = max(1.0, abs(vals.max()))
-        pos = vals[vals > tol * scale]
+        pos = vals[vals > REL_TOL * scale]
         return float(pos.min()) if pos.size else 0.0
 
-    def null_space(self, tol=1e-10):
+    def null_space(self):
         """g-orthonormal basis of the null space, as columns."""
         vals, vecs = self.eigen
         scale = max(1.0, abs(vals.max()))
-        cols = vecs[:, np.abs(vals) <= tol * scale]
+        cols = vecs[:, np.abs(vals) <= REL_TOL * scale]
         return np.column_stack([self.ms.unwhiten(c) for c in cols.T]) \
             if cols.shape[1] else np.zeros((self.ms.dim, 0))
 
 
-def min_norm_solve(op: DenseOperator, b, tol=1e-10):
+def min_norm_solve(op: DenseOperator, b):
     """Minimum-g-norm solution of H V = b; requires b in range(H)."""
     ms = op.ms
     bw = ms.whiten(np.asarray(b, dtype=float))
@@ -111,19 +113,19 @@ def min_norm_solve(op: DenseOperator, b, tol=1e-10):
     # lstsq on a symmetric matrix already returns the minimum Euclidean norm
     # solution, which is the minimum g-norm solution after unwhitening.
     res = np.linalg.norm(hw @ yw - bw)
-    if res > tol * max(np.linalg.norm(bw), 1e-300):
+    if res > REL_TOL * max(np.linalg.norm(bw), 1e-300):
         raise RangeError(
             f"right-hand side not in range(H): residual {res:.3e}")
     return ms.unwhiten(yw)
 
 
-def epsilon_solve(op: DenseOperator, b, eps: float, psd_tol=1e-10):
+def epsilon_solve(op: DenseOperator, b, eps: float):
     """Tikhonov approximation V_eps solving (H + eps I) V = b in g-geometry."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not op.self_adjoint:
         raise ValueError("H must be self-adjoint in g")
-    if not op.positive_semidefinite(psd_tol):
+    if not op.positive_semidefinite():
         raise ValueError("H must be positive semidefinite")
     ms = op.ms
     bw = ms.whiten(np.asarray(b, dtype=float))

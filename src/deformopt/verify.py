@@ -1,10 +1,14 @@
 """Verification suites: every derived quantity against an independent oracle.
 
 Each suite returns a plain dict with a boolean ``passed`` plus the measured
-numbers, so the same code backs both the test suite and the ``verify`` CLI
-subcommand.  Oracles are finite differences of the *discrete* objective: the
-assembled volume-form derivatives are exact derivatives of the discrete
-functional, so central differences must show their full order.
+numbers and the gate they were checked against, so the same code backs both
+the test suite and the ``verify`` CLI subcommand.  A suite takes only its
+seed (and a negative control its switch): its mesh size, sample count,
+steps and threshold are fixed, so no caller can loosen a gate.
+
+Oracles are finite differences of the *discrete* objective: the assembled
+volume-form derivatives are exact derivatives of the discrete functional,
+so central differences must show their full order.
 
 The target field z is piecewise linear on a frozen background mesh, hence
 only piecewise smooth along a nodal trajectory.  Random test fields are
@@ -23,11 +27,12 @@ from .shape_calculus import objective_on_deformed
 
 DEFAULT_SEED = 2024
 START_CIRCLE = InclusionShape.circle((0.5, 0.5), 0.2)
+MESH_H = 0.1          # every suite on a mesh uses this one
 
 
-def _slope(ts, errs, floor=1e-16):
-    """Least-squares slope of log(err) vs log(t)."""
-    return float(np.polyfit(np.log(ts), np.log(np.maximum(errs, floor)), 1)[0])
+def _slope(ts, errs):
+    """Least-squares slope of log(err) vs log(t), errors floored at 1e-16."""
+    return float(np.polyfit(np.log(ts), np.log(np.maximum(errs, 1e-16)), 1)[0])
 
 
 def random_interior_field(mesh: Mesh, rng, amplitude=0.05):
@@ -61,10 +66,10 @@ def mask_fields(mesh: Mesh, target: model.TargetField, fields, t_max,
     return [np.where(keep[:, None], v, 0.0) for v in fields]
 
 
-def _setup(h):
+def _setup():
     cfg = model.ProblemConfig()
-    target = model.make_target(cfg, h / 2)
-    ops = model.OperatorSet(generate_mesh(START_CIRCLE, h), cfg)
+    target = model.make_target(cfg, MESH_H / 2)
+    ops = model.OperatorSet(generate_mesh(START_CIRCLE, MESH_H), cfg)
     z = model.transfer_target(target, ops.mesh)
     z_grad = model.target_gradients(target, ops.mesh)
     u = model.solve_state(ops)
@@ -72,23 +77,21 @@ def _setup(h):
     return ops, target, ops.mesh, z, z_grad, u, lam
 
 
-def gradient_consistency(h=0.1, n_fields=10, seed=DEFAULT_SEED,
-                         t_values=(1e-2, 3e-3, 1e-3, 3e-4, 1e-4),
-                         min_order=1.9, alpha_whole_domain=False):
+def gradient_consistency(seed=DEFAULT_SEED, alpha_whole_domain=False):
     """Central-difference order of the assembled shape derivative."""
+    min_order, n_fields = 1.9, 10
     rng = np.random.default_rng(seed)
-    ops, target, mesh, z, z_grad, u, lam = _setup(h)
+    ops, target, mesh, z, z_grad, u, lam = _setup()
     d = shape_calculus.assemble_shape_derivative(shape_calculus.element_terms(
         ops, u, lam, z, z_grad, alpha_whole_domain=alpha_whole_domain))
-    ts = np.asarray(t_values, dtype=float)
+    ts = np.array([1e-2, 3e-3, 1e-3, 3e-4, 1e-4])
     slopes = []
     for _ in range(n_fields):
         (v,) = mask_fields(mesh, target, [random_interior_field(mesh, rng)],
                            ts.max())
         exact = float(d @ v.reshape(-1))
-        errs = [abs((objective_on_deformed(ops, target, t * v, 1.0)
-                     - objective_on_deformed(ops, target, -t * v, 1.0))
-                    / (2 * t) - exact) for t in ts]
+        errs = [abs(shape_calculus.eulerian_fd(ops, target, v, t) - exact)
+                for t in ts]
         slopes.append(_slope(ts, errs))
     slopes = np.array(slopes)
     return {
@@ -96,21 +99,20 @@ def gradient_consistency(h=0.1, n_fields=10, seed=DEFAULT_SEED,
         "passed": bool(slopes.min() >= min_order),
         "orders": slopes.tolist(),
         "min_order_required": min_order,
-        "h": h,
+        "h": MESH_H,
         "n_fields": n_fields,
     }
 
 
-def hessian_consistency(h=0.1, n_pairs=5, seed=DEFAULT_SEED,
-                        s_values=(1e-2, 5e-3, 2.5e-3), min_order=1.8,
-                        flip_tr_term=False):
+def hessian_consistency(seed=DEFAULT_SEED, flip_tr_term=False):
     """Mixed central second differences of J against the assembled Hessian."""
+    min_order, n_pairs = 1.8, 5
     rng = np.random.default_rng(seed)
-    ops, target, mesh, z, z_grad, u, lam = _setup(h)
+    ops, target, mesh, z, z_grad, u, lam = _setup()
     hess = kkt.assemble_hessian_blocks(
         shape_calculus.element_terms(ops, u, lam, z, z_grad),
         flip_tr_term=flip_tr_term)
-    ss = np.asarray(s_values, dtype=float)
+    ss = np.array([1e-2, 5e-3, 2.5e-3])
     slopes = []
     for _ in range(n_pairs):
         v, w = mask_fields(mesh, target,
@@ -132,20 +134,21 @@ def hessian_consistency(h=0.1, n_pairs=5, seed=DEFAULT_SEED,
         "passed": bool(slopes.min() >= min_order),
         "orders": slopes.tolist(),
         "min_order_required": min_order,
-        "h": h,
+        "h": MESH_H,
         "n_pairs": n_pairs,
     }
 
 
-def hessian_symmetry(h=0.1, n_pairs=100, seed=DEFAULT_SEED, tol=1e-12):
+def hessian_symmetry(seed=DEFAULT_SEED):
     """Relative symmetry defect of the linear second shape derivative.
 
     |L''(V, W) - L''(W, V)| is measured against the summed magnitudes of
     the terms that make up L'', not against |L''|: the terms are about
     1e-3 and cancel to values as small as 1e-7, so their rounding alone
     is 1e-12 of such a value."""
+    tol, n_pairs = 1e-12, 100
     rng = np.random.default_rng(seed)
-    ops, target, mesh, z, z_grad, u, lam = _setup(h)
+    ops, target, mesh, z, z_grad, u, lam = _setup()
     hess = kkt.assemble_hessian_blocks(
         shape_calculus.element_terms(ops, u, lam, z, z_grad))
     worst = 0.0
@@ -165,16 +168,16 @@ def hessian_symmetry(h=0.1, n_pairs=100, seed=DEFAULT_SEED, tol=1e-12):
     }
 
 
-def taylor_remainder(h=0.1, n_fields=3, seed=DEFAULT_SEED,
-                     s_values=(2e-2, 1e-2, 5e-3, 2.5e-3), min_slope=2.7):
+def taylor_remainder(seed=DEFAULT_SEED):
     """Second-order Taylor remainder slope of the full objective."""
+    min_slope, n_fields = 2.7, 3
     rng = np.random.default_rng(seed)
-    ops, target, mesh, z, z_grad, u, lam = _setup(h)
+    ops, target, mesh, z, z_grad, u, lam = _setup()
     terms = shape_calculus.element_terms(ops, u, lam, z, z_grad)
     d = shape_calculus.assemble_shape_derivative(terms)
     hess = kkt.assemble_hessian_blocks(terms)
     j0 = model.objective(ops, u, z)
-    ss = np.asarray(s_values, dtype=float)
+    ss = np.array([2e-2, 1e-2, 5e-3, 2.5e-3])
     slopes = []
     for _ in range(n_fields):
         (v,) = mask_fields(mesh, target, [random_interior_field(mesh, rng)],
@@ -193,16 +196,16 @@ def taylor_remainder(h=0.1, n_fields=3, seed=DEFAULT_SEED,
     }
 
 
-def volume_surrogate(h=0.1, n_fields=5, seed=DEFAULT_SEED, tol=1e-12,
-                     steps=(0.3, 0.1, 0.02)):
+def volume_surrogate(seed=DEFAULT_SEED):
     """Exact second-order Taylor expansion of the pure volume functional.
 
     vol((I + sV)(Omega)) is a quadratic polynomial in s in 2D, so the
     expansion through the quadratic term int (div V)^2 - tr(DV DV) dx must
     close to round-off.
     """
+    tol, n_fields = 1e-12, 5
     rng = np.random.default_rng(seed)
-    mesh = generate_mesh(START_CIRCLE, h)
+    mesh = generate_mesh(START_CIRCLE, MESH_H)
     geo = fem.geometry(mesh)
     vol0 = float(geo.areas.sum())
     worst = 0.0
@@ -215,7 +218,7 @@ def volume_surrogate(h=0.1, n_fields=5, seed=DEFAULT_SEED, tol=1e-12,
                + (jac[1, 0] * jac[0, 1] + jac[1, 1] * jac[1, 1]))
         quad = float(geo.areas @ (div * div - tr2))
         lin = float(geo.areas @ div)
-        for s in steps:
+        for s in (0.3, 0.1, 0.02):
             vol = float(fem.geometry(
                 mesh.with_vertices(mesh.vertices + s * v)).areas.sum())
             pred = vol0 + s * lin + 0.5 * s * s * quad
@@ -228,16 +231,15 @@ def volume_surrogate(h=0.1, n_fields=5, seed=DEFAULT_SEED, tol=1e-12,
     }
 
 
-def pseudoinverse_suite(n_systems=50, seed=DEFAULT_SEED, max_dim=20,
-                        ratio_bounds=(0.45, 0.55)):
+def pseudoinverse_suite(seed=DEFAULT_SEED):
     """Tikhonov-to-pseudoinverse convergence on random singular systems.
 
     For eps well below the smallest positive eigenvalue the error
     ||V_eps - V_hat||_g is linear in eps: monotone, and halving eps halves it.
     """
     from . import pseudoinverse as pi
+    n_systems, max_dim, (lo, hi) = 50, 20, (0.45, 0.55)
     rng = np.random.default_rng(seed)
-    lo, hi = ratio_bounds
     ratios, monotone = [], True
     for _ in range(n_systems):
         n = int(rng.integers(4, max_dim + 1))
@@ -256,13 +258,13 @@ def pseudoinverse_suite(n_systems=50, seed=DEFAULT_SEED, max_dim=20,
         "monotone": monotone,
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),
-        "ratio_bounds": list(ratio_bounds),
+        "ratio_bounds": [lo, hi],
         "n_systems": n_systems,
+        "max_dim": max_dim,
     }
 
 
-def pullback_check(h=0.1, seed=DEFAULT_SEED, tol=1e-6, fd_step=1e-5,
-                   deform_amplitude=0.02):
+def pullback_check(seed=DEFAULT_SEED):
     """Transformation identity for gradients under pullback.
 
     With nodal coordinates as the deformation variable, the gradient of the
@@ -273,13 +275,14 @@ def pullback_check(h=0.1, seed=DEFAULT_SEED, tol=1e-6, fd_step=1e-5,
     finite-difference nodal gradient at T == original-metric Riesz image of
     the dual vector assembled on the deformed mesh.
     """
+    tol, fd_step = 1e-6, 1e-5
     rng = np.random.default_rng(seed)
-    base, target, mesh, *_ = _setup(h)
+    base, target, mesh, *_ = _setup()
     metric0 = shape_calculus.deformation_metric(mesh, eps1=1.0, eps2=0.5)
 
     # displace to a non-trivial T and assemble the gradient there
     (disp,) = mask_fields(mesh, target,
-                          [random_interior_field(mesh, rng, deform_amplitude)],
+                          [random_interior_field(mesh, rng, 0.02)],
                           1.0, n_probe=5)
     ops = model.OperatorSet(mesh.with_vertices(mesh.vertices + disp), base.cfg)
     z = model.transfer_target(target, ops.mesh)

@@ -94,12 +94,15 @@ class TestCriterion1:
         """Central-difference order >= 1.9 of the shape derivative, 10 random
         fields, h = 0.1, within one minute."""
         t0 = time.perf_counter()
-        rep = verify.gradient_consistency(h=0.1, n_fields=10, min_order=1.9)
+        rep = verify.gradient_consistency()
         dt = time.perf_counter() - t0
         ok = rep["passed"] and dt <= 60.0
         _report("criterion 1 (gradient FD order)", ok,
                 f"min order {min(rep['orders']):.3f} (need >= 1.9), "
                 f"{dt:.1f}s (limit 60s)")
+        assert (rep["min_order_required"], rep["h"], rep["n_fields"]) == \
+            (1.9, 0.1, 10)
+        assert len(rep["orders"]) == 10
         assert rep["passed"], rep
         assert dt <= 60.0
 
@@ -107,34 +110,39 @@ class TestCriterion1:
 class TestCriterion2:
     def test_hessian_fd_order(self):
         """Mixed second-difference order >= 1.8 on 5 direction pairs."""
-        rep = verify.hessian_consistency(n_pairs=5, min_order=1.8)
+        rep = verify.hessian_consistency()
         _report("criterion 2a (Hessian FD order)", rep["passed"],
                 f"min order {min(rep['orders']):.3f} (need >= 1.8)")
+        assert (rep["min_order_required"], rep["n_pairs"]) == (1.8, 5)
+        assert len(rep["orders"]) == 5
         assert rep["passed"], rep
 
     def test_hessian_symmetry(self):
         """Relative symmetry defect <= 1e-12 on 100 random pairs."""
-        rep = verify.hessian_symmetry(n_pairs=100, tol=1e-12)
+        rep = verify.hessian_symmetry()
         _report("criterion 2b (Hessian symmetry)", rep["passed"],
                 f"max relative defect {rep['max_relative_defect']:.2e} "
                 f"(tol 1e-12, 100 pairs)")
+        assert (rep["tolerance"], rep["n_pairs"]) == (1e-12, 100)
         assert rep["passed"], rep
 
 
 class TestCriterion3:
     def test_taylor_remainder_slope(self):
         """Second-order Taylor remainder slope >= 2.7."""
-        rep = verify.taylor_remainder(min_slope=2.7)
+        rep = verify.taylor_remainder()
         _report("criterion 3a (Taylor remainder)", rep["passed"],
                 f"min slope {min(rep['slopes']):.3f} (need >= 2.7)")
+        assert rep["min_slope_required"] == 2.7
         assert rep["passed"], rep
 
     def test_volume_surrogate_exact(self):
         """Quadratic volume expansion exact to <= 1e-12 relative."""
-        rep = verify.volume_surrogate(tol=1e-12)
+        rep = verify.volume_surrogate()
         _report("criterion 3b (volume surrogate)", rep["passed"],
                 f"max relative defect {rep['max_relative_defect']:.2e} "
                 f"(tol 1e-12)")
+        assert rep["tolerance"] == 1e-12
         assert rep["passed"], rep
 
 
@@ -143,14 +151,15 @@ class TestCriterion4:
         """50 random singular systems (n <= 20): Tikhonov error monotone in
         eps with halving ratio in [0.45, 0.55], total runtime <= 10 s."""
         t0 = time.perf_counter()
-        rep = verify.pseudoinverse_suite(n_systems=50, max_dim=20,
-                                         ratio_bounds=(0.45, 0.55))
+        rep = verify.pseudoinverse_suite()
         dt = time.perf_counter() - t0
         ok = rep["passed"] and dt <= 10.0
         _report("criterion 4 (pseudoinverse limit)", ok,
                 f"monotone={rep['monotone']}, halving ratios in "
                 f"[{rep['ratio_min']:.3f}, {rep['ratio_max']:.3f}] "
                 f"(band [0.45, 0.55]), {dt:.1f}s (limit 10s)")
+        assert (rep["n_systems"], rep["max_dim"], rep["ratio_bounds"]) == \
+            (50, 20, [0.45, 0.55])
         assert rep["passed"], rep
         assert dt <= 10.0
 
@@ -305,10 +314,11 @@ class TestCriterion7:
 class TestCriterion8:
     def test_pullback_identity(self):
         """Gradient pullback/transformation identity to 1e-6 relative."""
-        rep = verify.pullback_check(tol=1e-6)
+        rep = verify.pullback_check()
         _report("criterion 8 (pullback identity)", rep["passed"],
                 f"relative error {rep['relative_error']:.2e} (tol 1e-6, "
                 f"{rep['nodes_checked']} nodes)")
+        assert rep["tolerance"] == 1e-6
         assert rep["passed"], rep
 
 
@@ -316,21 +326,21 @@ class TestCriterion9:
     def test_alpha_whole_domain_breaks_gradient_order(self):
         """Integrating the area penalty over the whole domain must break the
         criterion-1 gradient order."""
-        rep = verify.gradient_consistency(h=0.1, n_fields=10, min_order=1.9,
-                                          alpha_whole_domain=True)
+        rep = verify.gradient_consistency(alpha_whole_domain=True)
         broken = not rep["passed"]
         _report("criterion 9a (alpha_whole_domain control)", broken,
                 f"min order drops to {min(rep['orders']):.3f} (< 1.9) "
                 f"as required")
+        assert rep["min_order_required"] == 1.9
         assert broken, rep
 
     def test_flipped_trace_term_breaks_hessian_order(self):
         """Flipping the sign of the tr(DV DW) Hessian term must break the
         criterion-2 order."""
-        rep = verify.hessian_consistency(n_pairs=5, min_order=1.8,
-                                         flip_tr_term=True)
+        rep = verify.hessian_consistency(flip_tr_term=True)
         broken = not rep["passed"]
         _report("criterion 9b (flip_tr_term control)", broken,
                 f"min order drops to {min(rep['orders']):.3f} (< 1.8) "
                 f"as required")
+        assert rep["min_order_required"] == 1.8
         assert broken, rep

@@ -182,6 +182,18 @@ emit_vtk = false
         rc = RunConfig(mesh_shape="triangle 1 2 3")
         with pytest.raises(ValueError):
             rc.parse_shape()
+        with pytest.raises(ValueError, match="shape must be 'circle"):
+            parse_config("", ["mesh.shape="]).parse_shape()
+
+    @pytest.mark.parametrize("text, message", [
+        ("alpha = 1\n", "no section headers"),
+        ("[problem]\nalpha = 1\nalpha = 2\n",
+         "option 'alpha' in section 'problem' already exists")])
+    def test_unreadable_text_rejected(self, text, message):
+        """Text configparser cannot read is a ValueError that names the
+        problem, like every other refused config."""
+        with pytest.raises(ValueError, match=f"malformed config: .*{message}"):
+            parse_config(text)
 
 
 class TestCommands:

@@ -201,6 +201,17 @@ class TestTarget:
         with pytest.raises(ValueError, match="one value per background"):
             TargetField(target.mesh, np.zeros(target.mesh.num_vertices + 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_target_field_refuses_non_finite_values(self, target, bad):
+        """A non-finite z (from a file) is refused by its first vertex,
+        not left to fail the first state solve."""
+        z = target.z.copy()
+        z[[7, 11]] = bad
+        with pytest.raises(ValueError,
+                           match=f"z is not finite at background vertex 7: "
+                                 f"{bad}"):
+            TargetField(target.mesh, z)
+
     def test_target_gradient_matches_fd_inside_elements(self, target):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.3, 0.7, size=(20, 2))

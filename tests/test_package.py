@@ -61,6 +61,17 @@ def test_no_unused_import():
     assert {name: bad for name, bad in found.items() if bad} == {}
 
 
+def test_no_einsum():
+    """Every per-element kernel sums its short axes term by term, in a
+    fixed order, on arrays with the element axis last; the package calls
+    no `einsum`."""
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "einsum"]
+    assert found == []
+
+
 def public_definitions(tree):
     """The public functions and classes that `tree` defines at top level."""
     return {node.name for node in tree.body

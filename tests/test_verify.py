@@ -1,3 +1,4 @@
+import inspect
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +44,22 @@ class TestHelpers:
         assert report["nodes_checked"] > 0
 
 
+class TestGates:
+    def test_suites_take_only_their_seed_and_switch(self):
+        """Each gate's mesh size, samples, steps and threshold are fixed:
+        no caller can loosen one by argument."""
+        suites = {verify.gradient_consistency: ["seed", "alpha_whole_domain"],
+                  verify.hessian_consistency: ["seed", "flip_tr_term"],
+                  verify.hessian_symmetry: ["seed"],
+                  verify.taylor_remainder: ["seed"],
+                  verify.volume_surrogate: ["seed"],
+                  verify.pseudoinverse_suite: ["seed"],
+                  verify.pullback_check: ["seed"],
+                  verify.run_all: ["seed"]}
+        for suite, params in suites.items():
+            assert list(inspect.signature(suite).parameters) == params, suite
+
+
 class TestFastSuites:
     def test_volume_surrogate(self):
         report = verify.volume_surrogate()
@@ -50,7 +67,7 @@ class TestFastSuites:
         assert report["max_relative_defect"] <= report["tolerance"]
 
     def test_hessian_symmetry(self):
-        report = verify.hessian_symmetry(n_pairs=20)
+        report = verify.hessian_symmetry()
         assert report["passed"]
 
     def test_hessian_symmetry_on_every_seed(self):
@@ -81,16 +98,16 @@ class TestFastSuites:
         assert report["max_relative_defect"] > 100 * report["tolerance"]
 
     def test_pseudoinverse_suite(self):
-        report = verify.pseudoinverse_suite(n_systems=10)
+        report = verify.pseudoinverse_suite()
         assert report["passed"]
 
     def test_reports_have_uniform_shape(self):
         for rep in (verify.volume_surrogate(),
-                    verify.pseudoinverse_suite(n_systems=5)):
+                    verify.pseudoinverse_suite()):
             assert isinstance(rep["name"], str)
             assert isinstance(rep["passed"], bool)
 
     def test_seed_reproducibility(self):
-        a = verify.pseudoinverse_suite(n_systems=5, seed=3)
-        b = verify.pseudoinverse_suite(n_systems=5, seed=3)
+        a = verify.pseudoinverse_suite(seed=3)
+        b = verify.pseudoinverse_suite(seed=3)
         assert a == b
