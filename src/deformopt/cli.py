@@ -41,29 +41,34 @@ class RunConfig:
 
     def parse_shape(self) -> InclusionShape:
         kind, *values = self.mesh_shape.split() or [""]
-        if kind == "circle" and len(values) == 3:
-            cx, cy, r = map(float, values)
-            return InclusionShape.circle((cx, cy), r)
-        if kind == "ellipse" and len(values) == 4:
-            cx, cy, a, b = map(float, values)
-            return InclusionShape.ellipse((cx, cy), (a, b))
-        raise ValueError(
-            f"shape must be 'circle cx cy r' or 'ellipse cx cy a b', "
-            f"got {self.mesh_shape!r}")
+        if (kind, len(values)) not in (("circle", 3), ("ellipse", 4)):
+            raise ValueError(
+                f"shape must be 'circle cx cy r' or 'ellipse cx cy a b', "
+                f"got {self.mesh_shape!r}")
+        cx, cy, *radii = [_coerce(0.0, v, ("mesh", "shape")) for v in values]
+        if kind == "circle":
+            return InclusionShape.circle((cx, cy), *radii)
+        return InclusionShape.ellipse((cx, cy), tuple(radii))
 
 
-def _coerce(current, text):
-    if isinstance(current, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {text!r}")
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    return text
+def _coerce(current, text, where):
+    """`text` read as the type of `current`; a ValueError that names
+    `where`, the (section, key) of the value, if it does not read."""
+    try:
+        if isinstance(current, bool):
+            if text.lower() in ("1", "true", "yes", "on"):
+                return True
+            if text.lower() in ("0", "false", "no", "off"):
+                return False
+            raise ValueError(f"not a boolean: {text!r}")
+        if isinstance(current, int):
+            return int(text)
+        if isinstance(current, float):
+            return float(text)
+        return text
+    except ValueError as exc:
+        section, key = where
+        raise ValueError(f"{section} key {key!r}: {exc}") from None
 
 
 def _value(rc, attr, name):
@@ -121,7 +126,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             if (section, key) not in _KEYS:
                 raise ValueError(f"unknown {section} key {key!r}")
             attr, name = _KEYS[section, key]
-            value = _coerce(_value(_DEFAULTS, attr, name), text_value)
+            value = _coerce(_value(_DEFAULTS, attr, name), text_value,
+                            (section, key))
             if name is None:
                 attrs[attr] = value
             else:

@@ -2,14 +2,13 @@
 
 Element calculus of nodal fields, exact element quadrature, assembly of
 the scalar stiffness, mass and vector H1 forms, and sparse solves on the
-free x free block of a Dirichlet-constrained operator: SuperLU
-factorizations and Chebyshev iteration for the mass, each checked once
-by its residual.  Assembly
-fills CSR patterns derived from one 3x3 pattern per triangle array
-(`ScatterPatterns`), each entry summing its local entries in the flat
-order of the local array.  Each assembly takes the operator's constrained
-vertex set and hands it the gather of its free block, which the patterns
-keep once per set (`_Restriction`).
+free x free block of a Dirichlet-constrained operator: one SuperLU call
+per factorization and Chebyshev iteration for the mass, each checked
+once by its residual.  Assembly fills CSR patterns derived from one 3x3
+pattern per triangle array (`ScatterPatterns`), each entry summing its
+local entries in the flat order of the local array.  Each assembly takes
+the operator's constrained vertex set and hands it the gather of its free
+block in CSC, which the patterns keep once per set (`_Restriction`).
 
 A P1 field is the plain array of its nodal values: (n,) for a scalar
 field, (n, 2) for a vector field, whose flat view is the 2n vector on
@@ -112,18 +111,17 @@ class SparseOperator:
     `matrix` is the unconstrained operator, filled on the square (1, 1)
     pattern of a `ScatterPatterns`.  `constrained` lists the dofs held at
     given values (zero by default): a solve runs on the free x free block
-    of `matrix` (`free_block`), gathered by `restriction`, the
+    of `matrix` (`free_block`, in CSC), gathered by `restriction`, the
     `_Restriction` the patterns keep for that set, which the assembly
     passes in.
 
-    The block is factorized by SuperLU in symmetric mode: diagonal pivots
-    only, on a minimum-degree ordering of A + A^T.  That assumes it is
+    The block is factorized by one SuperLU call in symmetric mode:
+    diagonal pivots only, on a minimum-degree ordering of A + A^T computed
+    on every call, with panels of one column.  That assumes it is
     symmetric positive definite, as every block built here is (stiffness,
     mass and the metric block); nothing nonsymmetric or indefinite may go
     through `_factor`.  A singular block (the pure-Neumann stiffness) is
-    caught by the residual check of `solve_free`.  With diagonal
-    pivots the ordering depends on the structure alone, so it is kept in
-    the `_Restriction` too.
+    caught by the residual check of `solve_free`.
     """
 
     matrix: sp.csr_matrix
@@ -136,7 +134,14 @@ class SparseOperator:
 
     @cached_property
     def _factor(self):
-        return self.restriction.factor(self.free_block)
+        # panel_size=1: K's block at h=0.01 factorizes in 15.7 ms against
+        # 19.0 ms with SuperLU's default panel, with the same L + U fill
+        try:
+            return spla.splu(self.free_block, permc_spec="MMD_AT_PLUS_A",
+                             panel_size=1, diag_pivot_thresh=0.0,
+                             options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SingularSystemError(str(exc)) from exc
 
     def energy(self, x, y=None):
         y = x if y is None else y
@@ -170,34 +175,17 @@ def _checked(block, x, rhs, what):
     return x
 
 
-def _splu(csc, permc_spec):
-    """SuperLU in symmetric mode: diagonal pivots only."""
-    try:
-        return spla.splu(csc, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SingularSystemError(str(exc)) from exc
-
-
 class _Restriction:
     """The free x free block of one canonical CSR structure for one set of
-    constrained dofs, and SuperLU's column order of that block.
+    constrained dofs, gathered in CSC order, the format SuperLU takes.
 
-    Entry k of the block is entry `take[k]` of the structure's data: every
-    entry in a free row and a free column, stored zeros too, so that every
-    matrix of the structure gives a block of one structure and one order.
-    `free` lists the free dofs in ascending order; `slot` gives each dof
-    its row in the block, or the row past its end for a constrained dof.
-
-    The first `factor` computes the order by minimum degree on A + A^T, A
-    the block, and keeps SuperLU's `perm_c`, which puts entry (i, j) of A
-    at (perm_c[i], perm_c[j]) of the matrix it factorizes, A[q][:, q] with
-    q = argsort(perm_c).  The second builds the gather of that matrix from
-    the block's CSR data to its CSC arrays.  It and every later `factor`
-    then only gather and factorize in the natural order.
-    The factors have the same L + U fill; the solutions agree to rounding,
-    not bit for bit.  As the gather waits for the second use, a structure
-    factorized once (`model.make_target`'s) only copies `perm_c`.
+    Entry k of the block's CSC data is entry `take[k]` of the structure's
+    data: every entry in a free row and a free column, stored zeros too,
+    ordered by column, then row, so that every matrix of the structure
+    gives a block of one structure.  `indices` and `indptr` are the
+    block's CSC arrays.  `free` lists the free dofs in ascending order;
+    `slot` gives each dof its row in the block, or the row past its end
+    for a constrained dof.
     """
 
     def __init__(self, indptr, indices, constrained):
@@ -207,15 +195,16 @@ class _Restriction:
         free = np.flatnonzero(is_free)
         slot = np.full(n, free.size)
         slot[free] = np.arange(free.size)
-        keep = is_free[indices] & np.repeat(is_free, np.diff(indptr))
-        take = np.flatnonzero(keep)
-        counts = np.concatenate([[0], np.cumsum(keep)])
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        take = np.flatnonzero(is_free[rows] & is_free[indices])
+        # the CSR order has ascending rows, so a stable sort by column
+        # keeps each column's rows ascending
+        take = take[np.argsort(indices[take], kind="stable")]
         self.free, self.slot, self.take, self.indices, self.indptr = \
             _frozen_parts([a.astype(np.int32) for a in (
-                free, slot, take, slot[indices[take]],
-                counts[indptr[np.append(free, n)]])])
-        self.perm = None
-        self._gather = None     # (take, CSC indices, CSC indptr, q)
+                free, slot, take, slot[rows[take]],
+                np.searchsorted(slot[indices[take]],
+                                np.arange(free.size + 1)))])
 
     # `np.take` gathers the rows of a two-column array several times faster
     # than indexing does, and puts them back faster than an assignment
@@ -227,45 +216,6 @@ class _Restriction:
         """The (n,) or (n, k) array of free rows `x`, zero elsewhere."""
         return np.take(np.concatenate([x, np.zeros((1, *x.shape[1:]))]),
                        self.slot, axis=0)
-
-    def factor(self, block):
-        if self.perm is None:
-            lu = _splu(block.tocsc(), "MMD_AT_PLUS_A")
-            self.perm = lu.perm_c.copy()   # a view would keep `lu` alive
-            return lu
-        if self._gather is None:
-            self._gather = _permuted_csc(self.indptr, self.indices, self.perm)
-        take, indices, indptr, q = self._gather
-        lu = _splu(sp.csc_matrix((block.data[take], indices, indptr),
-                                 shape=block.shape), "NATURAL")
-        return _PermutedFactor(lu, q, self.perm)
-
-
-def _permuted_csc(indptr, indices, perm):
-    """(take, indices, indptr, q) of A[q][:, q], q = argsort(perm), for
-    the CSR structure of A, as `_Restriction` keeps them."""
-    n = indptr.size - 1
-    rows = perm[np.repeat(np.arange(n), np.diff(indptr))]
-    cols = perm[indices]
-    take = np.lexsort((rows, cols))
-    return _frozen_parts([
-        take.astype(np.int32), rows[take].astype(np.int32),
-        np.searchsorted(cols[take], np.arange(n + 1)).astype(np.int32),
-        np.argsort(perm).astype(np.int32)])
-
-
-@dataclass(frozen=True)
-class _PermutedFactor:
-    """The factorization `lu` of A[q][:, q], solving with A: A x = b is
-    A[q][:, q] y = b[q] with x[q] = y, so x = y[perm]."""
-
-    lu: spla.SuperLU
-    q: np.ndarray
-    perm: np.ndarray
-
-    def solve(self, rhs):
-        return np.take(self.lu.solve(np.take(rhs, self.q, axis=0)),
-                       self.perm, axis=0)
 
 
 # the residual check of every solve (`_checked`), relative to max(|b|, 1)
@@ -294,8 +244,8 @@ def solve_mass(op: SparseOperator, rhs):
     mat = op.free_block
     rhs = op.restriction.restrict(np.asarray(rhs, dtype=float))
     s = 1.0 / np.sqrt(mat.diagonal())
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    scaled = sp.csr_matrix((mat.data * s[rows] * s[mat.indices],
+    cols = np.repeat(np.arange(mat.shape[1]), np.diff(mat.indptr))
+    scaled = sp.csc_matrix((mat.data * s[mat.indices] * s[cols],
                             mat.indices, mat.indptr), shape=mat.shape)
     s = s[:, None] if rhs.ndim == 2 else s
     theta, delta = 1.25, 0.75            # centre and half-width of [1/2, 2]
@@ -356,11 +306,11 @@ class VectorOperator:
 
 
 def apply_dirichlet(matrix, restriction: _Restriction):
-    """The free x free block of the canonical CSR `matrix`, in CSR: one
-    gather of its data by `restriction`, a `_Restriction` of its structure,
-    stored zeros kept."""
+    """The free x free block of the canonical CSR `matrix`, in CSC, the
+    format SuperLU takes: one gather of its data by `restriction`, a
+    `_Restriction` of its structure, stored zeros kept."""
     r = restriction
-    return sp.csr_matrix((matrix.data[r.take], r.indices.copy(),
+    return sp.csc_matrix((matrix.data[r.take], r.indices.copy(),
                           r.indptr.copy()), shape=(r.free.size,) * 2)
 
 
@@ -426,9 +376,9 @@ class ScatterPatterns:
     it.  The kinds are the dofs per vertex of the rows and of the columns:
     (1, 1) for K, M and the metric block, (1, 2) for L_lambdaOmega and
     L_uOmega, and (2, 2) for L_OmegaOmega.  Every `SparseOperator` is
-    filled on the (1, 1) pattern, so the free x free block of each of
-    their constrained sets is kept on it, with its SuperLU ordering
-    (`restriction`), which each assembly hands its operator.  The patterns
+    filled on the (1, 1) pattern, so the gather of the free x free block
+    of each of their constrained sets is kept on it (`restriction`),
+    which each assembly hands its operator.  The patterns
     hold no mesh, so that a run can own one object for all its iterates
     and drop it when it returns.  Each matrix gets its own copy of the
     index arrays, so it may be changed in place.

@@ -247,10 +247,11 @@ class OperatorSet:
     """One iterate's operators, passed to every consumer: K and M constrained
     on the state's Dirichlet nodes, b of (eps1, eps2) on the outer boundary
     (a FemError for a set built without eps1 and eps2).  Each is assembled
-    on first use with its constrained set, and so with the free-block
-    gather of that set; K and b hold the factorization of their first
-    constrained solve (M is solved by `fem.solve_mass`, never factorized):
-    build one set per iterate and drop it with the iterate.
+    on first use with its constrained set, and so with the gather of that
+    set's free block in CSC; K and b factorize their block by one SuperLU
+    call at their first constrained solve and keep the factors (M is
+    solved by `fem.solve_mass`, never factorized): build one set per
+    iterate and drop it with the iterate.
 
     Every matrix of the iterate, the Hessian blocks included, fills the CSR
     patterns of `patterns`.  A run hands the sets of all its iterates the
@@ -355,14 +356,3 @@ def energy_fraction(mesh: Mesh, cfg: ProblemConfig, u) -> float:
     if total == 0.0:
         return 0.0
     return float(dens[mesh.region == REGION_INCLUSION].sum()) / total
-
-
-def boundary_flux(ops: OperatorSet, u, tag):
-    """Discrete conormal flux of u through one outer boundary part.
-
-    Computed variationally: pair the stiffness residual with the hat
-    functions of that boundary's vertices.
-    """
-    r = ops.state.matrix @ u
-    nodes = ops.mesh.boundary_vertices_by_tag[tag]
-    return float(r[nodes].sum())

@@ -134,12 +134,6 @@ def epsilon_solve(op: DenseOperator, b, eps: float):
     return ms.unwhiten(yw)
 
 
-def stationarity_residual(op: DenseOperator, b, v, eps: float):
-    """g-norm of the gradient of the regularized quadratic at v."""
-    r = op.h @ v - np.asarray(b, dtype=float) + eps * v
-    return op.ms.norm(r)
-
-
 def epsilon_table(op: DenseOperator, b, eps_values):
     """Convergence table [(eps, g-error to the min-norm solution)]."""
     v_hat = min_norm_solve(op, b)

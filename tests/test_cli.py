@@ -185,6 +185,18 @@ emit_vtk = false
         with pytest.raises(ValueError, match="shape must be 'circle"):
             parse_config("", ["mesh.shape="]).parse_shape()
 
+    @pytest.mark.parametrize("text, where", [
+        ("[mesh]\nh = abc\n", "mesh key 'h'"),
+        ("[schedule]\nmax_iters = 2.5\n", "schedule key 'max_iters'"),
+        ("[output]\nemit_vtk = maybe\n", "output key 'emit_vtk'"),
+        ("[mesh]\nshape = circle a b c\n", "mesh key 'shape'")],
+        ids=["float", "int", "bool", "shape"])
+    def test_unreadable_value_names_its_key(self, text, where):
+        """A number or boolean that does not read is a ValueError that
+        names the section and key it was given for."""
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}: "):
+            parse_config(text).parse_shape()
+
     @pytest.mark.parametrize("text, message", [
         ("alpha = 1\n", "no section headers"),
         ("[problem]\nalpha = 1\nalpha = 2\n",

@@ -35,8 +35,10 @@ def padded_vector_form(mesh, eps1, eps2):
     return scatter(mesh, local, ndof_per_vertex=2)
 
 
-def assert_same_csr(got, want):
-    """Equal CSR arrays, down to the sign of a zero."""
+def assert_same_arrays(got, want):
+    """Equal compressed arrays of one format (CSR or CSC), down to the sign
+    of a zero."""
+    assert got.format == want.format
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
@@ -50,16 +52,16 @@ def assert_operators_equal_reference(m):
            assemble_mass(m, patterns).matrix,
            assemble_vector_h1_form(m, 3e-2, 0.5, patterns).block.matrix]
     for g, want in zip(got, ref.operator_matrices(m, mu, 3e-2, 0.5)):
-        assert_same_csr(g, want)
+        assert_same_arrays(g, want)
 
 
 def free_block(matrix, constrained):
     """The free x free block of the canonical CSR form of `matrix`, by
-    scipy's row and column indexing; test reference."""
+    scipy's row and column indexing, in canonical CSC; test reference."""
     mat = matrix.tocsr(copy=True)
     mat.sum_duplicates()
     free = np.setdiff1d(np.arange(mat.shape[0]), constrained)
-    return mat[free][:, free]
+    return mat[free][:, free].tocsc()
 
 
 class TestElementCalculus:
@@ -206,8 +208,8 @@ class TestAssembly:
         for _ in range(2):
             local = rng.standard_normal((*block, mesh.num_triangles))
             local[rng.random(local.shape) < 0.1] = 0.0
-            assert_same_csr(patterns.scatter(moved, local),
-                            reference(moved, local.transpose(2, 0, 1)))
+            assert_same_arrays(patterns.scatter(moved, local),
+                               reference(moved, local.transpose(2, 0, 1)))
 
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.02])
     def test_patterns_have_the_coo_structure(self, h):
@@ -363,8 +365,8 @@ class TestConstrainedSolve:
 
 class TestDirichletElimination:
     """`apply_dirichlet` eliminates the constrained dofs: it gives the free
-    x free block of a canonical CSR matrix, bit for bit, stored zeros
-    kept."""
+    x free block of a canonical CSR matrix in canonical CSC, bit for bit,
+    stored zeros kept."""
 
     @staticmethod
     def assert_free_block(matrix, constrained):
@@ -374,7 +376,7 @@ class TestDirichletElimination:
         mat.sum_duplicates()
         restriction = fem._Restriction(mat.indptr, mat.indices, constrained)
         block = fem.apply_dirichlet(mat, restriction)
-        assert_same_csr(block, free_block(matrix, constrained))
+        assert_same_arrays(block, free_block(matrix, constrained))
         return block
 
     @staticmethod
@@ -382,7 +384,8 @@ class TestDirichletElimination:
         """An operator's block, gathered by the `_Restriction` the patterns
         that filled it keep for its constrained set."""
         assert op.restriction is patterns.restriction(op.constrained)
-        assert_same_csr(op.free_block, free_block(op.matrix, op.constrained))
+        assert_same_arrays(op.free_block,
+                           free_block(op.matrix, op.constrained))
 
     def test_kkt_matrix(self, mesh):
         cfg = model.ProblemConfig()
@@ -462,10 +465,15 @@ class TestDirichletElimination:
         assert np.count_nonzero(block.data == 0) > 1
 
 
+# the options of `SparseOperator._factor`'s one SuperLU call
+MMD = dict(permc_spec="MMD_AT_PLUS_A", panel_size=1, diag_pivot_thresh=0.0,
+           options={"SymmetricMode": True})
+
+
 def mmd_factor(matrix):
-    """The per-call factorization the per-run ordering replaced."""
-    return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    """`matrix` factorized as `SparseOperator._factor` factorizes a free
+    block: minimum degree on A + A^T per call, diagonal pivots only."""
+    return spla.splu(matrix.tocsc(), **MMD)
 
 
 def iterate(h, deformed):
@@ -484,21 +492,21 @@ SIZES = pytest.mark.parametrize("h, deformed", [(0.05, False), (0.02, False),
                                 ids=["h0.05", "h0.02", "deformed"])
 
 
-class TestPerRunOrdering:
-    """K and b_s factorized on the ordering their run's first factorization
-    computed, against minimum degree per call on the identity-row matrix."""
+class TestFactorization:
+    """K and b_s factorized by one SuperLU call on their CSC free block,
+    against minimum degree on the identity-row matrix."""
 
     @SIZES
     def test_same_fill_and_solutions(self, h, deformed, monkeypatch):
         start, moved = iterate(h, deformed)
-        orders = []
+        calls = []
         real = spla.splu
 
-        def counted(matrix, permc_spec, **kwargs):
-            orders.append(permc_spec)
-            return real(matrix, permc_spec=permc_spec, **kwargs)
+        def spy(matrix, **kwargs):
+            calls.append((matrix.format, kwargs))
+            return real(matrix, **kwargs)
 
-        monkeypatch.setattr(spla, "splu", counted)
+        monkeypatch.setattr(spla, "splu", spy)
         patterns = fem.ScatterPatterns(start)
         rng = np.random.default_rng(15)
         for m in (start, moved, moved):
@@ -506,14 +514,11 @@ class TestPerRunOrdering:
                                     patterns)
             for op in (ops.state, ops.metric.block):
                 want = real(reference_dirichlet(op.matrix, op.constrained)
-                            .tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
+                            .tocsc(), **MMD)
                 got = op._factor
-                lu = getattr(got, "lu", got)
                 # an identity row is one entry of L and one of U
                 nc = m.num_vertices - op.restriction.free.size
-                assert lu.L.nnz + lu.U.nnz == \
+                assert got.L.nnz + got.U.nnz == \
                     want.L.nnz + want.U.nnz - 2 * nc
                 rhs = rng.standard_normal((m.num_vertices, 2))
                 rhs[op.constrained] = 0.0
@@ -522,13 +527,10 @@ class TestPerRunOrdering:
                 ref_x = want.solve(rhs)
                 assert np.abs(x - ref_x).max() <= \
                     1e-14 * np.abs(ref_x).max()
-        # one minimum-degree ordering per constrained set, K's and b_s's
-        assert orders == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 4
-        # each keeps a copy of `perm_c`: a view would keep its whole first
-        # factorization alive for the run
+        # one call per factorization, K's and b_s's on each iterate, each
+        # on CSC input with minimum degree and panels of one column
+        assert calls == [("csc", MMD)] * 6
         assert len(patterns._restrictions) == 2
-        for restriction in patterns._restrictions.values():
-            assert restriction.perm.base is None
 
     @SIZES
     def test_block_solves_equal_identity_row_solves(self, h, deformed):
@@ -546,23 +548,14 @@ class TestPerRunOrdering:
                 op.matrix, op.constrained)).solve(free)
             assert op.solve_constrained(rhs).tobytes() == want.tobytes()
 
-    def test_stored_zero_keeps_the_run_ordering(self, mesh, monkeypatch):
+    def test_stored_zero_kept_in_the_block(self, mesh):
         """A stored zero in the free block is kept, so the block keeps the
-        run's structure and its ordering: minimum degree runs once for the
-        constrained set.  The solution agrees with a per-call
-        minimum-degree factorization of the block with the zero dropped."""
-        orders = []
-        real = spla.splu
-
-        def counted(matrix, permc_spec, **kwargs):
-            orders.append(permc_spec)
-            return real(matrix, permc_spec=permc_spec, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counted)
+        structure of its constrained set.  The solution agrees with a
+        minimum-degree factorization of the block with the zero
+        dropped."""
         patterns = fem.ScatterPatterns(mesh)
         state = model.OperatorSet(mesh, model.ProblemConfig(),
                                   patterns=patterns).state
-        state.solve_constrained(np.zeros(mesh.num_vertices))
         # zero a symmetric pair of free off-diagonal entries
         zeroed = state.matrix.copy()
         rows = np.repeat(np.arange(mesh.num_vertices),
@@ -580,7 +573,6 @@ class TestPerRunOrdering:
         assert op.free_block.nnz == state.free_block.nnz
         rhs = np.random.default_rng(16).standard_normal(mesh.num_vertices)
         got = op.solve_constrained(rhs)
-        assert orders == ["MMD_AT_PLUS_A", "NATURAL"]
         dropped = op.free_block.copy()
         dropped.eliminate_zeros()
         assert dropped.nnz == op.free_block.nnz - 2

@@ -6,11 +6,37 @@ from deformopt.mesh import (GAMMA_BOTTOM, GAMMA_LEFT, GAMMA_RIGHT, GAMMA_TOP,
                             InclusionShape, Mesh, MeshError,
                             NonInvertibleDeformation, REGION_EXTERIOR,
                             REGION_INCLUSION, apply_deformation,
-                            check_invertibility, generate_mesh, mesh_quality,
+                            check_invertibility, corners, generate_mesh,
                             signed_areas)
 
 ELLIPSE = InclusionShape.ellipse((0.5, 0.5), (0.25, 0.125))
 CIRCLE = InclusionShape.circle((0.5, 0.5), 0.2)
+
+
+def mesh_quality(m: Mesh):
+    """Report {min_angle (degrees), max_aspect, min_area}."""
+    xy = corners(m.vertices, m.triangles)
+    x, y = xy
+    # edge k joins the two corners other than k, its coordinates (ne,) each
+    ex = [x[2] - x[1], x[0] - x[2], x[1] - x[0]]
+    ey = [y[2] - y[1], y[0] - y[2], y[1] - y[0]]
+    length = [np.sqrt(ex[k] * ex[k] + ey[k] * ey[k]) for k in range(3)]
+    areas = signed_areas(m.vertices, m.triangles, xy)
+    lmax = np.maximum(np.maximum(length[0], length[1]), length[2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # aspect: longest edge over smallest altitude
+        alt_min = 2 * areas / lmax
+        aspect = np.where(areas > 0, lmax / alt_min, np.inf)
+        # the angle at corner k lies between edges k + 1 and k + 2
+        cosines = np.stack([(-ex[i] * ex[j] + -ey[i] * ey[j])
+                            / (length[i] * length[j])
+                            for i, j in ((1, 2), (2, 0), (0, 1))])
+    angs = np.degrees(np.arccos(np.clip(cosines, -1, 1)))
+    return {
+        "min_angle": float(angs.min()),
+        "max_aspect": float(aspect.max()),
+        "min_area": float(areas.min()),
+    }
 
 
 @pytest.fixture(scope="module")

@@ -72,6 +72,26 @@ def test_no_einsum():
     assert found == []
 
 
+def test_one_splu_call():
+    """Every factorization is one SuperLU call at one site: minimum degree
+    on A + A^T, panels of one column, diagonal pivots in symmetric mode,
+    and no other option.  `relax=64, panel_size=32` crashed scipy's
+    SuperLU on K's block at h=0.01, so no larger value is set, nor tried
+    here."""
+    calls = [node for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None) == "splu"
+                  or getattr(node.func, "id", None) == "splu")]
+    assert len(calls) == 1
+    (call,) = calls
+    assert all(isinstance(kw.value, (ast.Constant, ast.Dict))
+               for kw in call.keywords)
+    assert {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords} == {
+        "permc_spec": "MMD_AT_PLUS_A", "panel_size": 1,
+        "diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
 def public_definitions(tree):
     """The public functions and classes that `tree` defines at top level."""
     return {node.name for node in tree.body

@@ -5,8 +5,13 @@ from hypothesis import strategies as st
 
 from deformopt.pseudoinverse import (DenseOperator, MetricSpace, RangeError,
                                      epsilon_solve, epsilon_table,
-                                     min_norm_solve, random_singular_psd,
-                                     stationarity_residual)
+                                     min_norm_solve, random_singular_psd)
+
+
+def stationarity_residual(op: DenseOperator, b, v, eps: float):
+    """g-norm of the gradient of the regularized quadratic at v."""
+    r = op.h @ v - np.asarray(b, dtype=float) + eps * v
+    return op.ms.norm(r)
 
 
 class TestMetricSpace:
